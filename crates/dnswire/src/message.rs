@@ -204,8 +204,24 @@ impl Message {
         self.questions.first()
     }
 
+    /// The message's wire length with no name compressed: an upper
+    /// bound on the length of [`encode`](Message::encode)'s output.
+    pub fn uncompressed_len(&self) -> usize {
+        let questions: usize = self.questions.iter().map(|q| q.name.wire_len() + 4).sum();
+        let records: usize = self
+            .answers
+            .iter()
+            .chain(&self.authorities)
+            .chain(&self.additionals)
+            .map(ResourceRecord::uncompressed_len)
+            .sum();
+        12 + questions + records
+    }
+
+    /// Encode into a buffer sized once, by
+    /// [`uncompressed_len`](Message::uncompressed_len).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_capacity(self.uncompressed_len());
         w.put_u16(self.header.id);
         w.put_u16(self.header.flags());
         w.put_u16(self.questions.len() as u16);

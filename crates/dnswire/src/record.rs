@@ -39,6 +39,14 @@ impl SvcParam {
         }
     }
 
+    fn value_len(&self) -> usize {
+        match self {
+            SvcParam::Alpn(protos) => protos.iter().map(|p| 1 + p.len()).sum(),
+            SvcParam::Port(_) => 2,
+            SvcParam::Unknown(_, v) => v.len(),
+        }
+    }
+
     fn decode(key: u16, value: &[u8]) -> Result<SvcParam, WireError> {
         match key {
             1 => {
@@ -175,6 +183,23 @@ impl RData {
         }
     }
 
+    /// The body's length with no name compressed: an upper bound on what
+    /// [`encode`](RData::encode) writes.
+    pub(crate) fn uncompressed_len(&self) -> usize {
+        match self {
+            RData::A(a) => a.len(),
+            RData::Aaaa(a) => a.len(),
+            RData::Ns(n) | RData::Cname(n) | RData::Ptr(n) => n.wire_len(),
+            RData::Mx { exchange, .. } => 2 + exchange.wire_len(),
+            RData::Txt(strings) => strings.iter().map(|s| 1 + s.len()).sum(),
+            RData::Soa { mname, rname, .. } => mname.wire_len() + rname.wire_len() + 20,
+            RData::Svcb { target, params, .. } => {
+                2 + target.wire_len() + params.iter().map(|p| 4 + p.value_len()).sum::<usize>()
+            }
+            RData::Opt(raw) | RData::Unknown(raw) => raw.len(),
+        }
+    }
+
     /// Decode an RDATA body of `rdlen` bytes of type `rtype`.
     pub fn decode(
         rtype: RecordType,
@@ -277,6 +302,12 @@ impl ResourceRecord {
             ttl,
             rdata,
         }
+    }
+
+    /// The record's wire length with no name compressed: the owner
+    /// name, type, class, TTL, RDLENGTH and RDATA.
+    pub(crate) fn uncompressed_len(&self) -> usize {
+        self.name.wire_len() + 10 + self.rdata.uncompressed_len()
     }
 
     pub fn encode(&self, w: &mut WireWriter) {

@@ -1,11 +1,13 @@
 //! Low-level wire reading and writing.
 //!
 //! [`WireWriter`] appends big-endian integers and byte slices to a
-//! growable buffer and maintains the name-compression dictionary.
+//! growable buffer and compresses the names written through
+//! [`Name::encode`](crate::Name::encode). It keeps no dictionary of
+//! suffixes: it records the offset of every label it writes, and finds a
+//! suffix by walking the bytes already written from each recorded offset
+//! (following its own earlier pointers, comparing case-insensitively).
 //! [`WireReader`] is a bounds-checked cursor over received bytes; all
 //! failures surface as [`WireError`] — malformed input can never panic.
-
-use std::collections::HashMap;
 
 /// Decoding / encoding errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,19 +41,35 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Growable output buffer with the name-compression dictionary.
+/// Compression pointers address only the first 16 KiB: two of their 16
+/// bits are the pointer tag.
+const POINTER_LIMIT: usize = 0x4000;
+
+/// Growable output buffer that compresses the names written into it.
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
-    /// Maps a (case-normalised) name suffix to the offset of its first
-    /// occurrence, for compression pointers. Only offsets < 0x4000 are
-    /// usable as pointer targets.
-    name_offsets: HashMap<Vec<u8>, u16>,
+    /// Offsets of the labels written by [`put_compressed_name`], in
+    /// writing (so ascending) order: each starts a name suffix a later
+    /// name may point at. Offsets a pointer cannot reach are not kept.
+    ///
+    /// [`put_compressed_name`]: WireWriter::put_compressed_name
+    name_starts: Vec<u16>,
 }
 
 impl WireWriter {
+    /// An empty writer; allocates nothing until written to.
     pub fn new() -> Self {
         WireWriter::default()
+    }
+
+    /// An empty writer whose buffer holds `capacity` bytes before it
+    /// grows.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        WireWriter {
+            buf: Vec::with_capacity(capacity),
+            name_starts: Vec::new(),
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -84,17 +102,71 @@ impl WireWriter {
         self.buf[at..at + 2].copy_from_slice(&v.to_be_bytes());
     }
 
-    /// Look up a previously written name suffix.
-    pub fn compression_offset(&self, key: &[u8]) -> Option<u16> {
-        self.name_offsets.get(key).copied()
+    /// Write a name given as its uncompressed wire form without the
+    /// root byte, compressed: at each label boundary, emit a pointer to
+    /// the first place the same suffix was written (ignoring ASCII
+    /// case); otherwise write the label and record where it starts.
+    pub(crate) fn put_compressed_name(&mut self, name: &[u8]) {
+        let mut rest = name;
+        while let Some(&len) = rest.first() {
+            if let Some(at) = self.find_suffix(rest) {
+                self.put_u16(0xC000 | at);
+                return;
+            }
+            if self.buf.len() < POINTER_LIMIT {
+                self.name_starts.push(self.buf.len() as u16);
+            }
+            let (label, tail) = rest.split_at(1 + len as usize);
+            self.put_slice(label);
+            rest = tail;
+        }
+        self.put_u8(0); // root
     }
 
-    /// Remember that `key` (a case-normalised suffix) starts at `offset`.
-    pub fn remember_name(&mut self, key: Vec<u8>, offset: usize) {
-        // Pointers can only address the first 16 KiB minus the two
-        // pointer tag bits.
-        if offset < 0x4000 {
-            self.name_offsets.entry(key).or_insert(offset as u16);
+    /// The first recorded offset from which the written name equals
+    /// `suffix` (a well-formed wire form without the root byte).
+    fn find_suffix(&self, suffix: &[u8]) -> Option<u16> {
+        self.name_starts
+            .iter()
+            .copied()
+            .find(|&at| self.written_name_is(at as usize, suffix))
+    }
+
+    /// Whether the name written at `at`, read through this writer's own
+    /// pointers, equals `suffix` ignoring ASCII case. The walk reads only
+    /// what `put_compressed_name` wrote, whose pointers all point back;
+    /// it still gives up on anything else rather than loop or panic.
+    fn written_name_is(&self, mut at: usize, mut suffix: &[u8]) -> bool {
+        loop {
+            let Some(&len) = self.buf.get(at) else {
+                return false;
+            };
+            if len & 0xC0 == 0xC0 {
+                let Some(&lo) = self.buf.get(at + 1) else {
+                    return false;
+                };
+                let target = usize::from(len & 0x3F) << 8 | usize::from(lo);
+                if target >= at {
+                    return false;
+                }
+                at = target;
+                continue;
+            }
+            let Some((&want, tail)) = suffix.split_first() else {
+                return len == 0;
+            };
+            let (label, tail) = tail.split_at(want as usize);
+            let end = at + 1 + label.len();
+            if len != want
+                || !self
+                    .buf
+                    .get(at + 1..end)
+                    .is_some_and(|written| written.eq_ignore_ascii_case(label))
+            {
+                return false;
+            }
+            suffix = tail;
+            at = end;
         }
     }
 
@@ -228,17 +300,43 @@ mod tests {
     }
 
     #[test]
-    fn compression_dictionary_first_offset_wins() {
+    fn compression_first_offset_wins() {
+        // The same suffix written twice, the second time by hand so the
+        // writer records it again: pointers still target the first.
         let mut w = WireWriter::new();
-        w.remember_name(b"example.com".to_vec(), 12);
-        w.remember_name(b"example.com".to_vec(), 40);
-        assert_eq!(w.compression_offset(b"example.com"), Some(12));
+        w.put_slice(&[0; 12]);
+        w.put_compressed_name(b"\x07example\x03com");
+        w.put_slice(&[0; 15]);
+        let second = w.len();
+        w.name_starts.push(second as u16);
+        w.put_slice(b"\x07EXAMPLE\x03com\x00");
+        assert_eq!(w.find_suffix(b"\x07example\x03com"), Some(12));
+        let before = w.len();
+        w.put_compressed_name(b"\x07Example\x03COM");
+        assert_eq!(&w.as_slice()[before..], b"\xC0\x0C");
     }
 
     #[test]
-    fn compression_dictionary_ignores_unreachable_offsets() {
+    fn compression_ignores_unreachable_offsets() {
+        // A name written at 0x4000 cannot be pointed at: its second
+        // occurrence is written out again.
         let mut w = WireWriter::new();
-        w.remember_name(b"x".to_vec(), 0x4000);
-        assert_eq!(w.compression_offset(b"x"), None);
+        w.put_slice(&vec![0; POINTER_LIMIT]);
+        w.put_compressed_name(b"\x01x");
+        assert!(w.name_starts.is_empty());
+        let before = w.len();
+        w.put_compressed_name(b"\x01x");
+        assert_eq!(&w.as_slice()[before..], b"\x01x\x00");
+    }
+
+    #[test]
+    fn the_suffix_walk_gives_up_on_bytes_it_did_not_write() {
+        let mut w = WireWriter::new();
+        w.put_slice(b"\xC0\x00\xC0\x05\x01");
+        // A self-pointer, a forward pointer, a label running off the end.
+        assert!(!w.written_name_is(0, b"\x01a"));
+        assert!(!w.written_name_is(2, b"\x01a"));
+        assert!(!w.written_name_is(4, b"\x01a"));
+        assert!(!w.written_name_is(9, b"\x01a"));
     }
 }

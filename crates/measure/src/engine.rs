@@ -8,11 +8,11 @@
 //! * [`UnitGrid`] — the `[vantage point × resolver × page × transport ×
 //!   repetition]` enumeration in one canonical order (page and any
 //!   other unused axis collapse to a single slot);
-//! * [`run_units`] — a work-stealing scheduler: workers pull unit
-//!   indices from a shared atomic cursor (no static `chunks()`
-//!   pre-partitioning, so a straggler unit never idles the other
-//!   workers) and results are merged back in unit-grid order, making
-//!   campaign output **byte-identical at any thread count**;
+//! * [`run_units`] — a work-stealing scheduler: workers pull units
+//!   from a shared queue (no static `chunks()` pre-partitioning, so a
+//!   straggler unit never idles the other workers) and write each
+//!   result into its unit-grid slot, making campaign output
+//!   **byte-identical at any thread count**;
 //! * per-worker **simulator arenas** — each worker owns one
 //!   [`doqlab_simnet::Simulator`] created by the `init` hook and
 //!   [`doqlab_simnet::Simulator::reset`] between units, reusing the
@@ -22,7 +22,7 @@
 //!   [`env_threads`]/[`env_seed`] overrides (`DOQLAB_THREADS`,
 //!   `DOQLAB_SEED`) that the experiment binaries route through.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Environment variable overriding the worker-thread count of every
 /// campaign run ([`env_threads`]).
@@ -147,15 +147,15 @@ impl UnitGrid {
 
 /// Execute `run` for every unit on a pool of `threads` workers.
 ///
-/// Scheduling is work-stealing: a shared atomic cursor hands out unit
-/// indices first-come first-served, so slow units (a 30 s page-load
-/// timeout, say) never leave the rest of a pre-assigned chunk idle.
-/// Each worker calls `init` once to build its private state — the
-/// reusable simulator arena — and threads it through every unit it
-/// executes. Results are written into their unit's slot and returned
-/// in grid order: the output is independent of thread count and
-/// scheduling, so a campaign's samples are byte-identical whether it
-/// ran on 1 thread or 64.
+/// Scheduling is work-stealing: a shared queue hands out units
+/// first-come first-served, so slow units (a 30 s page-load timeout,
+/// say) never leave the rest of a pre-assigned chunk idle. Each worker
+/// calls `init` once to build its private state — the reusable
+/// simulator arena — and threads it through every unit it executes.
+/// Results are written into their unit's slot and returned in grid
+/// order: the output is independent of thread count and scheduling, so
+/// a campaign's samples are byte-identical whether it ran on 1 thread
+/// or 64.
 pub fn run_units<U, W, S>(
     threads: usize,
     units: &[U],
@@ -167,37 +167,42 @@ where
     S: Send,
 {
     let threads = threads.max(1).min(units.len().max(1));
-    let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<S>> = Vec::with_capacity(units.len());
     slots.resize_with(units.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cursor = &cursor;
-                let init = &init;
-                let run = &run;
-                scope.spawn(move || {
-                    // Register this worker's metrics shard so per-unit
-                    // counters merge at campaign end (no-op when
-                    // telemetry is disabled).
-                    let _telemetry = doqlab_telemetry::metrics::worker_guard();
-                    let mut worker = init();
-                    let mut done: Vec<(usize, S)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(unit) = units.get(i) else { break };
-                        done.push((i, run(&mut worker, unit, i)));
-                    }
-                    done
+    {
+        // The queue hands out each unit with its result slot. A
+        // per-worker result vector would be a grid-sized buffer in the
+        // worker thread's allocator arena, placed wherever the units
+        // that worker happened to run had left room, so peak RSS would
+        // change from one run to the next.
+        let queue = Mutex::new(slots.iter_mut().zip(units).enumerate());
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    let queue = &queue;
+                    let init = &init;
+                    let run = &run;
+                    scope.spawn(move || {
+                        // Register this worker's metrics shard so per-unit
+                        // counters merge at campaign end (no-op when
+                        // telemetry is disabled).
+                        let _telemetry = doqlab_telemetry::metrics::worker_guard();
+                        let mut worker = init();
+                        loop {
+                            // Held only to take the next unit, which
+                            // cannot panic.
+                            let next = queue.lock().expect("unit queue lock poisoned").next();
+                            let Some((i, (slot, unit))) = next else { break };
+                            *slot = Some(run(&mut worker, unit, i));
+                        }
+                    })
                 })
-            })
-            .collect();
-        for handle in handles {
-            for (i, sample) in handle.join().expect("campaign worker panicked") {
-                slots[i] = Some(sample);
+                .collect();
+            for handle in handles {
+                handle.join().expect("campaign worker panicked");
             }
-        }
-    });
+        });
+    }
     slots
         .into_iter()
         .map(|s| s.expect("every unit executed"))

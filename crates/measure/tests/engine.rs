@@ -16,6 +16,17 @@ use doqlab_measure::{
 use doqlab_resolver::synthesize_dox_population;
 use doqlab_telemetry::metrics::{self, Counter};
 use doqlab_webperf::tranco_top10;
+use std::sync::{Mutex, MutexGuard};
+
+/// The metrics registry is process-global: while a telemetry test has it
+/// enabled, campaigns running in sibling tests would count into it. Every
+/// test here runs campaigns, so each holds this lock for its whole body.
+static CAMPAIGNS: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the tests after it still run.
+    CAMPAIGNS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn single_query_scale(threads: usize) -> Scale {
     Scale {
@@ -39,6 +50,7 @@ fn webperf_scale(threads: usize) -> Scale {
 
 #[test]
 fn single_query_campaign_is_thread_count_invariant() {
+    let _serial = serial();
     let pop = synthesize_dox_population(1);
     let mut renderings = Vec::new();
     for threads in [1, 4, 8] {
@@ -53,6 +65,7 @@ fn single_query_campaign_is_thread_count_invariant() {
 
 #[test]
 fn webperf_campaign_is_thread_count_invariant() {
+    let _serial = serial();
     let pop = synthesize_dox_population(1);
     let pages = tranco_top10();
     let mut renderings = Vec::new();
@@ -77,6 +90,7 @@ fn impairments_scale(threads: usize) -> Scale {
 
 #[test]
 fn impairments_campaign_is_thread_count_invariant() {
+    let _serial = serial();
     // The fault-injection sweep must be bit-identical across thread
     // counts and across repeated runs at a fixed seed: every stochastic
     // impairment decision flows through the unit's seeded RNG.
@@ -95,6 +109,7 @@ fn impairments_campaign_is_thread_count_invariant() {
 
 #[test]
 fn mobility_campaign_is_thread_count_invariant() {
+    let _serial = serial();
     // The mobility sweep drives rebinds mid-run and races failover
     // ladders, but must stay bit-identical across thread counts and
     // repeated runs at a fixed seed.
@@ -113,6 +128,7 @@ fn mobility_campaign_is_thread_count_invariant() {
 
 #[test]
 fn whatif_campaign_is_thread_count_invariant() {
+    let _serial = serial();
     // The counterfactual sweep flips feature flags (0-RTT, TFO,
     // keepalive, DoH3) per regime but must stay bit-identical across
     // thread counts and repeated runs at a fixed seed.
@@ -131,6 +147,7 @@ fn whatif_campaign_is_thread_count_invariant() {
 
 #[test]
 fn whatif_telemetry_is_inert() {
+    let _serial = serial();
     // The new 0-RTT / TFO / keepalive counters ride telemetry;
     // collecting them must not perturb the counterfactual samples.
     let pop = synthesize_dox_population(1);
@@ -156,6 +173,7 @@ fn whatif_telemetry_is_inert() {
 
 #[test]
 fn mobility_telemetry_is_inert() {
+    let _serial = serial();
     // Path/migration events and failover counters ride telemetry;
     // collecting them must not perturb the mobile samples (qlog path
     // events stay observational).
@@ -182,6 +200,7 @@ fn mobility_telemetry_is_inert() {
 
 #[test]
 fn impairments_telemetry_is_inert() {
+    let _serial = serial();
     // Failure-taxonomy counters and reconnect counts ride telemetry;
     // collecting them must not perturb the samples.
     let pop = synthesize_dox_population(1);
@@ -205,6 +224,7 @@ fn impairments_telemetry_is_inert() {
 
 #[test]
 fn telemetry_does_not_change_campaign_output() {
+    let _serial = serial();
     // The "provably inert" contract: with metrics collection on, a
     // campaign's samples are byte-identical to a run with telemetry
     // fully disabled, and the registry actually observed the units.
@@ -229,6 +249,7 @@ fn telemetry_does_not_change_campaign_output() {
 
 #[test]
 fn event_tracing_does_not_change_campaign_output() {
+    let _serial = serial();
     // Event tracing captures one unit per transport; those traced
     // units must reproduce exactly the samples the untraced campaign
     // produced at the same coordinates (vp 0, resolver slot 0, rep 0).
@@ -253,6 +274,7 @@ fn event_tracing_does_not_change_campaign_output() {
 
 #[test]
 fn seed_changes_campaign_output() {
+    let _serial = serial();
     let pop = synthesize_dox_population(1);
     let base = SingleQueryCampaign::new(single_query_scale(4));
     let reseeded = SingleQueryCampaign {

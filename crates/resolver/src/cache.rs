@@ -13,23 +13,21 @@ use doqlab_simnet::{Duration, SimTime};
 use doqlab_telemetry::metrics::{self, Counter};
 use std::collections::HashMap;
 
-/// Cache key: either the case-normalised wire form of a name (general
-/// path) or an interned [`NameId`] (hot path — hashes 6 bytes instead
-/// of a heap label vector). The two variants never collide; a cache
-/// fed through the id API must be queried through it too, since the
-/// cache cannot map one form onto the other.
+/// Cache key: either the lowercased name (general path) or an interned
+/// [`NameId`] (hot path — hashes 6 bytes instead of a whole name). The
+/// two variants never collide; a cache fed through the id API must be
+/// queried through it too, since the cache cannot map one form onto the
+/// other.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Key {
-    Wire { name_lower: Vec<u8>, rtype: u16 },
+    Wire { name_lower: Name, rtype: u16 },
     Interned { id: NameId, rtype: u16 },
 }
 
 impl Key {
     fn wire(name: &Name, rtype: RecordType) -> Self {
-        let mut name_lower = Vec::with_capacity(name.wire_len());
-        name.append_lower_wire(&mut name_lower);
         Key::Wire {
-            name_lower,
+            name_lower: name.to_ascii_lowercase(),
             rtype: rtype.to_u16(),
         }
     }

@@ -77,7 +77,7 @@ pub fn authoritative_answer(q: &Question) -> Vec<ResourceRecord> {
     // NXDOMAIN and RFC 2308 negative caching.
     if q.name
         .labels()
-        .first()
+        .next()
         .is_some_and(|l| l.starts_with(b"nx-"))
     {
         return Vec::new();
@@ -134,7 +134,7 @@ fn negative_response(query: &Message, q: &Question, rcode: Rcode) -> Message {
 }
 
 /// What releasing a pending answer writes back into the cache.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum CacheFill {
     Records(Vec<ResourceRecord>),
     Negative(Rcode),
@@ -278,16 +278,13 @@ impl ResolverHost {
             }
         }
         // Release due answers.
-        let mut released = Vec::new();
-        self.pending.retain(|p| {
-            if p.due <= ctx.now {
-                released.push((p.key, p.response.clone(), p.fill.clone()));
-                false
-            } else {
-                true
-            }
-        });
-        for (key, response, fill) in released {
+        for PendingAnswer {
+            key,
+            response,
+            fill,
+            ..
+        } in self.pending.extract_if(.., |p| p.due <= ctx.now)
+        {
             match fill {
                 Some((name, rtype, CacheFill::Records(records))) => {
                     self.cache.put(ctx.now, &name, rtype, records);
@@ -497,5 +494,24 @@ mod tests {
         ));
         let txt = Question::new(Name::parse("example.org").unwrap(), RecordType::Txt);
         assert!(authoritative_answer(&txt).is_empty());
+    }
+
+    #[test]
+    fn name_addresses_are_pinned() {
+        // Origin servers and answers meet at these addresses, and every
+        // page load and sample depends on them: they must not move with
+        // how `Name` stores its labels. The long name spills past the
+        // inline buffer.
+        for (domain, ip) in [
+            ("WWW.Google.com", [51, 32, 111, 60]),
+            ("www.google.com", [51, 32, 111, 60]),
+            (
+                "statics-marketingsites-wcus-ms-com.akamaized.net",
+                [183, 227, 249, 107],
+            ),
+            ("d7.pop.doqlab.test", [165, 20, 219, 138]),
+        ] {
+            assert_eq!(ip_for_domain(domain).octets(), ip, "{domain}");
+        }
     }
 }
