@@ -16,7 +16,7 @@
 //! jump flags a per-packet or per-event allocation sneaking back into
 //! a hot path.
 
-use doqlab_core::measure::engine;
+use doqlab_core::measure::{engine, impairments, mobility, whatif};
 use doqlab_core::telemetry::metrics::{self, Counter};
 use doqlab_core::Study;
 use std::time::Instant;
@@ -128,16 +128,19 @@ fn main() {
             study.run_webperf();
         }),
         timed("impairments", || {
-            study.run_impairments();
+            study.run_sweep(impairments::standard_sweep());
         }),
         timed("mobility", || {
-            study.run_mobility();
+            study.run_sweep(mobility::standard_mobility_sweep(
+                mobility::DEFAULT_REBIND_AT,
+                mobility::DEFAULT_STAGGER,
+            ));
         }),
         timed("populations", || {
             study.run_populations();
         }),
         timed("whatif", || {
-            study.run_whatif();
+            study.run_sweep(whatif::standard_whatif_sweep());
         }),
     ];
 

@@ -31,13 +31,10 @@ pub use doqlab_webperf as webperf;
 
 use doqlab_dox::DnsTransport;
 use doqlab_measure::discovery::DiscoveryReport;
-use doqlab_measure::impairments::{ImpairmentSample, ImpairmentsCampaign};
-use doqlab_measure::mobility::{MobilityCampaign, MobilitySample};
 use doqlab_measure::populations::{PopulationSample, PopulationsCampaign};
 use doqlab_measure::single_query::{SingleQueryCampaign, SingleQuerySample};
 use doqlab_measure::webperf::{WebperfCampaign, WebperfSample};
-use doqlab_measure::whatif::{WhatifCampaign, WhatifSample};
-use doqlab_measure::Scale;
+use doqlab_measure::{Regime, Scale, Sweep, SweepSample};
 use doqlab_resolver::{
     synthesize_dox_population, synthesize_scan_population, ResolverProfile, ScannedHost,
 };
@@ -126,31 +123,22 @@ impl Study {
         doqlab_measure::trace_single_query(&self.single_query_campaign(), &population)
     }
 
-    /// The fault-injection sweep: single-query units under impairment
-    /// regimes (`doqlab measure impairments`). Shares the study seed
-    /// with the single-query campaign, so the baseline regime
-    /// reproduces that campaign's samples bit for bit.
-    pub fn run_impairments(&self) -> Vec<ImpairmentSample> {
+    /// A regime sweep (`doqlab measure impairments|mobility|whatif`):
+    /// single-query units re-run under each regime, for example
+    /// [`measure::impairments::standard_sweep`]. Shares the study seed
+    /// and campaign flags with the single-query campaign, so a zero
+    /// regime reproduces that campaign's samples bit for bit; a regime
+    /// that sets a campaign flag overrides the study's.
+    pub fn run_sweep(&self, regimes: Vec<Regime>) -> Vec<SweepSample> {
         let population = self.population();
-        let mut c = ImpairmentsCampaign::new(self.scale.clone());
-        c.seed = self.seed;
-        c.use_resumption = self.use_resumption;
-        c.enable_0rtt_resolvers = self.zero_rtt_resolvers;
-        doqlab_measure::run_impairments_campaign(&c, &population)
-    }
-
-    /// The mobility sweep (`doqlab measure mobility`): single-query
-    /// units across mid-query address changes, with reconnect and
-    /// cross-transport failover recovery regimes. Shares the study seed
-    /// with the single-query campaign, so the baseline regime
-    /// reproduces that campaign's samples bit for bit.
-    pub fn run_mobility(&self) -> Vec<MobilitySample> {
-        let population = self.population();
-        let mut c = MobilityCampaign::new(self.scale.clone());
-        c.seed = self.seed;
-        c.use_resumption = self.use_resumption;
-        c.enable_0rtt_resolvers = self.zero_rtt_resolvers;
-        doqlab_measure::run_mobility_campaign(&c, &population)
+        let sweep = Sweep {
+            seed: self.seed,
+            regimes,
+            use_resumption: self.use_resumption,
+            enable_0rtt_resolvers: self.zero_rtt_resolvers,
+            ..Sweep::new(self.scale.clone())
+        };
+        doqlab_measure::run_sweep(&sweep, &population)
     }
 
     /// The population-scale campaign (`doqlab measure populations`):
@@ -165,45 +153,31 @@ impl Study {
         doqlab_measure::run_populations_campaign(&c, &population)
     }
 
-    /// The counterfactual sweep (`doqlab measure whatif`): single-query
-    /// units re-run with one dormant capability switched on per regime
-    /// (resumption, 0-RTT, TFO, edns-tcp-keepalive, DoH3). Shares the
-    /// study seed with the single-query campaign, and regime units
-    /// reuse the baseline's unit seeds, so per-unit deltas are genuine
-    /// counterfactuals.
-    pub fn run_whatif(&self) -> Vec<WhatifSample> {
-        let population = self.population();
-        let mut c = WhatifCampaign::new(self.scale.clone());
-        c.seed = self.seed;
-        doqlab_measure::run_whatif_campaign(&c, &population)
-    }
-
-    /// The Web half of the what-if campaign: the Web campaign run twice
-    /// — once as-is, once with `use_doh3` — with identical unit seeds,
-    /// so the returned `(doh2, doh3)` worlds pair unit by unit and the
-    /// DoH column's FCP/PLT deltas are attributable to HTTP/3 alone.
-    pub fn run_whatif_webperf(&self) -> (Vec<WebperfSample>, Vec<WebperfSample>) {
-        let population = self.population();
-        let pages = self.pages();
+    fn webperf_campaign(&self) -> WebperfCampaign {
         let mut c = WebperfCampaign::new(self.scale.clone());
         c.seed = self.seed;
         c.dot_bug = self.dot_bug;
         c.enable_0rtt_resolvers = self.zero_rtt_resolvers;
-        let base = doqlab_measure::run_webperf_campaign(&c, &population, &pages);
-        c.use_doh3 = true;
-        let doh3 = doqlab_measure::run_webperf_campaign(&c, &population, &pages);
-        (base, doh3)
+        c
     }
 
     /// §3.2 Web-performance campaign.
     pub fn run_webperf(&self) -> Vec<WebperfSample> {
-        let population = self.population();
-        let pages = self.pages();
-        let mut c = WebperfCampaign::new(self.scale.clone());
-        c.seed = self.seed;
-        c.dot_bug = self.dot_bug;
-        c.enable_0rtt_resolvers = self.zero_rtt_resolvers;
-        doqlab_measure::run_webperf_campaign(&c, &population, &pages)
+        doqlab_measure::run_webperf_campaign(
+            &self.webperf_campaign(),
+            &self.population(),
+            &self.pages(),
+        )
+    }
+
+    /// The Web half of the what-if sweep: the Web campaign with
+    /// `use_doh3`, on the same unit seeds as [`Study::run_webperf`], so
+    /// the two worlds pair unit by unit and the DoH column's FCP/PLT
+    /// deltas are attributable to HTTP/3 alone.
+    pub fn run_webperf_doh3(&self) -> Vec<WebperfSample> {
+        let mut c = self.webperf_campaign();
+        c.use_doh3 = true;
+        doqlab_measure::run_webperf_campaign(&c, &self.population(), &self.pages())
     }
 }
 

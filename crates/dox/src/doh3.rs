@@ -14,7 +14,7 @@ use doqlab_netstack::tls::TlsConfig;
 use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
 use doqlab_telemetry::{sink, Event};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A DoH3 client connection.
 #[derive(Debug)]
@@ -28,8 +28,10 @@ pub struct DoH3Client {
     conn: Option<QuicConnection>,
     control_sent: bool,
     queued: Vec<Message>,
-    /// request stream -> original query id.
-    inflight: HashMap<u64, (u16, Vec<u8>)>,
+    /// request stream -> original query id, in stream order so
+    /// responses completing together land in the order their queries
+    /// were sent.
+    inflight: BTreeMap<u64, (u16, Vec<u8>)>,
     responses: Vec<(SimTime, Message)>,
     session_out: SessionState,
     early_permitted: bool,
@@ -61,7 +63,7 @@ impl DoH3Client {
             conn: None,
             control_sent: false,
             queued: Vec::new(),
-            inflight: HashMap::new(),
+            inflight: BTreeMap::new(),
             responses: Vec::new(),
             session_out: SessionState::default(),
             early_permitted,

@@ -15,7 +15,7 @@ use doqlab_dnswire::{framing, LengthPrefixedReader, Message};
 use doqlab_netstack::quic::{QuicConfig, QuicConnection, QuicError, QUIC_V1};
 use doqlab_netstack::tls::TlsConfig;
 use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Classify a dead QUIC connection for the failure taxonomy. `None`
 /// while the connection is healthy or the error struck after the
@@ -46,8 +46,10 @@ pub struct DoQClient {
     conn: Option<QuicConnection>,
     /// Queries waiting for the stream mapping to be known.
     queued: Vec<Message>,
-    /// stream id -> (original query id, response reassembly).
-    inflight: HashMap<u64, (u16, LengthPrefixedReader, Vec<u8>)>,
+    /// stream id -> (original query id, response reassembly), in
+    /// stream order so responses completing together land in the
+    /// order their queries were sent.
+    inflight: BTreeMap<u64, (u16, LengthPrefixedReader, Vec<u8>)>,
     alpn: Option<DoqAlpn>,
     responses: Vec<(SimTime, Message)>,
     session_out: SessionState,
@@ -78,7 +80,7 @@ impl DoQClient {
             session_in: cfg.session.clone(),
             conn: None,
             queued: Vec::new(),
-            inflight: HashMap::new(),
+            inflight: BTreeMap::new(),
             alpn: None,
             responses: Vec::new(),
             session_out: SessionState::default(),

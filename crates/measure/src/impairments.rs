@@ -1,355 +1,86 @@
-//! The fault-injection campaign: single-query measurements under
+//! The fault-injection sweep: single-query measurements under
 //! deterministic network impairments.
 //!
-//! Each unit is `[vantage point : resolver : regime : protocol :
-//! repetition]` — the plain single-query unit of [`crate::single_query`]
-//! re-run with an [`ImpairmentSchedule`] installed for the measured
-//! phase and a per-regime resilience policy (query deadline, reconnect
-//! budget) on the measured connection. The cache-warming phase always
-//! runs unimpaired, so every regime measures the same warmed resolver.
-//!
-//! Two reproducibility contracts, both pinned by the engine invariance
-//! tests:
-//!
-//! * the campaign is bit-identical across thread counts and repeated
-//!   runs at a fixed seed (all randomness flows through the unit's
-//!   seeded RNG);
-//! * the zero-impairment baseline regime uses the vanilla resilience
-//!   policy and the *single-query campaign's own* unit seeds, so its
-//!   samples reproduce that campaign bit for bit.
+//! Each regime installs an [`ImpairmentSchedule`] for the measured
+//! phase and a resilience policy (query deadline, reconnect budget) on
+//! the measured connection; the cache-warming phase always runs
+//! unimpaired, so every regime measures the same warmed resolver.
+//! Impaired regimes draw domain-separated unit seeds; the baseline runs
+//! on the single-query campaign's own (see [`crate::sweep`]).
 
-use crate::engine;
-use crate::single_query::{run_unit_custom, SingleQueryCampaign, SingleQuerySample, UnitOptions};
-use crate::vantage::vantage_points;
-use crate::Scale;
-use doqlab_dox::{DnsTransport, FailureKind};
-use doqlab_resolver::ResolverProfile;
-use doqlab_simnet::path::GeoPathParams;
-use doqlab_simnet::{Duration, GilbertElliott, ImpairmentSchedule, SimTime, Simulator};
+use crate::single_query::UnitOptions;
+use crate::sweep::{Regime, SeedRule, Sweep, SweepSample};
+use doqlab_simnet::{Duration, GilbertElliott, ImpairmentSchedule, SimTime};
 
-/// One impairment regime: what breaks on the path, and how hard the
-/// client fights back.
-#[derive(Debug, Clone)]
-pub struct ImpairmentRegime {
-    pub name: String,
-    /// Gilbert–Elliott burst loss on every routed packet.
-    pub burst: Option<GilbertElliott>,
-    /// Blackhole windows as `(start, end)` offsets from the measured
-    /// phase's first packet.
-    pub outages: Vec<(Duration, Duration)>,
-    /// Probability a delivered packet is held back by `reorder_extra`.
-    pub reorder_prob: f64,
-    pub reorder_extra: Duration,
-    /// Probability a delivered packet arrives twice.
-    pub duplicate_prob: f64,
-    // Resilience policy for the measured connection.
-    pub query_deadline: Option<Duration>,
-    pub reconnect_max: u32,
-    pub reconnect_backoff: Duration,
-}
-
-impl ImpairmentRegime {
-    /// The zero-impairment, vanilla-policy control regime.
-    pub fn baseline() -> Self {
-        ImpairmentRegime {
-            name: "baseline".into(),
-            burst: None,
-            outages: Vec::new(),
-            reorder_prob: 0.0,
-            reorder_extra: Duration::ZERO,
-            duplicate_prob: 0.0,
-            query_deadline: None,
-            reconnect_max: 0,
-            reconnect_backoff: Duration::from_millis(250),
-        }
-    }
-
-    /// No impairment configured: the unit must run on the vanilla
-    /// single-query path (same seed, no schedule installed).
-    pub fn is_zero(&self) -> bool {
-        self.burst.is_none()
-            && self.outages.is_empty()
-            && self.reorder_prob == 0.0
-            && self.duplicate_prob == 0.0
-    }
-
-    /// Materialize the schedule for a measured phase starting at
-    /// `start` (outage offsets become absolute windows).
-    pub fn schedule_at(&self, start: SimTime) -> ImpairmentSchedule {
-        let mut s = ImpairmentSchedule::new();
-        if let Some(ge) = &self.burst {
-            s = s.with_burst(ge.clone());
-        }
-        for (from, to) in &self.outages {
-            s = s.with_outage(start + *from, start + *to);
-        }
-        if self.reorder_prob > 0.0 {
-            s = s.with_reorder(self.reorder_prob, self.reorder_extra);
-        }
-        if self.duplicate_prob > 0.0 {
-            s = s.with_duplicate(self.duplicate_prob);
-        }
-        s
-    }
-}
+/// Domain separation for impaired regimes' unit seeds.
+const IMPAIR_SEED_DOMAIN: u64 = 0xBAD_11E7_0F0F_2022;
 
 /// The default regime sweep: a zero-impairment control, two burst-loss
 /// intensities (~1.5% and ~11% stationary loss), a mid-handshake
 /// blackhole, and everything at once.
-pub fn standard_sweep() -> Vec<ImpairmentRegime> {
-    let impaired_policy = |mut r: ImpairmentRegime| {
-        r.query_deadline = Some(Duration::from_secs(15));
-        r.reconnect_max = 2;
-        r.reconnect_backoff = Duration::from_millis(500);
-        r
+pub fn standard_sweep() -> Vec<Regime> {
+    let impaired = |name: &str, impairment: ImpairmentSchedule| Regime {
+        name: name.into(),
+        seed: SeedRule::Domain(IMPAIR_SEED_DOMAIN),
+        options: UnitOptions {
+            impairment,
+            query_deadline: Some(Duration::from_secs(15)),
+            reconnect_max: 2,
+            reconnect_backoff: Duration::from_millis(500),
+            ..UnitOptions::default()
+        },
+        ..Regime::baseline()
     };
-    let loss_light = ImpairmentRegime {
-        name: "loss-light".into(),
-        burst: Some(GilbertElliott::new(0.01, 0.4, 0.0, 0.6)),
-        ..ImpairmentRegime::baseline()
-    };
-    let loss_heavy = ImpairmentRegime {
-        name: "loss-heavy".into(),
-        burst: Some(GilbertElliott::new(0.05, 0.25, 0.01, 0.6)),
-        ..ImpairmentRegime::baseline()
-    };
-    let outage = ImpairmentRegime {
-        name: "outage".into(),
-        outages: vec![(Duration::from_millis(100), Duration::from_millis(1100))],
-        ..ImpairmentRegime::baseline()
-    };
-    let chaos = ImpairmentRegime {
-        name: "chaos".into(),
-        burst: Some(GilbertElliott::new(0.02, 0.3, 0.005, 0.5)),
-        outages: vec![(Duration::from_millis(300), Duration::from_millis(800))],
-        reorder_prob: 0.02,
-        reorder_extra: Duration::from_millis(30),
-        duplicate_prob: 0.01,
-        ..ImpairmentRegime::baseline()
-    };
+    let ms = SimTime::from_millis;
+    let ge = GilbertElliott::new;
+    let schedule = ImpairmentSchedule::new;
     vec![
-        ImpairmentRegime::baseline(),
-        impaired_policy(loss_light),
-        impaired_policy(loss_heavy),
-        impaired_policy(outage),
-        impaired_policy(chaos),
+        Regime::baseline(),
+        impaired("loss-light", schedule().with_burst(ge(0.01, 0.4, 0.0, 0.6))),
+        impaired(
+            "loss-heavy",
+            schedule().with_burst(ge(0.05, 0.25, 0.01, 0.6)),
+        ),
+        impaired("outage", schedule().with_outage(ms(100), ms(1100))),
+        impaired(
+            "chaos",
+            schedule()
+                .with_burst(ge(0.02, 0.3, 0.005, 0.5))
+                .with_outage(ms(300), ms(800))
+                .with_reorder(0.02, Duration::from_millis(30))
+                .with_duplicate(0.01),
+        ),
     ]
 }
 
-/// One impaired measurement: the single-query sample plus the
-/// failure-taxonomy verdict and the reconnect count.
-#[derive(Debug, Clone)]
-pub struct ImpairmentSample {
-    pub regime: usize,
-    pub regime_name: String,
-    pub failure: Option<FailureKind>,
-    pub reconnects: u32,
-    pub sample: SingleQuerySample,
-}
+// The names the benchmark (`perfbench/`) calls, kept as aliases of the
+// sweep items: no second code path.
 
-/// Campaign configuration. The seed doubles as the single-query
-/// campaign seed, so the baseline regime reproduces that campaign's
-/// samples exactly.
-#[derive(Debug, Clone)]
-pub struct ImpairmentsCampaign {
-    pub seed: u64,
-    pub scale: Scale,
-    pub regimes: Vec<ImpairmentRegime>,
-    pub use_resumption: bool,
-    pub enable_0rtt_resolvers: bool,
-    pub path_params: GeoPathParams,
-}
-
-impl ImpairmentsCampaign {
-    pub fn new(scale: Scale) -> Self {
-        let sq = SingleQueryCampaign::new(scale.clone());
-        ImpairmentsCampaign {
-            seed: sq.seed,
-            scale,
-            regimes: standard_sweep(),
-            use_resumption: true,
-            enable_0rtt_resolvers: false,
-            path_params: GeoPathParams::default(),
-        }
-    }
-
-    /// The single-query campaign every unit of this one embeds.
-    fn single_query(&self) -> SingleQueryCampaign {
-        SingleQueryCampaign {
-            seed: self.seed,
-            scale: self.scale.clone(),
-            use_resumption: self.use_resumption,
-            enable_0rtt_resolvers: self.enable_0rtt_resolvers,
-            path_params: self.path_params.clone(),
-        }
-    }
-}
-
-/// Domain separation for impaired regimes' unit seeds. The baseline
-/// regime deliberately does NOT use it: it runs on the single-query
-/// campaign's own seeds to stay bit-identical with it.
-const IMPAIR_SEED_DOMAIN: u64 = 0xBAD_11E7_0F0F_2022;
-
-/// Run one `[vp : resolver : regime : protocol : repetition]` unit in a
-/// reusable simulator arena.
-pub fn run_impairment_unit(
-    sim: &mut Simulator,
-    campaign: &ImpairmentsCampaign,
-    vp: usize,
-    profile: &ResolverProfile,
-    regime_idx: usize,
-    transport: DnsTransport,
-    rep: usize,
-) -> ImpairmentSample {
-    let regime = &campaign.regimes[regime_idx];
-    let sq = campaign.single_query();
-    let opts = if regime.is_zero() {
-        // The vanilla path: standard seed, no schedule installed, no
-        // extra RNG draws — bit-identical to the single-query unit.
-        UnitOptions::default()
-    } else {
-        let r = regime.clone();
-        UnitOptions {
-            seed: Some(engine::unit_seed(
-                campaign.seed ^ IMPAIR_SEED_DOMAIN,
-                &[
-                    regime_idx as u64,
-                    vp as u64,
-                    profile.index as u64,
-                    transport as u64,
-                    rep as u64,
-                ],
-            )),
-            impairment: Some(Box::new(move |start| r.schedule_at(start))),
-            query_deadline: regime.query_deadline,
-            reconnect_max: regime.reconnect_max,
-            reconnect_backoff: regime.reconnect_backoff,
-            run_deadline: Duration::from_secs(20),
-            ..UnitOptions::default()
-        }
-    };
-    let vps = vantage_points();
-    let out = run_unit_custom(sim, &sq, &vps[vp], profile, transport, rep, &opts);
-    ImpairmentSample {
-        regime: regime_idx,
-        regime_name: regime.name.clone(),
-        failure: out.failure,
-        reconnects: out.reconnects,
-        sample: out.sample,
-    }
-}
-
-/// Run the campaign: every vantage point x resolver x regime x protocol
-/// x repetition, scheduled by the work-stealing engine on per-worker
-/// simulator arenas (regimes ride the grid's `pages` axis). Output
-/// order and content are independent of thread count.
-pub fn run_impairments_campaign(
-    campaign: &ImpairmentsCampaign,
-    population: &[ResolverProfile],
-) -> Vec<ImpairmentSample> {
-    let vps = vantage_points();
-    let resolvers = campaign.scale.sample_resolvers(population);
-    let grid = engine::UnitGrid {
-        vps: vps.len(),
-        resolvers: resolvers.len(),
-        pages: campaign.regimes.len(),
-        transports: DnsTransport::ALL.len(),
-        reps: campaign.scale.repetitions,
-    };
-    let units = grid.units();
-    engine::run_units(
-        engine::env_threads(campaign.scale.threads),
-        &units,
-        Simulator::arena,
-        |sim, u, _| {
-            run_impairment_unit(
-                sim,
-                campaign,
-                u.vp,
-                resolvers[u.resolver],
-                u.page,
-                DnsTransport::ALL[u.transport],
-                u.rep,
-            )
-        },
-    )
-}
+/// The sweep configuration (kept for the benchmark).
+pub type ImpairmentsCampaign = Sweep;
+/// One swept measurement (kept for the benchmark).
+pub type ImpairmentSample = SweepSample;
+/// [`crate::sweep::run_sweep`] (kept for the benchmark).
+pub use crate::sweep::run_sweep as run_impairments_campaign;
+/// [`crate::sweep::run_sweep_unit`] (kept for the benchmark).
+pub use crate::sweep::run_sweep_unit as run_impairment_unit;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::single_query::run_single_query_campaign;
+    use crate::single_query::{run_unit_custom, SingleQueryCampaign, UnitOutcome};
+    use crate::sweep::run_sweep;
+    use crate::sweep::tests::tiny_sweep;
+    use crate::vantage::vantage_points;
+    use crate::Scale;
+    use doqlab_dox::{DnsTransport, FailureKind};
     use doqlab_resolver::synthesize_dox_population;
-
-    fn tiny_campaign() -> (ImpairmentsCampaign, Vec<ResolverProfile>) {
-        let scale = Scale {
-            resolvers: Some(2),
-            repetitions: 1,
-            threads: 2,
-            ..Scale::quick()
-        };
-        (
-            ImpairmentsCampaign::new(scale),
-            synthesize_dox_population(1),
-        )
-    }
-
-    #[test]
-    fn standard_sweep_leads_with_a_zero_baseline() {
-        let sweep = standard_sweep();
-        assert_eq!(sweep[0].name, "baseline");
-        assert!(sweep[0].is_zero());
-        assert_eq!(sweep[0].reconnect_max, 0);
-        assert!(sweep[0].query_deadline.is_none());
-        assert!(sweep.iter().skip(1).all(|r| !r.is_zero()));
-        assert!(sweep.iter().skip(1).all(|r| r.query_deadline.is_some()));
-    }
-
-    #[test]
-    fn campaign_produces_the_full_regime_grid() {
-        let (c, pop) = tiny_campaign();
-        let samples = run_impairments_campaign(&c, &pop);
-        // 6 vps x 2 resolvers x 5 regimes x 5 protocols x 1 rep.
-        assert_eq!(samples.len(), 300);
-        for (i, r) in c.regimes.iter().enumerate() {
-            let of_r: Vec<_> = samples.iter().filter(|s| s.regime == i).collect();
-            assert_eq!(of_r.len(), 60);
-            assert!(of_r.iter().all(|s| s.regime_name == r.name));
-        }
-        // Failed units carry a taxonomy verdict; successes never do.
-        for s in &samples {
-            assert_eq!(s.sample.failed, s.failure.is_some(), "{s:?}");
-        }
-    }
-
-    #[test]
-    fn baseline_regime_reproduces_single_query_samples() {
-        let (c, pop) = tiny_campaign();
-        let impaired = run_impairments_campaign(&c, &pop);
-        let sq = SingleQueryCampaign {
-            seed: c.seed,
-            scale: c.scale.clone(),
-            use_resumption: c.use_resumption,
-            enable_0rtt_resolvers: c.enable_0rtt_resolvers,
-            path_params: c.path_params.clone(),
-        };
-        let plain = run_single_query_campaign(&sq, &pop);
-        let baseline: Vec<_> = impaired.iter().filter(|s| s.regime == 0).collect();
-        assert_eq!(baseline.len(), plain.len());
-        for (b, p) in baseline.iter().zip(&plain) {
-            assert_eq!(
-                format!("{:?}", b.sample),
-                format!("{p:?}"),
-                "baseline diverged from the single-query campaign"
-            );
-            assert_eq!(b.reconnects, 0);
-        }
-    }
+    use doqlab_simnet::Simulator;
 
     #[test]
     fn heavy_loss_degrades_at_least_some_units() {
-        let (c, pop) = tiny_campaign();
-        let samples = run_impairments_campaign(&c, &pop);
+        let (c, pop) = tiny_sweep(standard_sweep());
+        let samples = run_sweep(&c, &pop);
         let resolve_sum = |regime: usize| {
             samples
                 .iter()
@@ -367,42 +98,39 @@ mod tests {
         );
     }
 
+    /// Run one DoUDP unit at vp 0 against the first resolver.
+    fn run_doudp(opts: &UnitOptions) -> UnitOutcome {
+        let sq = SingleQueryCampaign::new(Scale::quick());
+        let pop = synthesize_dox_population(1);
+        let mut sim = Simulator::arena();
+        let vps = vantage_points();
+        run_unit_custom(
+            &mut sim,
+            &sq,
+            &vps[0],
+            &pop[0],
+            DnsTransport::DoUdp,
+            0,
+            opts,
+        )
+    }
+
     #[test]
     fn reconnect_after_outage_recovers_the_query() {
         // A 16 s blackhole outlives DoUDP's full retry budget (15 s):
         // the first connection dies inside the outage, the host dials a
         // replacement after backoff, and the re-issued query succeeds
         // once the outage lifts.
-        let (c, pop) = tiny_campaign();
-        let regime = ImpairmentRegime {
-            name: "blackhole".into(),
-            outages: vec![(Duration::ZERO, Duration::from_secs(16))],
+        let out = run_doudp(&UnitOptions {
+            seed: Some(0xD1A1),
+            impairment: ImpairmentSchedule::new()
+                .with_outage(SimTime::ZERO, SimTime::from_secs(16)),
             query_deadline: Some(Duration::from_secs(35)),
             reconnect_max: 2,
             reconnect_backoff: Duration::from_millis(500),
-            ..ImpairmentRegime::baseline()
-        };
-        let r = regime.clone();
-        let opts = UnitOptions {
-            seed: Some(0xD1A1),
-            impairment: Some(Box::new(move |start| r.schedule_at(start))),
-            query_deadline: regime.query_deadline,
-            reconnect_max: regime.reconnect_max,
-            reconnect_backoff: regime.reconnect_backoff,
             run_deadline: Duration::from_secs(40),
             ..UnitOptions::default()
-        };
-        let mut sim = Simulator::arena();
-        let vps = vantage_points();
-        let out = run_unit_custom(
-            &mut sim,
-            &c.single_query(),
-            &vps[0],
-            &pop[0],
-            DnsTransport::DoUdp,
-            0,
-            &opts,
-        );
+        });
         assert!(out.reconnects >= 1, "no replacement connection dialed");
         assert!(
             !out.sample.failed,
@@ -421,35 +149,15 @@ mod tests {
         // An outage covering the whole run plus a 5 s deadline: the
         // transport has not yet diagnosed anything when the deadline
         // fires, so the verdict is deadline-exceeded.
-        let (c, pop) = tiny_campaign();
-        let regime = ImpairmentRegime {
-            name: "dead".into(),
-            outages: vec![(Duration::ZERO, Duration::from_secs(60))],
+        let out = run_doudp(&UnitOptions {
+            seed: Some(0xDEAD),
+            impairment: ImpairmentSchedule::new()
+                .with_outage(SimTime::ZERO, SimTime::from_secs(60)),
             query_deadline: Some(Duration::from_secs(5)),
             reconnect_max: 0,
-            ..ImpairmentRegime::baseline()
-        };
-        let r = regime.clone();
-        let opts = UnitOptions {
-            seed: Some(0xDEAD),
-            impairment: Some(Box::new(move |start| r.schedule_at(start))),
-            query_deadline: regime.query_deadline,
-            reconnect_max: 0,
-            reconnect_backoff: regime.reconnect_backoff,
             run_deadline: Duration::from_secs(20),
             ..UnitOptions::default()
-        };
-        let mut sim = Simulator::arena();
-        let vps = vantage_points();
-        let out = run_unit_custom(
-            &mut sim,
-            &c.single_query(),
-            &vps[0],
-            &pop[0],
-            DnsTransport::DoUdp,
-            0,
-            &opts,
-        );
+        });
         assert!(out.sample.failed);
         assert_eq!(out.failure, Some(FailureKind::DeadlineExceeded));
         assert_eq!(out.reconnects, 0);
@@ -457,8 +165,8 @@ mod tests {
 
     #[test]
     fn outage_regime_recovers_or_classifies_failures() {
-        let (c, pop) = tiny_campaign();
-        let samples = run_impairments_campaign(&c, &pop);
+        let (c, pop) = tiny_sweep(standard_sweep());
+        let samples = run_sweep(&c, &pop);
         let outage: Vec<_> = samples.iter().filter(|s| s.regime == 3).collect();
         assert!(!outage.is_empty());
         // Every unit either produced a response (possibly after a

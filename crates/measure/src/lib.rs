@@ -13,25 +13,26 @@
 //! * [`webperf`] — §3.2: Tranco top-10 page loads through the DNS
 //!   proxy per [vantage point x resolver x protocol], median of N cold
 //!   loads, relative FCP/PLT differences (Fig. 3, Fig. 4).
-//! * [`impairments`] — the fault-injection sweep: single-query units
-//!   re-run under deterministic burst loss, outages, reordering and
-//!   duplication regimes, reporting failure rates and response-time
-//!   CDFs per regime and transport.
 //! * [`populations`] — the population-scale campaign: whole client
 //!   cohorts behind shared stub caches and pooled connections, issuing
 //!   Zipf-popular queries over a simulated day; reports cache hit
 //!   ratios, resolver load, client resolve-time quantiles and
 //!   aggregate bytes per transport.
-//! * [`mobility`] — the mobility sweep: single-query units re-run
-//!   across mid-query address changes (wifi → cellular), reporting
-//!   which transports survive by connection migration, switchover
-//!   latency, and the cost of reconnect and cross-transport failover
-//!   recovery strategies.
-//! * [`whatif`] — the counterfactual sweep: single-query units re-run
-//!   with dormant capabilities switched on (TLS/QUIC 0-RTT, TCP Fast
-//!   Open, edns-tcp-keepalive, DoH3) on the *same* unit seeds as the
-//!   all-off baseline, reporting the resolve-time deltas the paper
-//!   could not measure.
+//! * [`sweep`] — regime sweeps: single-query units re-run under a list
+//!   of [`Regime`]s, each plain data (a seed rule,
+//!   [`single_query::UnitOptions`] and campaign flags). Three standard
+//!   sweeps ship as data:
+//!   - [`impairments`] — deterministic burst loss, outages, reordering
+//!     and duplication, reporting failure rates and response-time
+//!     quantiles per regime and transport;
+//!   - [`mobility`] — mid-query address changes (wifi → cellular),
+//!     reporting which transports survive by connection migration,
+//!     switchover latency, and the cost of reconnect and
+//!     cross-transport failover recovery;
+//!   - [`whatif`] — dormant capabilities switched on (TLS/QUIC 0-RTT,
+//!     TCP Fast Open, edns-tcp-keepalive, DoH3) on the *same* unit
+//!     seeds as the all-off baseline, reporting the resolve-time deltas
+//!     the paper could not measure.
 //!
 //! [`stats`] holds the estimators (median, percentiles, CDFs) and
 //! [`report`] renders tables that mirror the paper's layout. Campaign
@@ -46,23 +47,22 @@ pub mod populations;
 pub mod report;
 pub mod single_query;
 pub mod stats;
+pub mod sweep;
 pub mod trace;
 pub mod vantage;
 pub mod webperf;
 pub mod whatif;
 
 pub use discovery::{run_discovery, DiscoveryReport};
-pub use impairments::{
-    run_impairments_campaign, ImpairmentRegime, ImpairmentSample, ImpairmentsCampaign,
-};
-pub use mobility::{run_mobility_campaign, MobilityCampaign, MobilityRegime, MobilitySample};
+/// [`sweep::run_sweep`] under the name the benchmark calls.
+pub use impairments::run_impairments_campaign;
 pub use populations::{run_populations_campaign, PopulationSample, PopulationsCampaign};
 pub use single_query::{run_single_query_campaign, SingleQueryCampaign, SingleQuerySample};
 pub use stats::{cdf_points, median, percentile, Cdf};
+pub use sweep::{run_sweep, Regime, Sweep, SweepSample};
 pub use trace::{trace_single_query, TraceRun};
 pub use vantage::{vantage_points, VantagePoint};
 pub use webperf::{run_webperf_campaign, WebperfCampaign, WebperfSample};
-pub use whatif::{run_whatif_campaign, WhatifCampaign, WhatifRegime, WhatifSample};
 
 /// Campaign scale knobs.
 #[derive(Debug, Clone)]

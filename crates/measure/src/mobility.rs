@@ -1,9 +1,7 @@
-//! The mobility campaign: single-query measurements across mid-query
+//! The mobility sweep: single-query measurements across mid-query
 //! address changes (wifi → cellular) and cross-transport failover.
 //!
-//! Each unit is `[vantage point : resolver : regime : protocol :
-//! repetition]` — the plain single-query unit of [`crate::single_query`]
-//! re-run with a rebind schedule driven against the measured client: at
+//! Each regime drives a rebind schedule against the measured client: at
 //! each scheduled offset from handshake completion the client's address
 //! is moved onto a fresh "cellular" address with its own
 //! [`PathProfile`] overlay, stranding whatever was still in flight to
@@ -11,122 +9,60 @@
 //! the TCP-based transports and DoUDP are stranded and either fail, or
 //! recover via the reconnect budget or the cross-transport
 //! happy-eyeballs ladder ([`FailoverPolicy`]), depending on the regime.
-//!
-//! Two reproducibility contracts, pinned by tests here and by the
-//! engine invariance suite:
-//!
-//! * the campaign is bit-identical across thread counts and repeated
-//!   runs at a fixed seed;
-//! * the zero-rebind baseline regime uses the vanilla policy and the
-//!   *single-query campaign's own* unit seeds, so its samples reproduce
-//!   that campaign bit for bit.
+//! Mobile regimes draw domain-separated unit seeds; the baseline runs
+//! on the single-query campaign's own (see [`crate::sweep`]).
 
-use crate::engine;
-use crate::single_query::{run_unit_custom, SingleQueryCampaign, SingleQuerySample, UnitOptions};
-use crate::vantage::vantage_points;
-use crate::Scale;
-use doqlab_dox::{DnsTransport, FailoverPolicy, FailureKind};
-use doqlab_resolver::ResolverProfile;
-use doqlab_simnet::path::{GeoPathParams, PathProfile};
-use doqlab_simnet::{Duration, Simulator};
+use crate::single_query::UnitOptions;
+use crate::sweep::{Regime, SeedRule};
+use doqlab_dox::{DnsTransport, FailoverPolicy};
+use doqlab_simnet::path::PathProfile;
+use doqlab_simnet::Duration;
 
-/// Environment variable overriding the sweep's first rebind offset in
-/// milliseconds from handshake completion ([`standard_mobility_sweep`]).
-pub const REBIND_MS_ENV: &str = "DOQLAB_REBIND_MS";
+/// Domain separation for mobile regimes' unit seeds.
+const MOBILITY_SEED_DOMAIN: u64 = 0x3069_11E7_0D05_2022;
 
-/// Environment variable overriding the sweep's failover stagger in
-/// milliseconds ([`standard_mobility_sweep`]).
-pub const STAGGER_MS_ENV: &str = "DOQLAB_STAGGER_MS";
+/// The standard sweep's first rebind offset from handshake completion.
+pub const DEFAULT_REBIND_AT: Duration = Duration::from_millis(5);
 
-fn env_ms(var: &str, default_ms: u64) -> Duration {
-    let ms = match std::env::var(var) {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => default_ms,
-        },
-        Err(_) => default_ms,
-    };
-    Duration::from_millis(ms)
-}
-
-/// One mobility regime: when the client's address changes, what the new
-/// path looks like, and how the client fights back.
-#[derive(Debug, Clone)]
-pub struct MobilityRegime {
-    pub name: String,
-    /// Address rebinds as `(offset, new-path profile)`; offsets are
-    /// from handshake completion (from the phase start for DoUDP).
-    pub rebinds: Vec<(Duration, PathProfile)>,
-    /// Cross-transport happy-eyeballs ladder (the unit's primary
-    /// transport is filtered out of the ladder per unit).
-    pub failover: Option<FailoverPolicy>,
-    // Resilience policy for the measured connection.
-    pub query_deadline: Option<Duration>,
-    pub reconnect_max: u32,
-    pub reconnect_backoff: Duration,
-    /// How long the measured phase may run in simulated time.
-    pub run_deadline: Duration,
-}
-
-impl MobilityRegime {
-    /// The zero-rebind, vanilla-policy control regime.
-    pub fn baseline() -> Self {
-        MobilityRegime {
-            name: "baseline".into(),
-            rebinds: Vec::new(),
-            failover: None,
-            query_deadline: None,
-            reconnect_max: 0,
-            reconnect_backoff: Duration::from_millis(250),
-            run_deadline: Duration::from_secs(20),
-        }
-    }
-
-    /// No mobility configured: the unit must run on the vanilla
-    /// single-query path (same seed, no rebind driver).
-    pub fn is_zero(&self) -> bool {
-        self.rebinds.is_empty() && self.failover.is_none()
-    }
-}
+/// The standard sweep's failover rung stagger.
+pub const DEFAULT_STAGGER: Duration = Duration::from_millis(400);
 
 /// The default regime sweep: a zero-rebind control, a bare mid-query
-/// rebind (the paper-motivating case: only DoQ survives), the same
-/// rebind rescued by the reconnect budget, the same rebind rescued by
-/// the cross-transport ladder, and a storm of repeated rebinds.
-///
-/// `DOQLAB_REBIND_MS` overrides the first rebind offset and
-/// `DOQLAB_STAGGER_MS` the failover stagger.
-pub fn standard_mobility_sweep() -> Vec<MobilityRegime> {
-    let rebind_at = env_ms(REBIND_MS_ENV, 5);
-    let stagger = env_ms(STAGGER_MS_ENV, 400);
+/// rebind at `rebind_at` (the paper-motivating case: only DoQ
+/// survives), the same rebind rescued by the reconnect budget, the same
+/// rebind rescued by a cross-transport ladder staggered by `stagger`,
+/// and a storm of repeated rebinds.
+pub fn standard_mobility_sweep(rebind_at: Duration, stagger: Duration) -> Vec<Regime> {
+    let mobile = |name: &str, options: UnitOptions| Regime {
+        name: name.into(),
+        seed: SeedRule::Domain(MOBILITY_SEED_DOMAIN),
+        options,
+        ..Regime::baseline()
+    };
     let cellular = PathProfile {
         extra_delay: Duration::from_millis(20),
         loss: None,
     };
-    let rebind = MobilityRegime {
-        name: "rebind".into(),
+    let rebind = UnitOptions {
         rebinds: vec![(rebind_at, cellular)],
         query_deadline: Some(Duration::from_secs(15)),
-        ..MobilityRegime::baseline()
+        ..UnitOptions::default()
     };
-    let reconnect = MobilityRegime {
-        name: "rebind-reconnect".into(),
+    let reconnect = UnitOptions {
         query_deadline: Some(Duration::from_secs(30)),
         reconnect_max: 2,
         reconnect_backoff: Duration::from_millis(500),
         run_deadline: Duration::from_secs(40),
         ..rebind.clone()
     };
-    let failover = MobilityRegime {
-        name: "rebind-failover".into(),
+    let failover = UnitOptions {
         failover: Some(FailoverPolicy {
             ladder: vec![DnsTransport::DoT, DnsTransport::DoUdp],
             stagger,
         }),
         ..rebind.clone()
     };
-    let storm = MobilityRegime {
-        name: "rebind-storm".into(),
+    let storm = UnitOptions {
         rebinds: vec![
             (rebind_at, cellular),
             (Duration::from_secs(1), PathProfile::default()),
@@ -142,262 +78,26 @@ pub fn standard_mobility_sweep() -> Vec<MobilityRegime> {
         reconnect_max: 2,
         reconnect_backoff: Duration::from_millis(500),
         run_deadline: Duration::from_secs(30),
-        ..MobilityRegime::baseline()
+        ..UnitOptions::default()
     };
     vec![
-        MobilityRegime::baseline(),
-        rebind,
-        reconnect,
-        failover,
-        storm,
+        Regime::baseline(),
+        mobile("rebind", rebind),
+        mobile("rebind-reconnect", reconnect),
+        mobile("rebind-failover", failover),
+        mobile("rebind-storm", storm),
     ]
-}
-
-/// One mobile measurement: the single-query sample plus the mobility
-/// verdict — did the query survive the address change(s), how long the
-/// switchover took, and what the recovery cost.
-#[derive(Debug, Clone)]
-pub struct MobilitySample {
-    pub regime: usize,
-    pub regime_name: String,
-    pub failure: Option<FailureKind>,
-    pub reconnects: u32,
-    /// Address rebinds actually applied to this unit.
-    pub rebinds_applied: u32,
-    /// The query produced a response.
-    pub survived: bool,
-    /// First rebind to response, in milliseconds (`None` when the query
-    /// failed, answered before any rebind, or no rebind was applied).
-    pub switchover_ms: Option<f64>,
-    /// Bytes spent on dead primaries and losing failover rungs.
-    pub wasted_bytes: u64,
-    /// The transport that answered under a failover race.
-    pub winner: Option<DnsTransport>,
-    pub sample: SingleQuerySample,
-}
-
-/// Campaign configuration. The seed doubles as the single-query
-/// campaign seed, so the baseline regime reproduces that campaign's
-/// samples exactly.
-#[derive(Debug, Clone)]
-pub struct MobilityCampaign {
-    pub seed: u64,
-    pub scale: Scale,
-    pub regimes: Vec<MobilityRegime>,
-    pub use_resumption: bool,
-    pub enable_0rtt_resolvers: bool,
-    pub path_params: GeoPathParams,
-}
-
-impl MobilityCampaign {
-    pub fn new(scale: Scale) -> Self {
-        let sq = SingleQueryCampaign::new(scale.clone());
-        MobilityCampaign {
-            seed: sq.seed,
-            scale,
-            regimes: standard_mobility_sweep(),
-            use_resumption: true,
-            enable_0rtt_resolvers: false,
-            path_params: GeoPathParams::default(),
-        }
-    }
-
-    /// The single-query campaign every unit of this one embeds.
-    fn single_query(&self) -> SingleQueryCampaign {
-        SingleQueryCampaign {
-            seed: self.seed,
-            scale: self.scale.clone(),
-            use_resumption: self.use_resumption,
-            enable_0rtt_resolvers: self.enable_0rtt_resolvers,
-            path_params: self.path_params.clone(),
-        }
-    }
-}
-
-/// Domain separation for mobile regimes' unit seeds. The baseline
-/// regime deliberately does NOT use it: it runs on the single-query
-/// campaign's own seeds to stay bit-identical with it.
-const MOBILITY_SEED_DOMAIN: u64 = 0x3069_11E7_0D05_2022;
-
-/// Run one `[vp : resolver : regime : protocol : repetition]` unit in a
-/// reusable simulator arena.
-pub fn run_mobility_unit(
-    sim: &mut Simulator,
-    campaign: &MobilityCampaign,
-    vp: usize,
-    profile: &ResolverProfile,
-    regime_idx: usize,
-    transport: DnsTransport,
-    rep: usize,
-) -> MobilitySample {
-    let regime = &campaign.regimes[regime_idx];
-    let sq = campaign.single_query();
-    let opts = if regime.is_zero() {
-        // The vanilla path: standard seed, no rebind driver, no extra
-        // RNG draws — bit-identical to the single-query unit.
-        UnitOptions::default()
-    } else {
-        UnitOptions {
-            seed: Some(engine::unit_seed(
-                campaign.seed ^ MOBILITY_SEED_DOMAIN,
-                &[
-                    regime_idx as u64,
-                    vp as u64,
-                    profile.index as u64,
-                    transport as u64,
-                    rep as u64,
-                ],
-            )),
-            query_deadline: regime.query_deadline,
-            reconnect_max: regime.reconnect_max,
-            reconnect_backoff: regime.reconnect_backoff,
-            run_deadline: regime.run_deadline,
-            rebinds: regime.rebinds.clone(),
-            failover: regime.failover.clone().map(|mut p| {
-                p.ladder.retain(|t| *t != transport);
-                p
-            }),
-            ..UnitOptions::default()
-        }
-    };
-    let vps = vantage_points();
-    let out = run_unit_custom(sim, &sq, &vps[vp], profile, transport, rep, &opts);
-    let first_rebind_ms = out.first_rebind_at.map(|t| t.as_millis_f64());
-    let response_ms = out
-        .sample
-        .resolve_ms
-        .map(|ms| out.hs_done.unwrap_or(out.started).as_millis_f64() + ms);
-    let switchover_ms = match (first_rebind_ms, response_ms) {
-        (Some(rb), Some(resp)) if resp >= rb => Some(resp - rb),
-        _ => None,
-    };
-    MobilitySample {
-        regime: regime_idx,
-        regime_name: regime.name.clone(),
-        failure: out.failure,
-        reconnects: out.reconnects,
-        rebinds_applied: out.rebinds_applied,
-        survived: !out.sample.failed,
-        switchover_ms,
-        wasted_bytes: out.wasted_bytes,
-        winner: out.winner,
-        sample: out.sample,
-    }
-}
-
-/// Run the campaign: every vantage point x resolver x regime x protocol
-/// x repetition, scheduled by the work-stealing engine on per-worker
-/// simulator arenas (regimes ride the grid's `pages` axis). Output
-/// order and content are independent of thread count.
-pub fn run_mobility_campaign(
-    campaign: &MobilityCampaign,
-    population: &[ResolverProfile],
-) -> Vec<MobilitySample> {
-    let vps = vantage_points();
-    let resolvers = campaign.scale.sample_resolvers(population);
-    let grid = engine::UnitGrid {
-        vps: vps.len(),
-        resolvers: resolvers.len(),
-        pages: campaign.regimes.len(),
-        transports: DnsTransport::ALL.len(),
-        reps: campaign.scale.repetitions,
-    };
-    let units = grid.units();
-    engine::run_units(
-        engine::env_threads(campaign.scale.threads),
-        &units,
-        Simulator::arena,
-        |sim, u, _| {
-            run_mobility_unit(
-                sim,
-                campaign,
-                u.vp,
-                resolvers[u.resolver],
-                u.page,
-                DnsTransport::ALL[u.transport],
-                u.rep,
-            )
-        },
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::single_query::run_single_query_campaign;
-    use doqlab_resolver::synthesize_dox_population;
+    use crate::sweep::tests::tiny_sweep;
+    use crate::sweep::{run_sweep, SweepSample};
 
-    fn tiny_campaign() -> (MobilityCampaign, Vec<ResolverProfile>) {
-        let scale = Scale {
-            resolvers: Some(2),
-            repetitions: 1,
-            threads: 2,
-            ..Scale::quick()
-        };
-        (MobilityCampaign::new(scale), synthesize_dox_population(1))
-    }
-
-    #[test]
-    fn standard_sweep_leads_with_a_zero_baseline() {
-        let sweep = standard_mobility_sweep();
-        assert_eq!(sweep[0].name, "baseline");
-        assert!(sweep[0].is_zero());
-        assert_eq!(sweep[0].reconnect_max, 0);
-        assert!(sweep[0].query_deadline.is_none());
-        assert!(sweep.iter().skip(1).all(|r| !r.is_zero()));
-        assert!(sweep.iter().skip(1).all(|r| !r.rebinds.is_empty()));
-        assert!(sweep.iter().skip(1).all(|r| r.query_deadline.is_some()));
-    }
-
-    #[test]
-    fn campaign_produces_the_full_regime_grid() {
-        let (c, pop) = tiny_campaign();
-        let samples = run_mobility_campaign(&c, &pop);
-        // 6 vps x 2 resolvers x 5 regimes x 5 protocols x 1 rep.
-        assert_eq!(samples.len(), 300);
-        for (i, r) in c.regimes.iter().enumerate() {
-            let of_r: Vec<_> = samples.iter().filter(|s| s.regime == i).collect();
-            assert_eq!(of_r.len(), 60);
-            assert!(of_r.iter().all(|s| s.regime_name == r.name));
-        }
-        // Survival is the inverse of failure; failed units carry a
-        // taxonomy verdict, successes never do.
-        for s in &samples {
-            assert_eq!(s.survived, !s.sample.failed, "{s:?}");
-            assert_eq!(s.sample.failed, s.failure.is_some(), "{s:?}");
-        }
-        // Every non-baseline unit that survived long enough got its
-        // first rebind applied.
-        for s in samples.iter().filter(|s| s.regime == 1) {
-            assert!(s.rebinds_applied >= 1, "{s:?}");
-        }
-    }
-
-    #[test]
-    fn baseline_regime_reproduces_single_query_samples() {
-        let (c, pop) = tiny_campaign();
-        let mobile = run_mobility_campaign(&c, &pop);
-        let sq = SingleQueryCampaign {
-            seed: c.seed,
-            scale: c.scale.clone(),
-            use_resumption: c.use_resumption,
-            enable_0rtt_resolvers: c.enable_0rtt_resolvers,
-            path_params: c.path_params.clone(),
-        };
-        let plain = run_single_query_campaign(&sq, &pop);
-        let baseline: Vec<_> = mobile.iter().filter(|s| s.regime == 0).collect();
-        assert_eq!(baseline.len(), plain.len());
-        for (b, p) in baseline.iter().zip(&plain) {
-            assert_eq!(
-                format!("{:?}", b.sample),
-                format!("{p:?}"),
-                "baseline diverged from the single-query campaign"
-            );
-            assert_eq!(b.reconnects, 0);
-            assert_eq!(b.rebinds_applied, 0);
-            assert_eq!(b.wasted_bytes, 0);
-            assert!(b.winner.is_none());
-        }
+    fn standard_samples() -> Vec<SweepSample> {
+        let (c, pop) = tiny_sweep(standard_mobility_sweep(DEFAULT_REBIND_AT, DEFAULT_STAGGER));
+        run_sweep(&c, &pop)
     }
 
     #[test]
@@ -407,14 +107,13 @@ mod tests {
         // change strands every in-flight answer — only DoQ's connection
         // migration recovers it. Every DoQ unit survives with zero
         // failures; every DoUDP and DoT unit fails.
-        let (c, pop) = tiny_campaign();
-        let samples = run_mobility_campaign(&c, &pop);
+        let samples = standard_samples();
         let rebind: Vec<_> = samples.iter().filter(|s| s.regime == 1).collect();
         assert!(!rebind.is_empty());
         for s in &rebind {
             match s.sample.transport {
                 DnsTransport::DoQ => {
-                    assert!(s.survived, "DoQ unit failed under rebind: {s:?}");
+                    assert!(!s.sample.failed, "DoQ unit failed under rebind: {s:?}");
                     assert!(s.failure.is_none());
                     assert_eq!(s.reconnects, 0, "migration, not reconnection: {s:?}");
                     assert!(
@@ -424,7 +123,7 @@ mod tests {
                 }
                 DnsTransport::DoUdp | DnsTransport::DoT => {
                     assert!(
-                        !s.survived,
+                        s.sample.failed,
                         "{} survived a stranding rebind: {s:?}",
                         s.sample.transport
                     );
@@ -437,15 +136,14 @@ mod tests {
 
     #[test]
     fn failover_ladder_rescues_non_doq_transports() {
-        let (c, pop) = tiny_campaign();
-        let samples = run_mobility_campaign(&c, &pop);
+        let samples = standard_samples();
         let failover: Vec<_> = samples.iter().filter(|s| s.regime == 3).collect();
         assert!(!failover.is_empty());
         // The ladder dials fresh rungs from the post-rebind address, so
         // stranded primaries recover; rescued units book the dead
         // primary's bytes as waste and report the winning transport.
         for s in &failover {
-            assert!(s.survived, "failover left a unit dead: {s:?}");
+            assert!(!s.sample.failed, "failover left a unit dead: {s:?}");
             if s.winner.is_some_and(|w| w != s.sample.transport) {
                 assert!(s.wasted_bytes > 0, "free rescue: {s:?}");
             }
@@ -459,8 +157,7 @@ mod tests {
 
     #[test]
     fn reconnect_budget_rescues_stranded_transports() {
-        let (c, pop) = tiny_campaign();
-        let samples = run_mobility_campaign(&c, &pop);
+        let samples = standard_samples();
         let reconnect: Vec<_> = samples.iter().filter(|s| s.regime == 2).collect();
         assert!(!reconnect.is_empty());
         // DoQ migrates without touching the budget; at least one
@@ -473,7 +170,7 @@ mod tests {
         }
         let redialed = reconnect
             .iter()
-            .filter(|s| s.survived && s.reconnects > 0)
+            .filter(|s| !s.sample.failed && s.reconnects > 0)
             .count();
         assert!(redialed > 0, "no stranded unit recovered via reconnect");
     }

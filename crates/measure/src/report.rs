@@ -2,13 +2,11 @@
 //! paper's tables and figures (structured values plus plain-text
 //! rendering; the bench binaries also dump them as JSON).
 
-use crate::impairments::ImpairmentSample;
-use crate::mobility::MobilitySample;
 use crate::populations::PopulationSample;
 use crate::single_query::SingleQuerySample;
 use crate::stats::{cdf_points, median, percentile, relative_difference_pct, Cdf};
+use crate::sweep::SweepSample;
 use crate::webperf::WebperfSample;
-use crate::whatif::WhatifSample;
 use doqlab_dox::DnsTransport;
 use doqlab_simnet::geo::Continent;
 use doqlab_telemetry::metrics::{self, Counter, Series};
@@ -544,388 +542,256 @@ pub fn cdf_series(values: &[f64], points: usize) -> Vec<(f64, f64)> {
     cdf_points(values, points)
 }
 
-/// One cell of the impairments report: a regime x transport slice of
-/// the fault-injection sweep.
+/// One cell of a sweep report: a regime x transport slice of a
+/// [`crate::sweep`]. Each standard sweep's renderer shows its own
+/// columns. DoH3 units fold into the DoH column: they are the same
+/// nominal units, run over HTTP/3 (only the what-if doh3 regime runs
+/// them).
 #[derive(Debug, Clone, Serialize)]
-pub struct ImpairmentRow {
+pub struct SweepRow {
     pub regime: String,
     pub transport: String,
     pub units: usize,
     pub failed: usize,
     /// Replacement connections dialed across the cell's units.
     pub reconnects: u64,
+    /// Address rebinds applied across the cell's units.
+    pub rebinds: u64,
+    /// Units whose measured connection accepted 0-RTT early data.
+    pub zero_rtt: usize,
+    /// Units that actually ran DoH3.
+    pub ran_doh3: usize,
     /// Failure-taxonomy name -> count (empty when nothing failed).
     pub failure_kinds: BTreeMap<String, usize>,
-    /// Resolve-time CDF quantiles (p10, p50, p90, p99) over the cell's
+    /// Winning transport name -> count, for units decided by a
+    /// cross-transport failover race.
+    pub winners: BTreeMap<String, usize>,
+    /// Resolve-time quantiles (p10, p50, p90, p99) over the cell's
     /// successful units, in milliseconds.
     pub resolve_ms: [Option<f64>; 4],
+    /// Total-time (handshake + resolve) quantiles (p50, p90) over the
+    /// cell's successful units, in milliseconds.
+    pub total_ms: [Option<f64>; 2],
+    /// Switchover-latency quantiles (p50, p90) over units that answered
+    /// after their first rebind, in milliseconds.
+    pub switchover_ms: [Option<f64>; 2],
+    /// Median per-unit total-time delta against the reference (first)
+    /// regime's twin unit (regime minus reference; negative is faster),
+    /// over pairs where both answered; `None` on the reference rows.
+    /// Causal only when the regimes share unit seeds.
+    pub delta_ms: Option<f64>,
+    /// Bytes spent on dead primaries and losing failover rungs, across
+    /// the cell's units.
+    pub wasted_bytes: u64,
 }
 
-/// Reduce the fault-injection sweep to per-regime, per-transport rows
-/// (regime order preserved, transports in `DnsTransport::ALL` order).
-pub fn impairment_rows(samples: &[ImpairmentSample]) -> Vec<ImpairmentRow> {
-    let mut regimes: Vec<(usize, String)> = Vec::new();
+/// First packet to answered query, `None` when the unit never answered.
+fn total_ms(s: &SingleQuerySample) -> Option<f64> {
+    s.resolve_ms.map(|r| s.handshake_ms.unwrap_or(0.0) + r)
+}
+
+/// Reduce a sweep to per-regime, per-transport rows (regimes in index
+/// order, transports in `DnsTransport::ALL` order). Cells keep their
+/// samples in grid order, and the grid emits every regime's units in
+/// the same (vp, resolver, transport, rep) sub-order, so zipping a cell
+/// with the reference regime's cell pairs each unit with its twin.
+pub fn sweep_rows(samples: &[SweepSample]) -> Vec<SweepRow> {
+    let mut cells: BTreeMap<(usize, usize), Vec<&SweepSample>> = BTreeMap::new();
     for s in samples {
-        if !regimes.iter().any(|(i, _)| *i == s.regime) {
-            regimes.push((s.regime, s.regime_name.clone()));
-        }
+        let nominal = match s.sample.transport {
+            DnsTransport::DoH3 => DnsTransport::DoH,
+            t => t,
+        };
+        let column = DnsTransport::ALL
+            .iter()
+            .position(|t| *t == nominal)
+            .expect("a measured transport");
+        cells.entry((s.regime, column)).or_default().push(s);
     }
-    regimes.sort_by_key(|(i, _)| *i);
+    let reference = cells.keys().next().map(|&(regime, _)| regime);
     let mut rows = Vec::new();
-    for (regime, name) in regimes {
-        for t in DnsTransport::ALL {
-            let cell: Vec<&ImpairmentSample> = samples
-                .iter()
-                .filter(|s| s.regime == regime && s.sample.transport == t)
-                .collect();
-            if cell.is_empty() {
-                continue;
+    for (&(regime, column), cell) in &cells {
+        let mut failure_kinds = BTreeMap::new();
+        let mut winners = BTreeMap::new();
+        for s in cell {
+            if let Some(k) = s.failure {
+                *failure_kinds.entry(k.name().to_string()).or_insert(0) += 1;
             }
-            let failed = cell.iter().filter(|s| s.sample.failed).count();
-            let mut failure_kinds = BTreeMap::new();
-            for s in &cell {
-                if let Some(k) = s.failure {
-                    *failure_kinds.entry(k.name().to_string()).or_insert(0) += 1;
-                }
+            if let Some(w) = s.winner {
+                *winners.entry(w.name().to_string()).or_insert(0) += 1;
             }
-            let resolves: Vec<f64> = cell.iter().filter_map(|s| s.sample.resolve_ms).collect();
-            let q = |p: f64| percentile(&resolves, p);
-            rows.push(ImpairmentRow {
-                regime: name.clone(),
-                transport: t.name().to_string(),
-                units: cell.len(),
-                failed,
-                reconnects: cell.iter().map(|s| s.reconnects as u64).sum(),
-                failure_kinds,
-                resolve_ms: [q(10.0), q(50.0), q(90.0), q(99.0)],
-            });
         }
+        let resolves: Vec<f64> = cell.iter().filter_map(|s| s.sample.resolve_ms).collect();
+        let totals: Vec<f64> = cell.iter().filter_map(|s| total_ms(&s.sample)).collect();
+        let switches: Vec<f64> = cell.iter().filter_map(|s| s.switchover_ms).collect();
+        let delta_ms = match reference {
+            Some(r) if r != regime => cells.get(&(r, column)).and_then(|base| {
+                let deltas: Vec<f64> = cell
+                    .iter()
+                    .zip(base)
+                    .filter_map(|(s, b)| Some(total_ms(&s.sample)? - total_ms(&b.sample)?))
+                    .collect();
+                median(&deltas)
+            }),
+            _ => None,
+        };
+        rows.push(SweepRow {
+            regime: cell[0].regime_name.clone(),
+            transport: DnsTransport::ALL[column].name().to_string(),
+            units: cell.len(),
+            failed: cell.iter().filter(|s| s.sample.failed).count(),
+            reconnects: cell.iter().map(|s| s.reconnects as u64).sum(),
+            rebinds: cell.iter().map(|s| s.rebinds_applied as u64).sum(),
+            zero_rtt: cell.iter().filter(|s| s.sample.metadata.zero_rtt).count(),
+            ran_doh3: cell
+                .iter()
+                .filter(|s| s.sample.transport == DnsTransport::DoH3)
+                .count(),
+            failure_kinds,
+            winners,
+            resolve_ms: [10.0, 50.0, 90.0, 99.0].map(|p| percentile(&resolves, p)),
+            total_ms: [50.0, 90.0].map(|p| percentile(&totals, p)),
+            switchover_ms: [50.0, 90.0].map(|p| percentile(&switches, p)),
+            delta_ms,
+            wasted_bytes: cell.iter().map(|s| s.wasted_bytes).sum(),
+        });
     }
     rows
+}
+
+/// Render sweep rows as one table per regime: `header` is a regime's
+/// header line, `cells` a row's columns after its transport name (in a
+/// column `width` wide), and `notes` what goes on the line under a row.
+fn render_sweep(
+    rows: &[SweepRow],
+    width: usize,
+    header: impl Fn(&str) -> String,
+    cells: impl Fn(&SweepRow) -> String,
+    notes: impl Fn(&SweepRow) -> Vec<String>,
+) -> String {
+    let mut out = String::new();
+    let mut current = None::<&str>;
+    for row in rows {
+        if current != Some(row.regime.as_str()) {
+            current = Some(row.regime.as_str());
+            out.push_str(&header(&row.regime));
+        }
+        out.push_str(&format!("  {:<width$}{}\n", row.transport, cells(row)));
+        let notes = notes(row);
+        if !notes.is_empty() {
+            out.push_str(&format!("  {:<width$}  {}\n", "", notes.join(", ")));
+        }
+    }
+    out
+}
+
+/// Quantile cells: each value to one decimal, `-` where there is none.
+fn quantile_cells(values: &[Option<f64>], width: usize) -> String {
+    values
+        .iter()
+        .map(|v| match v {
+            Some(v) => format!("{v:>width$.1}"),
+            None => format!("{:>width$}", "-"),
+        })
+        .collect()
+}
+
+fn failure_notes(row: &SweepRow) -> impl Iterator<Item = String> + '_ {
+    row.failure_kinds.iter().map(|(k, n)| format!("{k} x{n}"))
+}
+
+fn fail_pct(row: &SweepRow) -> f64 {
+    100.0 * row.failed as f64 / row.units.max(1) as f64
 }
 
 /// Render the impairments report: per regime, a transport table of
 /// failure rates and resolve-time quantiles, with a failure-kind
 /// breakdown where anything failed.
-pub fn render_impairments(rows: &[ImpairmentRow]) -> String {
-    let mut out = String::new();
-    let mut current = None::<&str>;
-    for row in rows {
-        if current != Some(row.regime.as_str()) {
-            current = Some(row.regime.as_str());
-            out.push_str(&format!(
-                "\nregime {:<14}{:>7}{:>7}{:>6}{:>9}{:>9}{:>9}{:>9}\n",
-                row.regime, "units", "fail%", "reconn", "p10 ms", "p50 ms", "p90 ms", "p99 ms"
-            ));
-        }
-        out.push_str(&format!(
-            "  {:<19}{:>7}{:>6.1}%{:>6}",
-            row.transport,
-            row.units,
-            100.0 * row.failed as f64 / row.units.max(1) as f64,
-            row.reconnects,
-        ));
-        for q in row.resolve_ms {
-            match q {
-                Some(v) => out.push_str(&format!("{v:>9.1}")),
-                None => out.push_str(&format!("{:>9}", "-")),
-            }
-        }
-        out.push('\n');
-        if !row.failure_kinds.is_empty() {
-            let kinds: Vec<String> = row
-                .failure_kinds
-                .iter()
-                .map(|(k, n)| format!("{k} x{n}"))
-                .collect();
-            out.push_str(&format!("  {:<19}  {}\n", "", kinds.join(", ")));
-        }
-    }
-    out
-}
-
-/// One cell of the mobility report: a regime x transport slice of the
-/// mobility sweep.
-#[derive(Debug, Clone, Serialize)]
-pub struct MobilityRow {
-    pub regime: String,
-    pub transport: String,
-    pub units: usize,
-    /// Units that produced a response despite the rebind schedule.
-    pub survived: usize,
-    /// Replacement connections dialed across the cell's units.
-    pub reconnects: u64,
-    /// Address rebinds applied across the cell's units.
-    pub rebinds: u64,
-    /// Failure-taxonomy name -> count (empty when nothing failed).
-    pub failure_kinds: BTreeMap<String, usize>,
-    /// Switchover-latency quantiles (p50, p90) over units that answered
-    /// after their first rebind, in milliseconds.
-    pub switchover_ms: [Option<f64>; 2],
-    /// Bytes spent on dead primaries and losing failover rungs, across
-    /// the cell's units.
-    pub wasted_bytes: u64,
-    /// Winning transport name -> count, for units decided by a
-    /// cross-transport failover race.
-    pub winners: BTreeMap<String, usize>,
-}
-
-/// Reduce the mobility sweep to per-regime, per-transport rows (regime
-/// order preserved, transports in `DnsTransport::ALL` order).
-pub fn mobility_rows(samples: &[MobilitySample]) -> Vec<MobilityRow> {
-    let mut regimes: Vec<(usize, String)> = Vec::new();
-    for s in samples {
-        if !regimes.iter().any(|(i, _)| *i == s.regime) {
-            regimes.push((s.regime, s.regime_name.clone()));
-        }
-    }
-    regimes.sort_by_key(|(i, _)| *i);
-    let mut rows = Vec::new();
-    for (regime, name) in regimes {
-        for t in DnsTransport::ALL {
-            let cell: Vec<&MobilitySample> = samples
-                .iter()
-                .filter(|s| s.regime == regime && s.sample.transport == t)
-                .collect();
-            if cell.is_empty() {
-                continue;
-            }
-            let mut failure_kinds = BTreeMap::new();
-            for s in &cell {
-                if let Some(k) = s.failure {
-                    *failure_kinds.entry(k.name().to_string()).or_insert(0) += 1;
-                }
-            }
-            let mut winners = BTreeMap::new();
-            for s in &cell {
-                if let Some(w) = s.winner {
-                    *winners.entry(w.name().to_string()).or_insert(0) += 1;
-                }
-            }
-            let switch: Vec<f64> = cell.iter().filter_map(|s| s.switchover_ms).collect();
-            let q = |p: f64| percentile(&switch, p);
-            rows.push(MobilityRow {
-                regime: name.clone(),
-                transport: t.name().to_string(),
-                units: cell.len(),
-                survived: cell.iter().filter(|s| s.survived).count(),
-                reconnects: cell.iter().map(|s| s.reconnects as u64).sum(),
-                rebinds: cell.iter().map(|s| s.rebinds_applied as u64).sum(),
-                failure_kinds,
-                switchover_ms: [q(50.0), q(90.0)],
-                wasted_bytes: cell.iter().map(|s| s.wasted_bytes).sum(),
-                winners,
-            });
-        }
-    }
-    rows
+pub fn render_impairments(rows: &[SweepRow]) -> String {
+    render_sweep(
+        rows,
+        19,
+        |regime| {
+            format!(
+                "\nregime {regime:<14}{:>7}{:>7}{:>6}{:>9}{:>9}{:>9}{:>9}\n",
+                "units", "fail%", "reconn", "p10 ms", "p50 ms", "p90 ms", "p99 ms"
+            )
+        },
+        |row| {
+            format!(
+                "{:>7}{:>6.1}%{:>6}{}",
+                row.units,
+                fail_pct(row),
+                row.reconnects,
+                quantile_cells(&row.resolve_ms, 9)
+            )
+        },
+        |row| failure_notes(row).collect(),
+    )
 }
 
 /// Render the mobility report: per regime, a transport table of
 /// survival rates, switchover-latency quantiles and recovery cost,
 /// with failure-kind and winning-transport breakdowns.
-pub fn render_mobility(rows: &[MobilityRow]) -> String {
-    let mut out = String::new();
-    let mut current = None::<&str>;
-    for row in rows {
-        if current != Some(row.regime.as_str()) {
-            current = Some(row.regime.as_str());
-            out.push_str(&format!(
-                "\nregime {:<16}{:>7}{:>9}{:>8}{:>9}{:>10}{:>10}{:>10}\n",
-                row.regime,
-                "units",
-                "survive%",
-                "reconn",
-                "rebinds",
-                "sw p50ms",
-                "sw p90ms",
-                "waste KB"
-            ));
-        }
-        out.push_str(&format!(
-            "  {:<21}{:>7}{:>8.1}%{:>8}{:>9}",
-            row.transport,
-            row.units,
-            100.0 * row.survived as f64 / row.units.max(1) as f64,
-            row.reconnects,
-            row.rebinds,
-        ));
-        for q in row.switchover_ms {
-            match q {
-                Some(v) => out.push_str(&format!("{v:>10.1}")),
-                None => out.push_str(&format!("{:>10}", "-")),
-            }
-        }
-        out.push_str(&format!("{:>10.1}\n", row.wasted_bytes as f64 / 1024.0));
-        let mut notes: Vec<String> = Vec::new();
-        if !row.failure_kinds.is_empty() {
-            notes.extend(row.failure_kinds.iter().map(|(k, n)| format!("{k} x{n}")));
-        }
-        if !row.winners.is_empty() {
-            notes.extend(row.winners.iter().map(|(w, n)| format!("won by {w} x{n}")));
-        }
-        if !notes.is_empty() {
-            out.push_str(&format!("  {:<21}  {}\n", "", notes.join(", ")));
-        }
-    }
-    out
-}
-
-/// One cell of the what-if report: a regime x transport slice of the
-/// counterfactual sweep, with the paired delta against the reference
-/// (first) regime's twin units. The doh3 regime's DoH3 units fold into
-/// the DoH column — they are the same nominal units, run over HTTP/3.
-#[derive(Debug, Clone, Serialize)]
-pub struct WhatifRow {
-    pub regime: String,
-    pub transport: String,
-    pub units: usize,
-    pub failed: usize,
-    /// Units whose measured connection accepted 0-RTT early data.
-    pub zero_rtt: usize,
-    /// Units that actually ran DoH3 (doh3-regime DoH cells).
-    pub ran_doh3: usize,
-    /// Failure-taxonomy name -> count (empty when nothing failed).
-    pub failure_kinds: BTreeMap<String, usize>,
-    /// Total-time (handshake + resolve) quantiles (p50, p90) over the
-    /// cell's successful units, in milliseconds.
-    pub total_ms: [Option<f64>; 2],
-    /// Median per-unit total-time delta against the reference regime's
-    /// twin unit (regime minus reference; negative is faster), over
-    /// pairs where both answered. `None` on the reference row itself.
-    pub delta_ms: Option<f64>,
-}
-
-/// First packet to answered query, `None` when the unit never answered.
-fn whatif_total_ms(s: &SingleQuerySample) -> Option<f64> {
-    s.resolve_ms.map(|r| s.handshake_ms.unwrap_or(0.0) + r)
-}
-
-/// The transport a what-if unit nominally measures: DoH3 samples are
-/// DoH units the doh3 regime upgraded, so they pair and report as DoH.
-fn whatif_nominal(t: DnsTransport) -> DnsTransport {
-    if t == DnsTransport::DoH3 {
-        DnsTransport::DoH
-    } else {
-        t
-    }
-}
-
-/// Reduce the counterfactual sweep to per-regime, per-transport rows
-/// (regime order preserved, transports in `DnsTransport::ALL` order).
-/// Regime cells pair positionally with the first regime's cells: the
-/// campaign reuses unit seeds across regimes and the grid emits every
-/// regime's units in the same (vp, resolver, transport, rep) sub-order,
-/// so zipping slices pairs each unit with its baseline twin.
-pub fn whatif_rows(samples: &[WhatifSample]) -> Vec<WhatifRow> {
-    let mut regimes: Vec<(usize, String)> = Vec::new();
-    for s in samples {
-        if !regimes.iter().any(|(i, _)| *i == s.regime) {
-            regimes.push((s.regime, s.regime_name.clone()));
-        }
-    }
-    regimes.sort_by_key(|(i, _)| *i);
-    let reference = regimes.first().map(|(i, _)| *i);
-    let mut rows = Vec::new();
-    for (regime, name) in &regimes {
-        for t in DnsTransport::ALL {
-            let cell: Vec<&WhatifSample> = samples
-                .iter()
-                .filter(|s| s.regime == *regime && whatif_nominal(s.sample.transport) == t)
-                .collect();
-            if cell.is_empty() {
-                continue;
-            }
-            let mut failure_kinds = BTreeMap::new();
-            for s in &cell {
-                if let Some(k) = s.failure {
-                    *failure_kinds.entry(k.name().to_string()).or_insert(0) += 1;
-                }
-            }
-            let totals: Vec<f64> = cell
-                .iter()
-                .filter_map(|s| whatif_total_ms(&s.sample))
-                .collect();
-            let q = |p: f64| percentile(&totals, p);
-            let delta_ms = match reference {
-                Some(r) if *regime != r => {
-                    let base: Vec<&WhatifSample> = samples
-                        .iter()
-                        .filter(|s| s.regime == r && whatif_nominal(s.sample.transport) == t)
-                        .collect();
-                    let deltas: Vec<f64> = cell
-                        .iter()
-                        .zip(&base)
-                        .filter_map(|(s, b)| {
-                            Some(whatif_total_ms(&s.sample)? - whatif_total_ms(&b.sample)?)
-                        })
-                        .collect();
-                    median(&deltas)
-                }
-                _ => None,
-            };
-            rows.push(WhatifRow {
-                regime: name.clone(),
-                transport: t.name().to_string(),
-                units: cell.len(),
-                failed: cell.iter().filter(|s| s.sample.failed).count(),
-                zero_rtt: cell.iter().filter(|s| s.sample.metadata.zero_rtt).count(),
-                ran_doh3: cell
-                    .iter()
-                    .filter(|s| s.sample.transport == DnsTransport::DoH3)
-                    .count(),
-                failure_kinds,
-                total_ms: [q(50.0), q(90.0)],
-                delta_ms,
-            });
-        }
-    }
-    rows
+pub fn render_mobility(rows: &[SweepRow]) -> String {
+    render_sweep(
+        rows,
+        21,
+        |regime| {
+            format!(
+                "\nregime {regime:<16}{:>7}{:>9}{:>8}{:>9}{:>10}{:>10}{:>10}\n",
+                "units", "survive%", "reconn", "rebinds", "sw p50ms", "sw p90ms", "waste KB"
+            )
+        },
+        |row| {
+            format!(
+                "{:>7}{:>8.1}%{:>8}{:>9}{}{:>10.1}",
+                row.units,
+                100.0 * (row.units - row.failed) as f64 / row.units.max(1) as f64,
+                row.reconnects,
+                row.rebinds,
+                quantile_cells(&row.switchover_ms, 10),
+                row.wasted_bytes as f64 / 1024.0
+            )
+        },
+        |row| {
+            let winners = row.winners.iter().map(|(w, n)| format!("won by {w} x{n}"));
+            failure_notes(row).chain(winners).collect()
+        },
+    )
 }
 
 /// Render the what-if report: per regime, a transport table of total
 /// query times and the paired delta against the baseline regime, with
 /// 0-RTT uptake and failure-kind breakdowns.
-pub fn render_whatif(rows: &[WhatifRow]) -> String {
-    let mut out = String::new();
-    let mut current = None::<&str>;
-    for row in rows {
-        if current != Some(row.regime.as_str()) {
-            current = Some(row.regime.as_str());
-            out.push_str(&format!(
-                "\nregime {:<16}{:>7}{:>7}{:>7}{:>9}{:>9}{:>10}\n",
-                row.regime, "units", "fail%", "0-rtt", "p50 ms", "p90 ms", "delta ms"
-            ));
-        }
-        out.push_str(&format!(
-            "  {:<21}{:>7}{:>6.1}%{:>7}",
-            row.transport,
-            row.units,
-            100.0 * row.failed as f64 / row.units.max(1) as f64,
-            row.zero_rtt,
-        ));
-        for q in row.total_ms {
-            match q {
-                Some(v) => out.push_str(&format!("{v:>9.1}")),
-                None => out.push_str(&format!("{:>9}", "-")),
-            }
-        }
-        match row.delta_ms {
-            Some(v) => out.push_str(&format!("{v:>+10.1}\n")),
-            None => out.push_str(&format!("{:>10}\n", "-")),
-        }
-        let mut notes: Vec<String> = Vec::new();
-        if row.ran_doh3 > 0 {
-            notes.push(format!("ran DoH3 x{}", row.ran_doh3));
-        }
-        if !row.failure_kinds.is_empty() {
-            notes.extend(row.failure_kinds.iter().map(|(k, n)| format!("{k} x{n}")));
-        }
-        if !notes.is_empty() {
-            out.push_str(&format!("  {:<21}  {}\n", "", notes.join(", ")));
-        }
-    }
-    out
+pub fn render_whatif(rows: &[SweepRow]) -> String {
+    render_sweep(
+        rows,
+        21,
+        |regime| {
+            format!(
+                "\nregime {regime:<16}{:>7}{:>7}{:>7}{:>9}{:>9}{:>10}\n",
+                "units", "fail%", "0-rtt", "p50 ms", "p90 ms", "delta ms"
+            )
+        },
+        |row| {
+            let delta = match row.delta_ms {
+                Some(v) => format!("{v:>+10.1}"),
+                None => format!("{:>10}", "-"),
+            };
+            format!(
+                "{:>7}{:>6.1}%{:>7}{}{delta}",
+                row.units,
+                fail_pct(row),
+                row.zero_rtt,
+                quantile_cells(&row.total_ms, 9)
+            )
+        },
+        |row| {
+            let doh3 = (row.ran_doh3 > 0).then(|| format!("ran DoH3 x{}", row.ran_doh3));
+            doh3.into_iter().chain(failure_notes(row)).collect()
+        },
+    )
 }
 
 /// One row of the what-if Web comparison: the DoH column of the Web
@@ -1395,38 +1261,59 @@ mod tests {
     }
 
     #[test]
-    fn impairment_rows_group_by_regime_and_transport() {
+    fn sweep_rows_feed_the_three_report_layouts() {
         use doqlab_dox::FailureKind;
-        let mk = |regime: usize, name: &str, t, ok: bool| ImpairmentSample {
-            regime,
-            regime_name: name.into(),
-            failure: (!ok).then_some(FailureKind::Timeout),
+        // A swept sample; a failure verdict fails its unit.
+        let mk = |regime: usize, name: &str, t, hs: Option<f64>, failure: Option<FailureKind>| {
+            let mut s = sample(t, hs, 25.0, 100);
+            if failure.is_some() {
+                s.failed = true;
+                s.resolve_ms = None;
+            }
+            SweepSample {
+                regime,
+                regime_name: name.into(),
+                failure,
+                reconnects: 0,
+                rebinds_applied: 0,
+                switchover_ms: None,
+                wasted_bytes: 0,
+                winner: None,
+                sample: s,
+            }
+        };
+
+        let cell = |rows: &[SweepRow], regime: &str, transport: &str| {
+            let row = rows
+                .iter()
+                .find(|r| r.regime == regime && r.transport == transport);
+            row.expect("cell reported").clone()
+        };
+
+        // Impairments: failure rates, reconnects, resolve quantiles.
+        let impaired = |regime, name, t, ok: bool| SweepSample {
             reconnects: u32::from(!ok),
-            sample: {
-                let mut s = sample(t, Some(10.0), 25.0, 100);
-                if !ok {
-                    s.failed = true;
-                    s.resolve_ms = None;
-                }
-                s
-            },
+            ..mk(
+                regime,
+                name,
+                t,
+                Some(10.0),
+                (!ok).then_some(FailureKind::Timeout),
+            )
         };
         let samples = vec![
-            mk(0, "baseline", DnsTransport::DoQ, true),
-            mk(0, "baseline", DnsTransport::DoQ, true),
-            mk(1, "loss", DnsTransport::DoQ, false),
-            mk(1, "loss", DnsTransport::DoUdp, true),
+            impaired(0, "baseline", DnsTransport::DoQ, true),
+            impaired(0, "baseline", DnsTransport::DoQ, true),
+            impaired(1, "loss", DnsTransport::DoQ, false),
+            impaired(1, "loss", DnsTransport::DoUdp, true),
         ];
-        let rows = impairment_rows(&samples);
+        let rows = sweep_rows(&samples);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].regime, "baseline");
         assert_eq!(rows[0].units, 2);
         assert_eq!(rows[0].failed, 0);
         assert_eq!(rows[0].resolve_ms[1], Some(25.0));
-        let loss_doq = rows
-            .iter()
-            .find(|r| r.regime == "loss" && r.transport == "DoQ")
-            .unwrap();
+        let loss_doq = cell(&rows, "loss", "DoQ");
         assert_eq!(loss_doq.failed, 1);
         assert_eq!(loss_doq.failure_kinds["timeout"], 1);
         assert_eq!(loss_doq.reconnects, 1);
@@ -1434,58 +1321,41 @@ mod tests {
         let rendered = render_impairments(&rows);
         assert!(rendered.contains("regime baseline"));
         assert!(rendered.contains("timeout x1"));
-    }
 
-    #[test]
-    fn mobility_rows_group_by_regime_and_transport() {
-        use doqlab_dox::FailureKind;
-        let mk = |regime: usize, name: &str, t, ok: bool, winner| MobilitySample {
-            regime,
-            regime_name: name.into(),
-            failure: (!ok).then_some(FailureKind::DeadlineExceeded),
-            reconnects: 0,
+        // Mobility: survival, rebinds, switchover, waste and winners.
+        let mobile = |regime: usize, name, t, ok: bool, winner: bool| SweepSample {
             rebinds_applied: u32::from(regime > 0),
-            survived: ok,
             switchover_ms: (ok && regime > 0).then_some(42.0),
             wasted_bytes: if winner { 900 } else { 0 },
             winner: winner.then_some(DnsTransport::DoT),
-            sample: {
-                let mut s = sample(t, Some(10.0), 25.0, 100);
-                if !ok {
-                    s.failed = true;
-                    s.resolve_ms = None;
-                }
-                s
-            },
+            ..mk(
+                regime,
+                name,
+                t,
+                Some(10.0),
+                (!ok).then_some(FailureKind::DeadlineExceeded),
+            )
         };
         let samples = vec![
-            mk(0, "baseline", DnsTransport::DoQ, true, false),
-            mk(1, "rebind", DnsTransport::DoQ, true, false),
-            mk(1, "rebind", DnsTransport::DoUdp, false, false),
-            mk(1, "rebind", DnsTransport::DoT, true, true),
+            mobile(0, "baseline", DnsTransport::DoQ, true, false),
+            mobile(1, "rebind", DnsTransport::DoQ, true, false),
+            mobile(1, "rebind", DnsTransport::DoUdp, false, false),
+            mobile(1, "rebind", DnsTransport::DoT, true, true),
         ];
-        let rows = mobility_rows(&samples);
+        let rows = sweep_rows(&samples);
+        let survived = |r: &SweepRow| r.units - r.failed;
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0].regime, "baseline");
-        assert_eq!(rows[0].survived, 1);
+        assert_eq!(survived(&rows[0]), 1);
         assert_eq!(rows[0].rebinds, 0);
         assert_eq!(rows[0].switchover_ms, [None, None]);
-        let rebind_doq = rows
-            .iter()
-            .find(|r| r.regime == "rebind" && r.transport == "DoQ")
-            .unwrap();
-        assert_eq!(rebind_doq.survived, 1);
+        let rebind_doq = cell(&rows, "rebind", "DoQ");
+        assert_eq!(survived(&rebind_doq), 1);
         assert_eq!(rebind_doq.switchover_ms[0], Some(42.0));
-        let rebind_udp = rows
-            .iter()
-            .find(|r| r.regime == "rebind" && r.transport == "DoUDP")
-            .unwrap();
-        assert_eq!(rebind_udp.survived, 0);
+        let rebind_udp = cell(&rows, "rebind", "DoUDP");
+        assert_eq!(survived(&rebind_udp), 0);
         assert_eq!(rebind_udp.failure_kinds["deadline-exceeded"], 1);
-        let rebind_dot = rows
-            .iter()
-            .find(|r| r.regime == "rebind" && r.transport == "DoT")
-            .unwrap();
+        let rebind_dot = cell(&rows, "rebind", "DoT");
         assert_eq!(rebind_dot.winners["DoT"], 1);
         assert_eq!(rebind_dot.wasted_bytes, 900);
         let rendered = render_mobility(&rows);
@@ -1493,33 +1363,20 @@ mod tests {
         assert!(rendered.contains("regime rebind"));
         assert!(rendered.contains("deadline-exceeded x1"));
         assert!(rendered.contains("won by DoT x1"));
-    }
 
-    #[test]
-    fn whatif_rows_pair_regimes_against_the_baseline() {
-        use doqlab_dox::FailureKind;
-        let mk = |regime: usize, name: &str, t, hs: Option<f64>, ok: bool| WhatifSample {
-            regime,
-            regime_name: name.into(),
-            failure: (!ok).then_some(FailureKind::Timeout),
-            sample: {
-                let mut s = sample(t, hs, 25.0, 100);
-                if !ok {
-                    s.failed = true;
-                    s.resolve_ms = None;
-                }
-                s
-            },
+        // What-if: total times and deltas paired against the baseline.
+        let whatif = |regime, name, t, hs, ok: bool| {
+            mk(regime, name, t, hs, (!ok).then_some(FailureKind::Timeout))
         };
         let samples = vec![
-            mk(0, "baseline", DnsTransport::DoQ, Some(50.0), true),
-            mk(0, "baseline", DnsTransport::DoQ, Some(60.0), true),
-            mk(0, "baseline", DnsTransport::DoH, Some(100.0), true),
-            mk(1, "0rtt", DnsTransport::DoQ, Some(0.0), true),
-            mk(1, "0rtt", DnsTransport::DoQ, Some(10.0), false),
-            mk(2, "doh3", DnsTransport::DoH3, Some(60.0), true),
+            whatif(0, "baseline", DnsTransport::DoQ, Some(50.0), true),
+            whatif(0, "baseline", DnsTransport::DoQ, Some(60.0), true),
+            whatif(0, "baseline", DnsTransport::DoH, Some(100.0), true),
+            whatif(1, "0rtt", DnsTransport::DoQ, Some(0.0), true),
+            whatif(1, "0rtt", DnsTransport::DoQ, Some(10.0), false),
+            whatif(2, "doh3", DnsTransport::DoH3, Some(60.0), true),
         ];
-        let rows = whatif_rows(&samples);
+        let rows = sweep_rows(&samples);
         assert_eq!(rows.len(), 4);
         let base = &rows[0];
         assert_eq!(
@@ -1529,10 +1386,7 @@ mod tests {
         assert_eq!(base.units, 2);
         assert_eq!(base.total_ms[0], Some(80.0), "median of 75 and 85");
         assert_eq!(base.delta_ms, None, "the reference regime has no delta");
-        let zrtt = rows
-            .iter()
-            .find(|r| r.regime == "0rtt" && r.transport == "DoQ")
-            .unwrap();
+        let zrtt = cell(&rows, "0rtt", "DoQ");
         assert_eq!(zrtt.failed, 1);
         assert_eq!(zrtt.failure_kinds["timeout"], 1);
         // Only the first unit pair answered on both sides: 25 - 75.

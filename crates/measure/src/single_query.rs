@@ -32,7 +32,8 @@ use doqlab_resolver::{RecursionModel, ResolverHost, ResolverProfile};
 use doqlab_simnet::geo::Continent;
 use doqlab_simnet::path::{GeoPathModel, GeoPathParams, PathProfile};
 use doqlab_simnet::{
-    Duration, ImpairmentSchedule, Ipv4Addr, PacketRecord, PacketTap, SimTime, Simulator, SocketAddr,
+    Duration, ImpairmentSchedule, Ipv4Addr, OutageWindow, PacketRecord, PacketTap, SimTime,
+    Simulator, SocketAddr,
 };
 use doqlab_telemetry::metrics::{self, Counter, Series};
 
@@ -229,17 +230,20 @@ impl SingleQueryCampaign {
     }
 }
 
-/// Per-unit overrides, used by the impairments campaign
-/// ([`crate::impairments`]). The default is the vanilla unit: standard
-/// seed, no impairment, no resilience policy — under which
+/// Per-unit overrides: everything a regime of a [`crate::sweep`] changes
+/// about the unit, as plain data. The default is the vanilla unit:
+/// standard seed, no impairment, no resilience policy — under which
 /// [`run_unit_custom`] is bit-identical to the plain unit runner.
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnitOptions {
     /// Seed override (`None` → the campaign's standard unit seed).
     pub seed: Option<u64>,
-    /// Impairment for the measured phase, built from its start instant
-    /// (regimes specify outage windows as offsets from that start).
-    /// The warm phase always runs unimpaired.
-    pub impairment: Option<Box<dyn Fn(SimTime) -> ImpairmentSchedule>>,
+    /// Impairment for the measured phase. Its outage windows are
+    /// offsets from the phase's start (`SimTime::ZERO` is the measured
+    /// client's first flight); [`run_unit_custom`] anchors them there.
+    /// The warm phase always runs unimpaired, and an inert schedule is
+    /// never installed.
+    pub impairment: ImpairmentSchedule,
     /// Per-query deadline for the measured connection.
     pub query_deadline: Option<Duration>,
     /// Reconnect budget for the measured connection.
@@ -278,7 +282,7 @@ impl Default for UnitOptions {
         let cfg = ClientConfig::default();
         UnitOptions {
             seed: None,
-            impairment: None,
+            impairment: ImpairmentSchedule::new(),
             query_deadline: cfg.query_deadline,
             reconnect_max: cfg.reconnect_max,
             reconnect_backoff: cfg.reconnect_backoff,
@@ -366,8 +370,9 @@ fn run_unit_inner(
 
 /// The parameterized unit body: the plain single-query unit plus the
 /// [`UnitOptions`] overrides (seed, measured-phase impairment,
-/// resilience policy). With default options this is exactly the vanilla
-/// unit — no extra RNG draws, identical samples.
+/// resilience policy, rebinds, failover, capability flags). With
+/// default options this is exactly the vanilla unit — no extra RNG
+/// draws, identical samples.
 #[allow(clippy::too_many_arguments)] // the unit tuple is the argument list
 pub fn run_unit_custom(
     sim: &mut Simulator,
@@ -500,8 +505,16 @@ pub fn run_unit_custom(
     let started = sim.now();
     // The impairment covers the measured phase only: installed before
     // the measured client's first flight, torn down once the phase ends.
-    if let Some(build) = &opts.impairment {
-        sim.set_impairment(Box::new(build(started)));
+    let impaired = !opts.impairment.is_inert();
+    if impaired {
+        let mut schedule = opts.impairment.clone();
+        for w in &mut schedule.outages {
+            *w = OutageWindow::new(
+                started + w.start.duration_since(SimTime::ZERO),
+                started + w.end.duration_since(SimTime::ZERO),
+            );
+        }
+        sim.set_impairment(Box::new(schedule));
     }
     sim.with_host::<DnsClientHost, _>(mid, |c, ctx| c.start_with_query(ctx, &query));
     let deadline = started + opts.run_deadline;
@@ -551,7 +564,7 @@ pub fn run_unit_custom(
         }
     }
     sim.run_until(deadline);
-    if opts.impairment.is_some() {
+    if impaired {
         sim.clear_impairment();
     }
 

@@ -1,11 +1,10 @@
-//! The counterfactual ("what-if") campaign: feature-flag sweeps over
-//! the resolver population reporting the resolve-time deltas the paper
+//! The counterfactual ("what-if") sweep: feature-flag regimes over the
+//! resolver population reporting the resolve-time deltas the paper
 //! could not measure (§5's discussion of where DoQ's remaining cost
 //! goes, and §4's future work).
 //!
-//! Each unit is `[vantage point : resolver : regime : protocol :
-//! repetition]` — the plain single-query unit of [`crate::single_query`]
-//! re-run with one dormant capability switched on:
+//! Each regime re-runs the single-query unit with one dormant
+//! capability switched on:
 //!
 //! * **resumption** — TLS 1.3 session-ticket resumption (and the QUIC
 //!   address-validation token) on the measured connection;
@@ -20,322 +19,79 @@
 //! * **doh3** — DoH units run as DNS over HTTP/3 against an
 //!   HTTP/3-capable resolver.
 //!
-//! Unlike the mobility sweep, the non-baseline regimes deliberately
-//! reuse the baseline's unit seeds: a regime unit is the *same* unit —
-//! same path draws, same resolver — with only the feature flag
-//! changed, so per-unit deltas are genuine counterfactuals rather than
-//! resampled noise.
-//!
-//! Reproducibility contracts, pinned by tests here and by the engine
-//! invariance suite:
-//!
-//! * the campaign is bit-identical across thread counts and repeated
-//!   runs at a fixed seed;
-//! * the all-off baseline regime runs the vanilla unit path and
-//!   reproduces the single-query campaign (resumption disabled) bit
-//!   for bit.
+//! Every regime, the all-off baseline included, sets both campaign
+//! flags itself (the baseline runs without resumption, like the
+//! paper's world) and reuses the single-query unit seeds: a regime unit
+//! is the *same* unit — same path draws, same resolver — with only the
+//! feature flag changed, so per-unit deltas are genuine
+//! counterfactuals rather than resampled noise (see [`crate::sweep`]).
 
-use crate::engine;
-use crate::single_query::{run_unit_custom, SingleQueryCampaign, SingleQuerySample, UnitOptions};
-use crate::vantage::vantage_points;
-use crate::Scale;
-use doqlab_dox::{DnsTransport, FailureKind};
-use doqlab_resolver::ResolverProfile;
-use doqlab_simnet::path::GeoPathParams;
-use doqlab_simnet::Simulator;
-
-/// One counterfactual regime: which dormant capability is switched on.
-#[derive(Debug, Clone)]
-pub struct WhatifRegime {
-    pub name: String,
-    /// Present captured session material (TLS ticket, QUIC token) on
-    /// the measured connection.
-    pub resumption: bool,
-    /// Resolvers issue early-data-capable tickets and the measured
-    /// query attempts 0-RTT (implies resumption-grade material).
-    pub zero_rtt: bool,
-    /// TCP Fast Open: the measured DoTCP query rides the SYN.
-    pub tfo: bool,
-    /// edns-tcp-keepalive: request and honor hold-open timeouts.
-    pub keepalive: bool,
-    /// Run DoH units as DNS over HTTP/3.
-    pub doh3: bool,
-}
-
-impl WhatifRegime {
-    /// The all-off control regime: no resumption, no early data, no
-    /// TFO, no keepalive, HTTP/2 DoH — the paper's measured world.
-    pub fn baseline() -> Self {
-        WhatifRegime {
-            name: "baseline".into(),
-            resumption: false,
-            zero_rtt: false,
-            tfo: false,
-            keepalive: false,
-            doh3: false,
-        }
-    }
-
-    /// Every flag is off: the unit must run on the vanilla
-    /// single-query path.
-    pub fn is_baseline(&self) -> bool {
-        !self.resumption && !self.zero_rtt && !self.tfo && !self.keepalive && !self.doh3
-    }
-}
+use crate::single_query::UnitOptions;
+use crate::sweep::{Regime, SeedRule};
 
 /// The default sweep: the all-off baseline, then each capability
 /// switched on alone (0-RTT implies resumption — early data needs a
 /// ticket to ride on).
-pub fn standard_whatif_sweep() -> Vec<WhatifRegime> {
+pub fn standard_whatif_sweep() -> Vec<Regime> {
+    let whatif = |name: &str, resumption, zero_rtt, switch_on: fn(&mut UnitOptions)| {
+        let mut options = UnitOptions::default();
+        switch_on(&mut options);
+        Regime {
+            name: name.into(),
+            seed: SeedRule::SingleQuery,
+            options,
+            resumption: Some(resumption),
+            zero_rtt_resolvers: Some(zero_rtt),
+        }
+    };
     vec![
-        WhatifRegime::baseline(),
-        WhatifRegime {
-            name: "resumption".into(),
-            resumption: true,
-            ..WhatifRegime::baseline()
-        },
-        WhatifRegime {
-            name: "0rtt".into(),
-            resumption: true,
-            zero_rtt: true,
-            ..WhatifRegime::baseline()
-        },
-        WhatifRegime {
-            name: "tfo".into(),
-            tfo: true,
-            ..WhatifRegime::baseline()
-        },
-        WhatifRegime {
-            name: "keepalive".into(),
-            keepalive: true,
-            ..WhatifRegime::baseline()
-        },
-        WhatifRegime {
-            name: "doh3".into(),
-            doh3: true,
-            ..WhatifRegime::baseline()
-        },
+        whatif("baseline", false, false, |_| {}),
+        whatif("resumption", true, false, |_| {}),
+        whatif("0rtt", true, true, |_| {}),
+        whatif("tfo", false, false, |o| o.tfo = true),
+        whatif("keepalive", false, false, |o| o.keepalive = true),
+        whatif("doh3", false, false, |o| o.doh3 = true),
     ]
-}
-
-/// One counterfactual measurement: the single-query sample under a
-/// regime's flags. Samples of the same unit coordinates across regimes
-/// share their seed, so differences are attributable to the flags.
-#[derive(Debug, Clone)]
-pub struct WhatifSample {
-    pub regime: usize,
-    pub regime_name: String,
-    pub failure: Option<FailureKind>,
-    pub sample: SingleQuerySample,
-}
-
-/// Campaign configuration. The seed doubles as the single-query
-/// campaign seed, so the baseline regime reproduces that campaign's
-/// samples exactly (with resumption disabled to match the all-off
-/// world).
-#[derive(Debug, Clone)]
-pub struct WhatifCampaign {
-    pub seed: u64,
-    pub scale: Scale,
-    pub regimes: Vec<WhatifRegime>,
-    pub path_params: GeoPathParams,
-}
-
-impl WhatifCampaign {
-    pub fn new(scale: Scale) -> Self {
-        let sq = SingleQueryCampaign::new(scale.clone());
-        WhatifCampaign {
-            seed: sq.seed,
-            scale,
-            regimes: standard_whatif_sweep(),
-            path_params: GeoPathParams::default(),
-        }
-    }
-
-    /// The single-query campaign a regime's units embed: the flags that
-    /// live on the campaign (resumption, 0-RTT-capable resolvers) come
-    /// from the regime; everything else is shared.
-    fn single_query(&self, regime: &WhatifRegime) -> SingleQueryCampaign {
-        SingleQueryCampaign {
-            seed: self.seed,
-            scale: self.scale.clone(),
-            use_resumption: regime.resumption,
-            enable_0rtt_resolvers: regime.zero_rtt,
-            path_params: self.path_params.clone(),
-        }
-    }
-}
-
-/// Run one `[vp : resolver : regime : protocol : repetition]` unit in a
-/// reusable simulator arena. No seed override: every regime runs the
-/// *same* unit seed as the baseline, so the delta between a regime
-/// sample and its baseline twin is the capability's causal effect.
-pub fn run_whatif_unit(
-    sim: &mut Simulator,
-    campaign: &WhatifCampaign,
-    vp: usize,
-    profile: &ResolverProfile,
-    regime_idx: usize,
-    transport: DnsTransport,
-    rep: usize,
-) -> WhatifSample {
-    let regime = &campaign.regimes[regime_idx];
-    let sq = campaign.single_query(regime);
-    let opts = UnitOptions {
-        tfo: regime.tfo,
-        keepalive: regime.keepalive,
-        doh3: regime.doh3,
-        ..UnitOptions::default()
-    };
-    let vps = vantage_points();
-    let out = run_unit_custom(sim, &sq, &vps[vp], profile, transport, rep, &opts);
-    WhatifSample {
-        regime: regime_idx,
-        regime_name: regime.name.clone(),
-        failure: out.failure,
-        sample: out.sample,
-    }
-}
-
-/// Run the campaign: every vantage point x resolver x regime x protocol
-/// x repetition, scheduled by the work-stealing engine on per-worker
-/// simulator arenas (regimes ride the grid's `pages` axis). Output
-/// order and content are independent of thread count.
-pub fn run_whatif_campaign(
-    campaign: &WhatifCampaign,
-    population: &[ResolverProfile],
-) -> Vec<WhatifSample> {
-    let vps = vantage_points();
-    let resolvers = campaign.scale.sample_resolvers(population);
-    let grid = engine::UnitGrid {
-        vps: vps.len(),
-        resolvers: resolvers.len(),
-        pages: campaign.regimes.len(),
-        transports: DnsTransport::ALL.len(),
-        reps: campaign.scale.repetitions,
-    };
-    let units = grid.units();
-    engine::run_units(
-        engine::env_threads(campaign.scale.threads),
-        &units,
-        Simulator::arena,
-        |sim, u, _| {
-            run_whatif_unit(
-                sim,
-                campaign,
-                u.vp,
-                resolvers[u.resolver],
-                u.page,
-                DnsTransport::ALL[u.transport],
-                u.rep,
-            )
-        },
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::single_query::run_single_query_campaign;
-    use doqlab_resolver::synthesize_dox_population;
+    use crate::single_query::SingleQuerySample;
+    use crate::sweep::tests::tiny_sweep;
+    use crate::sweep::{run_sweep_unit, SweepSample};
+    use doqlab_dox::DnsTransport;
+    use doqlab_simnet::path::GeoPathParams;
+    use doqlab_simnet::Simulator;
     use doqlab_telemetry::metrics::{self, Counter};
 
-    fn tiny_campaign() -> (WhatifCampaign, Vec<ResolverProfile>) {
-        let scale = Scale {
-            resolvers: Some(2),
-            repetitions: 1,
-            threads: 2,
-            ..Scale::quick()
-        };
-        (WhatifCampaign::new(scale), synthesize_dox_population(1))
-    }
-
-    /// A jitter- and loss-free path: unit timing becomes a pure
-    /// function of the flags, so paired regimes differ by exact RTTs.
-    fn exact_params() -> GeoPathParams {
-        GeoPathParams {
+    /// Run unit `[vp 0 : first resolver : regime : transport : rep 0]`
+    /// of the standard sweep on a jitter- and loss-free path: unit
+    /// timing becomes a pure function of the flags, so paired regimes
+    /// differ by exact RTTs.
+    fn exact_unit(regime: usize, transport: DnsTransport) -> SweepSample {
+        let (mut c, pop) = tiny_sweep(standard_whatif_sweep());
+        c.path_params = GeoPathParams {
             jitter_frac: 0.0,
             loss: 0.0,
             egress_bps: None,
             ..GeoPathParams::default()
-        }
+        };
+        let resolver = c.scale.sample_resolvers(&pop)[0];
+        run_sweep_unit(
+            &mut Simulator::arena(),
+            &c,
+            0,
+            resolver,
+            regime,
+            transport,
+            0,
+        )
     }
 
     /// handshake + resolve: first transport packet to answered query.
     fn total_ms(s: &SingleQuerySample) -> f64 {
         s.handshake_ms.unwrap_or(0.0) + s.resolve_ms.expect("unit answered")
-    }
-
-    #[test]
-    fn standard_sweep_leads_with_an_all_off_baseline() {
-        let sweep = standard_whatif_sweep();
-        assert_eq!(sweep[0].name, "baseline");
-        assert!(sweep[0].is_baseline());
-        assert!(sweep.iter().skip(1).all(|r| !r.is_baseline()));
-        // 0-RTT implies resumption: early data needs a ticket.
-        let zrtt = sweep.iter().find(|r| r.zero_rtt).expect("0rtt regime");
-        assert!(zrtt.resumption);
-        let names: Vec<&str> = sweep.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(
-            names,
-            ["baseline", "resumption", "0rtt", "tfo", "keepalive", "doh3"]
-        );
-    }
-
-    #[test]
-    fn campaign_produces_the_full_regime_grid() {
-        let (c, pop) = tiny_campaign();
-        let samples = run_whatif_campaign(&c, &pop);
-        // 6 vps x 2 resolvers x 6 regimes x 5 protocols x 1 rep.
-        assert_eq!(samples.len(), 360);
-        for (i, r) in c.regimes.iter().enumerate() {
-            let of_r: Vec<_> = samples.iter().filter(|s| s.regime == i).collect();
-            assert_eq!(of_r.len(), 60);
-            assert!(of_r.iter().all(|s| s.regime_name == r.name));
-        }
-        // The doh3 regime substitutes DoH3 for every DoH unit and
-        // leaves the other transports alone.
-        let doh3_regime: Vec<_> = samples.iter().filter(|s| s.regime_name == "doh3").collect();
-        let h3 = doh3_regime
-            .iter()
-            .filter(|s| s.sample.transport == DnsTransport::DoH3)
-            .count();
-        assert_eq!(h3, 12, "6 vps x 2 resolvers of DoH3");
-        assert!(doh3_regime
-            .iter()
-            .all(|s| s.sample.transport != DnsTransport::DoH));
-        // No other regime runs DoH3.
-        assert!(samples
-            .iter()
-            .filter(|s| s.regime_name != "doh3")
-            .all(|s| s.sample.transport != DnsTransport::DoH3));
-        // Failure taxonomy is consistent with the samples.
-        for s in &samples {
-            assert_eq!(s.sample.failed, s.failure.is_some(), "{s:?}");
-        }
-    }
-
-    #[test]
-    fn baseline_regime_reproduces_single_query_samples() {
-        let (c, pop) = tiny_campaign();
-        let whatif = run_whatif_campaign(&c, &pop);
-        let sq = SingleQueryCampaign {
-            seed: c.seed,
-            scale: c.scale.clone(),
-            use_resumption: false,
-            enable_0rtt_resolvers: false,
-            path_params: c.path_params.clone(),
-        };
-        let plain = run_single_query_campaign(&sq, &pop);
-        let baseline: Vec<_> = whatif.iter().filter(|s| s.regime == 0).collect();
-        assert_eq!(baseline.len(), plain.len());
-        for (b, p) in baseline.iter().zip(&plain) {
-            assert_eq!(
-                format!("{:?}", b.sample),
-                format!("{p:?}"),
-                "baseline diverged from the single-query campaign"
-            );
-        }
     }
 
     #[test]
@@ -345,12 +101,8 @@ mod tests {
         // query resolves exactly one RTT faster than its 1-RTT resumed
         // twin — the query rides the first flight instead of waiting
         // for the handshake round trip.
-        let (mut c, pop) = tiny_campaign();
-        c.path_params = exact_params();
-        let resolvers = c.scale.sample_resolvers(&pop);
-        let mut sim = Simulator::arena();
-        let resumed = run_whatif_unit(&mut sim, &c, 0, resolvers[0], 1, DnsTransport::DoQ, 0);
-        let zrtt = run_whatif_unit(&mut sim, &c, 0, resolvers[0], 2, DnsTransport::DoQ, 0);
+        let resumed = exact_unit(1, DnsTransport::DoQ);
+        let zrtt = exact_unit(2, DnsTransport::DoQ);
         assert!(!resumed.sample.failed && !zrtt.sample.failed);
         assert!(resumed.sample.metadata.resumed && zrtt.sample.metadata.resumed);
         assert!(
@@ -374,13 +126,9 @@ mod tests {
     #[test]
     fn tfo_puts_the_dotcp_query_on_the_syn_and_saves_a_round_trip() {
         metrics::set_enabled(true);
-        let (mut c, pop) = tiny_campaign();
-        c.path_params = exact_params();
-        let resolvers = c.scale.sample_resolvers(&pop);
         let before = metrics::snapshot().counter(Counter::TfoSynData);
-        let mut sim = Simulator::arena();
-        let base = run_whatif_unit(&mut sim, &c, 0, resolvers[0], 0, DnsTransport::DoTcp, 0);
-        let tfo = run_whatif_unit(&mut sim, &c, 0, resolvers[0], 3, DnsTransport::DoTcp, 0);
+        let base = exact_unit(0, DnsTransport::DoTcp);
+        let tfo = exact_unit(3, DnsTransport::DoTcp);
         assert!(!base.sample.failed && !tfo.sample.failed);
         assert!(
             metrics::snapshot().counter(Counter::TfoSynData) > before,
@@ -397,12 +145,8 @@ mod tests {
     #[test]
     fn keepalive_grants_are_requested_and_honored() {
         metrics::set_enabled(true);
-        let (mut c, pop) = tiny_campaign();
-        c.path_params = exact_params();
-        let resolvers = c.scale.sample_resolvers(&pop);
         let before = metrics::snapshot().counter(Counter::KeepaliveHonored);
-        let mut sim = Simulator::arena();
-        let ka = run_whatif_unit(&mut sim, &c, 0, resolvers[0], 4, DnsTransport::DoTcp, 0);
+        let ka = exact_unit(4, DnsTransport::DoTcp);
         assert!(!ka.sample.failed);
         assert!(
             metrics::snapshot().counter(Counter::KeepaliveHonored) > before,
@@ -413,13 +157,9 @@ mod tests {
     #[test]
     fn zero_rtt_telemetry_counts_accepts() {
         metrics::set_enabled(true);
-        let (mut c, pop) = tiny_campaign();
-        c.path_params = exact_params();
-        let resolvers = c.scale.sample_resolvers(&pop);
         let before = metrics::snapshot().counter(Counter::ZeroRttAccepted);
-        let mut sim = Simulator::arena();
         for t in [DnsTransport::DoQ, DnsTransport::DoT, DnsTransport::DoH] {
-            let s = run_whatif_unit(&mut sim, &c, 0, resolvers[0], 2, t, 0);
+            let s = exact_unit(2, t);
             assert!(s.sample.metadata.zero_rtt, "{t:?} accepted early data");
         }
         assert!(

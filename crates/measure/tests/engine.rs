@@ -4,14 +4,11 @@
 //! so the comparison goes through their `Debug` rendering — identical
 //! strings mean identical bits.
 
-use doqlab_measure::impairments::run_impairments_campaign;
-use doqlab_measure::mobility::run_mobility_campaign;
 use doqlab_measure::single_query::run_single_query_campaign;
 use doqlab_measure::webperf::run_webperf_campaign;
-use doqlab_measure::whatif::run_whatif_campaign;
+use doqlab_measure::{impairments, mobility, whatif};
 use doqlab_measure::{
-    trace_single_query, ImpairmentsCampaign, MobilityCampaign, Scale, SingleQueryCampaign,
-    WebperfCampaign, WhatifCampaign,
+    run_sweep, trace_single_query, Regime, Scale, SingleQueryCampaign, Sweep, WebperfCampaign,
 };
 use doqlab_resolver::synthesize_dox_population;
 use doqlab_telemetry::metrics::{self, Counter};
@@ -37,10 +34,14 @@ fn single_query_scale(threads: usize) -> Scale {
     }
 }
 
+/// Five pages, three of them multi-origin (google.com, linkedin.com,
+/// twitter.com): the browser's origin connections, the origin servers'
+/// listeners and the proxy's in-flight queries must all be served in a
+/// fixed order for page loads, FCP and PLT included, to repeat.
 fn webperf_scale(threads: usize) -> Scale {
     Scale {
-        resolvers: Some(2),
-        pages: Some(2),
+        resolvers: Some(1),
+        pages: Some(5),
         rounds: 1,
         loads_per_round: 1,
         threads,
@@ -79,147 +80,89 @@ fn webperf_campaign_is_thread_count_invariant() {
     assert_eq!(renderings[0], renderings[2], "1 thread vs 8 threads");
 }
 
-fn impairments_scale(threads: usize) -> Scale {
-    Scale {
-        resolvers: Some(2),
-        repetitions: 1,
-        threads,
-        ..Scale::quick()
+/// The three standard regime sweeps.
+fn standard_sweeps() -> [(&'static str, Vec<Regime>); 3] {
+    [
+        ("impairments", impairments::standard_sweep()),
+        (
+            "mobility",
+            mobility::standard_mobility_sweep(
+                mobility::DEFAULT_REBIND_AT,
+                mobility::DEFAULT_STAGGER,
+            ),
+        ),
+        ("whatif", whatif::standard_whatif_sweep()),
+    ]
+}
+
+fn sweep(regimes: Vec<Regime>, threads: usize) -> Sweep {
+    Sweep {
+        regimes,
+        ..Sweep::new(Scale {
+            resolvers: Some(2),
+            repetitions: 1,
+            threads,
+            ..Scale::quick()
+        })
     }
 }
 
 #[test]
-fn impairments_campaign_is_thread_count_invariant() {
+fn sweeps_are_thread_count_invariant() {
     let _serial = serial();
-    // The fault-injection sweep must be bit-identical across thread
-    // counts and across repeated runs at a fixed seed: every stochastic
-    // impairment decision flows through the unit's seeded RNG.
+    // Every standard sweep — fault injection, rebinds and failover
+    // racing, capability flags — must be bit-identical across thread
+    // counts and repeated runs at a fixed seed: every stochastic
+    // decision flows through the unit's seeded RNG.
     let pop = synthesize_dox_population(1);
-    let mut renderings = Vec::new();
-    for threads in [1, 4, 8, 4] {
-        let campaign = ImpairmentsCampaign::new(impairments_scale(threads));
-        let samples = run_impairments_campaign(&campaign, &pop);
-        assert!(!samples.is_empty());
-        renderings.push(format!("{samples:?}"));
+    for (name, regimes) in standard_sweeps() {
+        let runs = [1, 4, 8, 4].map(|threads| {
+            let samples = run_sweep(&sweep(regimes.clone(), threads), &pop);
+            assert!(!samples.is_empty());
+            format!("{samples:?}")
+        });
+        assert_eq!(runs[0], runs[1], "{name}: 1 vs 4 threads");
+        assert_eq!(runs[0], runs[2], "{name}: 1 vs 8 threads");
+        assert_eq!(runs[1], runs[3], "{name}: repeated runs");
     }
-    assert_eq!(renderings[0], renderings[1], "1 thread vs 4 threads");
-    assert_eq!(renderings[0], renderings[2], "1 thread vs 8 threads");
-    assert_eq!(renderings[1], renderings[3], "repeated 4-thread runs");
 }
 
 #[test]
-fn mobility_campaign_is_thread_count_invariant() {
+fn sweep_telemetry_is_inert() {
     let _serial = serial();
-    // The mobility sweep drives rebinds mid-run and races failover
-    // ladders, but must stay bit-identical across thread counts and
-    // repeated runs at a fixed seed.
+    // Failure-taxonomy, reconnect, failover, 0-RTT, TFO and keepalive
+    // counters and qlog path events ride telemetry; collecting them
+    // must not perturb any sweep's samples.
     let pop = synthesize_dox_population(1);
-    let mut renderings = Vec::new();
-    for threads in [1, 4, 8, 4] {
-        let campaign = MobilityCampaign::new(impairments_scale(threads));
-        let samples = run_mobility_campaign(&campaign, &pop);
-        assert!(!samples.is_empty());
-        renderings.push(format!("{samples:?}"));
+    for (name, regimes) in standard_sweeps() {
+        let sweep = sweep(regimes, 4);
+        metrics::set_enabled(false);
+        let baseline = format!("{:?}", run_sweep(&sweep, &pop));
+
+        metrics::set_enabled(true);
+        metrics::reset();
+        let with_metrics = format!("{:?}", run_sweep(&sweep, &pop));
+        let snapshot = metrics::snapshot();
+        metrics::set_enabled(false);
+
+        assert_eq!(
+            baseline, with_metrics,
+            "metrics collection perturbed {name} samples"
+        );
+        let units = (sweep.scale.resolvers.unwrap() * sweep.regimes.len() * 5 * 6) as u64;
+        assert_eq!(snapshot.counter(Counter::UnitsRun), units, "{name}");
+        match name {
+            // The failover regime actually raced rungs.
+            "mobility" => assert!(snapshot.counter(Counter::FailoverRaced) > 0),
+            // The regimes actually exercised the dormant capabilities.
+            "whatif" => {
+                assert!(snapshot.counter(Counter::ZeroRttAccepted) > 0);
+                assert!(snapshot.counter(Counter::TfoSynData) > 0);
+                assert!(snapshot.counter(Counter::KeepaliveHonored) > 0);
+            }
+            _ => {}
+        }
     }
-    assert_eq!(renderings[0], renderings[1], "1 thread vs 4 threads");
-    assert_eq!(renderings[0], renderings[2], "1 thread vs 8 threads");
-    assert_eq!(renderings[1], renderings[3], "repeated 4-thread runs");
-}
-
-#[test]
-fn whatif_campaign_is_thread_count_invariant() {
-    let _serial = serial();
-    // The counterfactual sweep flips feature flags (0-RTT, TFO,
-    // keepalive, DoH3) per regime but must stay bit-identical across
-    // thread counts and repeated runs at a fixed seed.
-    let pop = synthesize_dox_population(1);
-    let mut renderings = Vec::new();
-    for threads in [1, 4, 8, 4] {
-        let campaign = WhatifCampaign::new(impairments_scale(threads));
-        let samples = run_whatif_campaign(&campaign, &pop);
-        assert!(!samples.is_empty());
-        renderings.push(format!("{samples:?}"));
-    }
-    assert_eq!(renderings[0], renderings[1], "1 thread vs 4 threads");
-    assert_eq!(renderings[0], renderings[2], "1 thread vs 8 threads");
-    assert_eq!(renderings[1], renderings[3], "repeated 4-thread runs");
-}
-
-#[test]
-fn whatif_telemetry_is_inert() {
-    let _serial = serial();
-    // The new 0-RTT / TFO / keepalive counters ride telemetry;
-    // collecting them must not perturb the counterfactual samples.
-    let pop = synthesize_dox_population(1);
-    let campaign = WhatifCampaign::new(impairments_scale(4));
-    metrics::set_enabled(false);
-    let baseline = format!("{:?}", run_whatif_campaign(&campaign, &pop));
-
-    metrics::set_enabled(true);
-    metrics::reset();
-    let with_metrics = format!("{:?}", run_whatif_campaign(&campaign, &pop));
-    let snapshot = metrics::snapshot();
-    metrics::set_enabled(false);
-
-    assert_eq!(
-        baseline, with_metrics,
-        "metrics collection perturbed what-if samples"
-    );
-    // The sweep's regimes actually exercised the dormant capabilities.
-    assert!(snapshot.counter(Counter::ZeroRttAccepted) > 0);
-    assert!(snapshot.counter(Counter::TfoSynData) > 0);
-    assert!(snapshot.counter(Counter::KeepaliveHonored) > 0);
-}
-
-#[test]
-fn mobility_telemetry_is_inert() {
-    let _serial = serial();
-    // Path/migration events and failover counters ride telemetry;
-    // collecting them must not perturb the mobile samples (qlog path
-    // events stay observational).
-    let pop = synthesize_dox_population(1);
-    let campaign = MobilityCampaign::new(impairments_scale(4));
-    metrics::set_enabled(false);
-    let baseline = format!("{:?}", run_mobility_campaign(&campaign, &pop));
-
-    metrics::set_enabled(true);
-    metrics::reset();
-    let with_metrics = format!("{:?}", run_mobility_campaign(&campaign, &pop));
-    let snapshot = metrics::snapshot();
-    metrics::set_enabled(false);
-
-    assert_eq!(
-        baseline, with_metrics,
-        "metrics collection perturbed mobile samples"
-    );
-    let units = (campaign.scale.resolvers.unwrap() * campaign.regimes.len() * 5 * 6) as u64;
-    assert_eq!(snapshot.counter(Counter::UnitsRun), units);
-    // The sweep's failover regime actually raced rungs.
-    assert!(snapshot.counter(Counter::FailoverRaced) > 0);
-}
-
-#[test]
-fn impairments_telemetry_is_inert() {
-    let _serial = serial();
-    // Failure-taxonomy counters and reconnect counts ride telemetry;
-    // collecting them must not perturb the samples.
-    let pop = synthesize_dox_population(1);
-    let campaign = ImpairmentsCampaign::new(impairments_scale(4));
-    metrics::set_enabled(false);
-    let baseline = format!("{:?}", run_impairments_campaign(&campaign, &pop));
-
-    metrics::set_enabled(true);
-    metrics::reset();
-    let with_metrics = format!("{:?}", run_impairments_campaign(&campaign, &pop));
-    let snapshot = metrics::snapshot();
-    metrics::set_enabled(false);
-
-    assert_eq!(
-        baseline, with_metrics,
-        "metrics collection perturbed impaired samples"
-    );
-    let units = (campaign.scale.resolvers.unwrap() * campaign.regimes.len() * 5 * 6) as u64;
-    assert_eq!(snapshot.counter(Counter::UnitsRun), units);
 }
 
 #[test]

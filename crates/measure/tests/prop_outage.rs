@@ -14,7 +14,7 @@ use doqlab_dox::{DnsTransport, FailureKind};
 use doqlab_measure::single_query::{run_unit_custom, SingleQueryCampaign, UnitOptions};
 use doqlab_measure::{vantage_points, Scale};
 use doqlab_resolver::synthesize_dox_population;
-use doqlab_simnet::{Duration, ImpairmentSchedule, Simulator};
+use doqlab_simnet::{Duration, ImpairmentSchedule, SimTime, Simulator};
 use proptest::prelude::*;
 
 proptest! {
@@ -36,10 +36,8 @@ proptest! {
         let vps = vantage_points();
         let opts = UnitOptions {
             seed: Some(seed),
-            impairment: Some(Box::new(move |start| {
-                ImpairmentSchedule::new()
-                    .with_outage(start, start + Duration::from_secs(outage_secs))
-            })),
+            impairment: ImpairmentSchedule::new()
+                .with_outage(SimTime::ZERO, SimTime::from_secs(outage_secs)),
             query_deadline: None,
             reconnect_max: 1,
             reconnect_backoff: Duration::from_millis(backoff_ms),

@@ -14,7 +14,7 @@ use crate::tls::{HandshakeMessage, HandshakePayload, SessionTicket, TlsConfig, T
 use doqlab_simnet::{Duration, SimRng, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
 use doqlab_telemetry::{sink, Event};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// qlog packet-type label.
 fn ptype_str(ptype: PacketType) -> &'static str {
@@ -1601,7 +1601,9 @@ fn token_valid(token: &[u8], server_id: u64, client: SocketAddr) -> bool {
 pub struct QuicServer {
     cfg: QuicConfig,
     pub local: SocketAddr,
-    conns: HashMap<SocketAddr, QuicConnection>,
+    /// Ordered by peer, so polls emit datagrams in the same order on
+    /// every run.
+    conns: BTreeMap<SocketAddr, QuicConnection>,
 }
 
 impl QuicServer {
@@ -1609,7 +1611,7 @@ impl QuicServer {
         QuicServer {
             local,
             cfg,
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
         }
     }
 
@@ -1701,7 +1703,7 @@ impl QuicServer {
         let mut dcid = [0u8; CID_LEN];
         dcid.copy_from_slice(&data[1..1 + CID_LEN]);
         // CIDs are unique per connection, so at most one entry matches
-        // and the HashMap scan order cannot affect the outcome.
+        // and the scan order cannot affect the outcome.
         let Some(old) = self
             .conns
             .iter()

@@ -72,7 +72,7 @@ pub trait Impairment {
 /// then the packet is lost with the new state's loss probability. Mean
 /// sojourn in the bad state is `1 / p_bad_to_good` packets, which is
 /// what makes losses bursty rather than i.i.d.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GilbertElliott {
     pub p_good_to_bad: f64,
     pub p_bad_to_good: f64,
@@ -153,7 +153,7 @@ impl OutageWindow {
 /// A composable schedule combining burst loss, outages, reordering and
 /// duplication. The default schedule is inert: it drops, delays and
 /// duplicates nothing and consumes no RNG.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ImpairmentSchedule {
     pub burst: Option<GilbertElliott>,
     pub outages: Vec<OutageWindow>,

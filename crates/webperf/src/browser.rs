@@ -16,7 +16,7 @@ use crate::proxy::DnsProxy;
 use doqlab_resolver::ip_for_domain;
 use doqlab_simnet::{Ctx, Duration, Host, Ipv4Addr, Packet, SimTime, SocketAddr};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 // Render and onload main-thread work come from the page profile
 // (identical across DNS protocols, so they only scale the *relative*
@@ -59,7 +59,9 @@ pub struct BrowserHost {
     states: Vec<ResourceState>,
     dns_cache: HashMap<String, Option<Ipv4Addr>>,
     dns_inflight: HashMap<String, ()>,
-    origins: HashMap<String, OriginConn>,
+    /// Ordered by domain, so polls emit packets in the same order on
+    /// every run.
+    origins: BTreeMap<String, OriginConn>,
     next_port: u16,
     nav_start: Option<SimTime>,
     fcp: Option<SimTime>,
@@ -77,7 +79,7 @@ impl BrowserHost {
             states: vec![ResourceState::Undiscovered; n],
             dns_cache: HashMap::new(),
             dns_inflight: HashMap::new(),
-            origins: HashMap::new(),
+            origins: BTreeMap::new(),
             next_port: 50_000,
             nav_start: None,
             fcp: None,

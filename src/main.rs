@@ -16,8 +16,9 @@
 //! Campaign names may be prefixed with `measure` (`doqlab measure
 //! impairments` and `doqlab impairments` are the same command).
 
-use doqlab_core::measure::engine;
 use doqlab_core::measure::report;
+use doqlab_core::measure::{engine, impairments, mobility, whatif, Regime, WebperfSample};
+use doqlab_core::simnet::Duration;
 use doqlab_core::telemetry::metrics;
 use doqlab_core::Study;
 
@@ -118,19 +119,23 @@ fn main() {
     match command.as_str() {
         "discovery" => run_discovery(&study),
         "single-query" => run_single_query(&study),
-        "webperf" => run_webperf(&study),
+        "webperf" => {
+            run_webperf(&study);
+        }
         "impairments" => run_impairments(&study),
         "mobility" => run_mobility(&study),
+        "whatif" => run_whatif(&study, None),
         "populations" => run_populations(&study),
-        "whatif" => run_whatif(&study),
         "all" => {
             run_discovery(&study);
             run_single_query(&study);
-            run_webperf(&study);
+            let web = run_webperf(&study);
             run_impairments(&study);
             run_mobility(&study);
             run_populations(&study);
-            run_whatif(&study);
+            // The what-if Web half pairs against the webperf samples
+            // already in hand instead of running that campaign again.
+            run_whatif(&study, Some(web));
         }
         _ => usage(),
     }
@@ -182,21 +187,63 @@ fn run_single_query(study: &Study) {
     println!("{}", report::render_fig2(&report::fig2(&samples)));
 }
 
+/// A millisecond setting from the environment: a value that does not
+/// parse, or is not positive, falls back to `default`.
+fn env_ms(var: &str, default: Duration) -> Duration {
+    std::env::var(var)
+        .ok()
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .filter(|&ms| ms > 0)
+        .map_or(default, Duration::from_millis)
+}
+
+/// Run a regime sweep and print its report under `title`.
+fn run_sweep(
+    study: &Study,
+    title: &str,
+    regimes: Vec<Regime>,
+    render: fn(&[report::SweepRow]) -> String,
+) {
+    println!("== {title} ==");
+    let samples = study.run_sweep(regimes);
+    println!("{}", render(&report::sweep_rows(&samples)));
+}
+
 fn run_impairments(study: &Study) {
-    println!("== fault injection (impairment sweep) ==");
-    let samples = study.run_impairments();
-    println!(
-        "{}",
-        report::render_impairments(&report::impairment_rows(&samples))
+    run_sweep(
+        study,
+        "fault injection (impairment sweep)",
+        impairments::standard_sweep(),
+        report::render_impairments,
     );
 }
 
 fn run_mobility(study: &Study) {
-    println!("== mobility (rebind + failover sweep) ==");
-    let samples = study.run_mobility();
+    run_sweep(
+        study,
+        "mobility (rebind + failover sweep)",
+        mobility::standard_mobility_sweep(
+            env_ms("DOQLAB_REBIND_MS", mobility::DEFAULT_REBIND_AT),
+            env_ms("DOQLAB_STAGGER_MS", mobility::DEFAULT_STAGGER),
+        ),
+        report::render_mobility,
+    );
+}
+
+/// The what-if sweep plus its Web half, which pairs `web` (the plain
+/// webperf samples, run here when not given) with a DoH3 re-run.
+fn run_whatif(study: &Study, web: Option<Vec<WebperfSample>>) {
+    run_sweep(
+        study,
+        "what-if (counterfactual capability sweep)",
+        whatif::standard_whatif_sweep(),
+        report::render_whatif,
+    );
+    let base = web.unwrap_or_else(|| study.run_webperf());
+    let doh3 = study.run_webperf_doh3();
     println!(
         "{}",
-        report::render_mobility(&report::mobility_rows(&samples))
+        report::render_whatif_web(&report::whatif_web_rows(&base, &doh3))
     );
 }
 
@@ -209,22 +256,12 @@ fn run_populations(study: &Study) {
     );
 }
 
-fn run_whatif(study: &Study) {
-    println!("== what-if (counterfactual capability sweep) ==");
-    let samples = study.run_whatif();
-    println!("{}", report::render_whatif(&report::whatif_rows(&samples)));
-    let (base, doh3) = study.run_whatif_webperf();
-    println!(
-        "{}",
-        report::render_whatif_web(&report::whatif_web_rows(&base, &doh3))
-    );
-}
-
-fn run_webperf(study: &Study) {
+fn run_webperf(study: &Study) -> Vec<WebperfSample> {
     println!("== web performance (§3.2) ==");
     let samples = study.run_webperf();
     let diffs = report::relative_to_baseline(&samples, doqlab_core::dox::DnsTransport::DoUdp);
     println!("{}", report::render_fig3(&diffs, "FCP"));
     println!("{}", report::render_fig3(&diffs, "PLT"));
     println!("{}", report::render_fig4(&report::fig4(&samples)));
+    samples
 }
