@@ -10,7 +10,6 @@
 use doqlab_bench::{compare, parse_options};
 use doqlab_core::dox::DnsTransport;
 use doqlab_core::measure::median;
-use doqlab_core::resolver::ResolverProfile;
 use doqlab_core::simnet::Duration;
 use doqlab_core::webperf::{run_page_load, PageLoadConfig};
 
@@ -22,16 +21,7 @@ fn main() {
 
     // The campaign abstraction keeps client behaviour fixed, so this
     // ablation drives run_page_load directly with both sides upgraded.
-    let scale = &opts.study.scale;
-    let resolvers: Vec<&ResolverProfile> = {
-        let n = scale
-            .resolvers
-            .unwrap_or(population.len())
-            .min(population.len());
-        let stride = (population.len() / n.max(1)).max(1);
-        population.iter().step_by(stride).take(n).collect()
-    };
-    let page_count = scale.pages.unwrap_or(pages.len()).min(pages.len());
+    let resolvers = opts.study.scale.sample_resolvers(&population);
 
     let mut plt_default = Vec::new();
     let mut plt_upgraded = Vec::new();
@@ -39,7 +29,7 @@ fn main() {
     let mut conns_upgraded = Vec::new();
     for vp in &vps {
         for r in &resolvers {
-            for page in pages.iter().take(page_count) {
+            for page in opts.study.scale.sample_pages(&pages) {
                 for upgraded in [false, true] {
                     let mut resolver_cfg = r.server_config();
                     if upgraded {

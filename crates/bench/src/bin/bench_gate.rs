@@ -16,6 +16,9 @@
 //! present only on one side are reported but do not fail the gate: a
 //! new campaign has no baseline to regress from.
 
+use doqlab_bench::exit_usage;
+use doqlab_core::cli::Flags;
+use doqlab_core::telemetry::qlog::{self, Json};
 use std::process::exit;
 
 struct Campaign {
@@ -30,58 +33,36 @@ struct Report {
     campaigns: Vec<Campaign>,
 }
 
-/// `"key": "value"` on a pretty-printed line -> `value`.
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let rest = line.trim().strip_prefix(&format!("\"{key}\": \""))?;
-    Some(rest.trim_end_matches(',').trim_end_matches('"').to_string())
-}
-
-/// `"key": 123.4` on a pretty-printed line -> `123.4`.
-fn num_field(line: &str, key: &str) -> Option<f64> {
-    let rest = line.trim().strip_prefix(&format!("\"{key}\": "))?;
-    rest.trim_end_matches(',').parse().ok()
-}
-
-/// Parse a `campaign_throughput` report. The vendored serde_json is
-/// serialize-only, so this reads the known pretty-printed shape
-/// line-by-line; it is strict about the fields the gate needs and
-/// ignores everything else (so adding metrics like `allocs_per_event`
-/// never breaks old gates).
+/// Parse a `campaign_throughput` report. It needs the fields the gate
+/// compares and ignores every other one (so adding metrics like
+/// `allocs_per_event` never breaks old gates).
 fn load(path: &str) -> Report {
     let data = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("bench_gate: cannot read {path}: {e}");
         exit(2);
     });
-    let (mut scale, mut seed, mut clients) = (None, None, None);
-    let mut campaigns: Vec<Campaign> = Vec::new();
-    let mut current: Option<String> = None;
-    for line in data.lines() {
-        if let Some(v) = str_field(line, "scale") {
-            scale = Some(v);
-        } else if let Some(v) = num_field(line, "seed") {
-            seed = Some(v as u64);
-        } else if let Some(v) = num_field(line, "clients") {
-            clients = Some(v as u64);
-        } else if let Some(v) = str_field(line, "campaign") {
-            current = Some(v);
-        } else if let Some(v) = num_field(line, "events_per_s") {
-            let Some(campaign) = current.take() else {
-                eprintln!("bench_gate: {path}: events_per_s before a campaign name");
-                exit(2);
-            };
-            campaigns.push(Campaign {
-                campaign,
-                events_per_s: v,
-            });
-        }
-    }
-    match (scale, seed, clients) {
-        (Some(scale), Some(seed), Some(clients)) if !campaigns.is_empty() => Report {
-            scale,
-            seed,
-            clients,
+    let report = |json: Json| {
+        let Some(Json::Arr(campaigns)) = json.get("campaigns") else {
+            return None;
+        };
+        let campaigns = campaigns
+            .iter()
+            .map(|c| {
+                Some(Campaign {
+                    campaign: c.get("campaign")?.as_str()?.to_string(),
+                    events_per_s: c.get("events_per_s")?.as_f64()?,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(Report {
+            scale: json.get("scale")?.as_str()?.to_string(),
+            seed: json.get("seed")?.as_f64()? as u64,
+            clients: json.get("clients")?.as_f64()? as u64,
             campaigns,
-        },
+        })
+    };
+    match qlog::parse(&data).ok().and_then(report) {
+        Some(report) if !report.campaigns.is_empty() => report,
         _ => {
             eprintln!("bench_gate: {path}: not a campaign_throughput report");
             exit(2);
@@ -112,53 +93,29 @@ fn latest_baseline(dir: &str) -> Option<String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut fresh_path = None;
-    let mut baseline_path = None;
-    let mut dir = ".".to_string();
-    let mut threshold = 0.30f64;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fresh" if i + 1 < args.len() => {
-                fresh_path = Some(args[i + 1].clone());
-                i += 1;
-            }
-            "--baseline" if i + 1 < args.len() => {
-                baseline_path = Some(args[i + 1].clone());
-                i += 1;
-            }
-            "--dir" if i + 1 < args.len() => {
-                dir = args[i + 1].clone();
-                i += 1;
-            }
-            "--threshold" if i + 1 < args.len() => {
-                threshold = args[i + 1].parse().expect("--threshold takes a fraction");
-                i += 1;
-            }
-            other => {
-                eprintln!(
-                    "bench_gate: unknown argument {other}\n\
-                     usage: bench_gate --fresh PATH [--baseline PATH] \
-                     [--dir DIR] [--threshold FRACTION]"
-                );
-                exit(2);
-            }
-        }
-        i += 1;
-    }
-    let Some(fresh_path) = fresh_path else {
-        eprintln!("bench_gate: --fresh is required");
-        exit(2);
-    };
-    let baseline_path = baseline_path
-        .or_else(|| latest_baseline(&dir))
+    const USAGE: &str =
+        "bench_gate --fresh PATH [--baseline PATH] [--dir DIR] [--threshold FRACTION]";
+    let valued = ["--fresh", "--baseline", "--dir", "--threshold"];
+    let flags = Flags::parse(std::env::args().skip(1), &valued, &[])
+        .unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let threshold = flags
+        .parsed("--threshold")
+        .unwrap_or_else(|e| exit_usage(USAGE, &e))
+        .unwrap_or(0.30f64);
+    let dir = flags.value("--dir").unwrap_or(".");
+    let fresh_path = flags
+        .value("--fresh")
+        .unwrap_or_else(|| exit_usage(USAGE, "bench_gate: --fresh is required"));
+    let baseline_path = flags
+        .value("--baseline")
+        .map(str::to_string)
+        .or_else(|| latest_baseline(dir))
         .unwrap_or_else(|| {
             eprintln!("bench_gate: no BENCH_*.json baseline found in {dir}");
             exit(2);
         });
 
-    let fresh = load(&fresh_path);
+    let fresh = load(fresh_path);
     let baseline = load(&baseline_path);
     println!(
         "== bench_gate: {fresh_path} vs {baseline_path} (threshold {:.0}%) ==\n",

@@ -16,7 +16,9 @@
 //! jump flags a per-packet or per-event allocation sneaking back into
 //! a hot path.
 
-use doqlab_core::measure::{engine, impairments, mobility, whatif};
+use doqlab_bench::exit_usage;
+use doqlab_core::cli::{Flags, STUDY_FLAGS};
+use doqlab_core::measure::{impairments, mobility, whatif};
 use doqlab_core::telemetry::metrics::{self, Counter};
 use doqlab_core::Study;
 use std::time::Instant;
@@ -76,48 +78,16 @@ fn timed(name: &str, run: impl FnOnce()) -> CampaignThroughput {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut seed = engine::env_seed(2022);
-    let mut scale_name = "quick".to_string();
-    let mut out = "BENCH_10.json".to_string();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" if i + 1 < args.len() => {
-                scale_name = args[i + 1].clone();
-                i += 1;
-            }
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().expect("--seed takes a number");
-                i += 1;
-            }
-            "--out" if i + 1 < args.len() => {
-                out = args[i + 1].clone();
-                i += 1;
-            }
-            other => {
-                eprintln!(
-                    "campaign_throughput: unknown argument {other}\n\
-                     usage: campaign_throughput [--scale quick|medium|paper] \
-                     [--seed N] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let study = match scale_name.as_str() {
-        "quick" => Study::quick(seed),
-        "medium" => Study::medium(seed),
-        "paper" => Study::paper(seed),
-        other => {
-            eprintln!("campaign_throughput: unknown scale {other}");
-            std::process::exit(2);
-        }
-    };
-    let scale = study.scale.clone();
-    let threads = engine::env_threads(scale.threads);
-    let clients = engine::env_clients(scale.clients.unwrap_or(0));
+    const USAGE: &str = "campaign_throughput [--scale quick|medium|paper] [--seed N] \
+                         [--threads N] [--resolvers N] [--pages N] [--reps N] [--out PATH]";
+    let valued = [&STUDY_FLAGS[..], &["--out"]].concat();
+    let flags = Flags::parse(std::env::args().skip(1), &valued, &[])
+        .unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let study = Study::from_flags(&flags, "quick", |k| std::env::var(k).ok())
+        .unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let scale_name = flags.value("--scale").unwrap_or("quick").to_string();
+    let out = flags.value("--out").unwrap_or("BENCH_10.json");
+    let threads = study.scale.threads;
 
     metrics::set_enabled(true);
     let campaigns = vec![
@@ -146,9 +116,9 @@ fn main() {
 
     let report = Report {
         scale: scale_name.clone(),
-        seed,
+        seed: study.seed,
         threads,
-        clients,
+        clients: study.scale.clients.unwrap_or(0),
         campaigns,
     };
     println!("== E13: campaign throughput ({scale_name} scale, {threads} threads) ==\n");
@@ -166,7 +136,7 @@ fn main() {
         );
     }
     let json = serde_json::to_string_pretty(&report).expect("serializable");
-    std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| {
+    std::fs::write(out, format!("{json}\n")).unwrap_or_else(|e| {
         eprintln!("campaign_throughput: cannot write {out}: {e}");
         std::process::exit(1);
     });

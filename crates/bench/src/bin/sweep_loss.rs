@@ -9,21 +9,19 @@
 use doqlab_bench::parse_options;
 use doqlab_core::dox::DnsTransport;
 use doqlab_core::measure::single_query::{run_unit, SingleQueryCampaign};
-use doqlab_core::measure::{median, percentile, vantage_points};
+use doqlab_core::measure::{median, percentile, vantage_points, Scale};
 
 fn main() {
     let opts = parse_options();
     let population = opts.study.population();
     let vps = vantage_points();
-    let n = opts
-        .study
-        .scale
-        .resolvers
-        .unwrap_or(24)
-        .min(population.len());
-    let stride = (population.len() / n.max(1)).max(1);
-    let resolvers: Vec<_> = population.iter().step_by(stride).take(n).collect();
-    let reps = opts.study.scale.repetitions.max(2);
+    let scale = &opts.study.scale;
+    let resolvers = Scale {
+        resolvers: Some(scale.resolvers.unwrap_or(24)),
+        ..scale.clone()
+    }
+    .sample_resolvers(&population);
+    let reps = scale.repetitions.max(2);
 
     println!("== S1: loss sweep — DoUDP 5s retry vs transport-layer recovery ==\n");
     println!(
@@ -31,7 +29,7 @@ fn main() {
         "loss", "UDP p50", "UDP p99", "UDP>2s", "DoQ p50", "DoQ p99", "DoQ>2s"
     );
     for loss in [0.0, 0.002, 0.01, 0.03, 0.06] {
-        let mut campaign = SingleQueryCampaign::new(opts.study.scale.clone());
+        let mut campaign = SingleQueryCampaign::new(scale.clone());
         campaign.seed = opts.study.seed ^ (loss * 1e6) as u64;
         campaign.path_params.loss = loss;
         let mut udp = Vec::new();

@@ -13,16 +13,25 @@
 //! | `headline_claims` | abstract / §5 numbers |
 //! | `ablation_amplification` | A1: no-resumption amplification stall |
 //! | `ablation_dot_bug` | A2: dnsproxy DoT reconnect bug |
-//! | `ablation_0rtt` | A3: 0-RTT resolvers (§4 future work) |
-//! | `campaign_throughput` | E13: engine throughput (units/s, events/s) -> `BENCH_7.json` |
+//! | `ablation_tcp_keepalive` | A4: RFC 9210 DoTCP (keepalive + TFO + reuse) |
+//! | `sweep_loss` | S1: packet loss vs the DoUDP long tail |
+//! | `campaign_throughput` | E13: engine throughput (units/s, events/s) -> `BENCH_10.json` |
+//! | `bench_gate` | CI gate: a fresh throughput report against the latest `BENCH_*.json` |
+//! | `validate_qlog` | CI check of a `doqlab trace` qlog file |
 //!
-//! Every binary accepts `--scale quick|medium|paper` (default `medium`),
-//! `--seed N` and `--json` (machine-readable output); paper-reference
-//! values are printed alongside for comparison. The environment
-//! variables `DOQLAB_SEED` (default seed) and `DOQLAB_THREADS`
-//! (campaign worker count) override via the measurement engine.
+//! The 0-RTT (A3) and DoH3 (F1) future-work experiments are the `0rtt`
+//! and `doh3` regimes of `doqlab measure whatif`.
+//!
+//! Every binary that runs a study reads its flags and the `DOQLAB_SEED`,
+//! `DOQLAB_THREADS` and `DOQLAB_CLIENTS` variables once, at start-up,
+//! through [`doqlab_core::cli`]: `--scale quick|medium|paper` (default
+//! `medium`; `quick` for `campaign_throughput`), `--seed N`,
+//! `--threads N`, `--resolvers N`, `--pages N` and `--reps N`, a flag
+//! beating its variable. The experiment binaries also take `--json`
+//! (machine-readable output) and print paper-reference values alongside
+//! for comparison.
 
-use doqlab_core::measure::Scale;
+use doqlab_core::cli::{Flags, STUDY_FLAGS};
 use doqlab_core::Study;
 
 /// Parsed common CLI options.
@@ -33,86 +42,36 @@ pub struct Options {
     pub scale_name: String,
 }
 
-/// Parse `--scale`, `--seed`, `--json` from `std::env::args`. The
-/// seed default honours `DOQLAB_SEED`, and every campaign honours
-/// `DOQLAB_THREADS`, via the engine's env overrides.
+const USAGE: &str = "[--scale quick|medium|paper] [--seed N] [--threads N] [--json] \
+                     [--resolvers N] [--pages N] [--reps N]";
+
+/// The experiment binaries' options: the study flags plus `--json`, and
+/// `--help`, which prints the usage and exits 0. Any bad argument exits
+/// 2 with the usage.
 pub fn parse_options() -> Options {
-    let args: Vec<String> = std::env::args().collect();
-    let mut seed = doqlab_core::measure::engine::env_seed(2022);
-    let mut scale_name = "medium".to_string();
-    let mut json = false;
-    let mut resolvers: Option<usize> = None;
-    let mut pages: Option<usize> = None;
-    let mut reps: Option<usize> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" if i + 1 < args.len() => {
-                scale_name = args[i + 1].clone();
-                i += 1;
-            }
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().expect("--seed takes a number");
-                i += 1;
-            }
-            "--json" => json = true,
-            "--resolvers" if i + 1 < args.len() => {
-                resolvers = Some(args[i + 1].parse().expect("--resolvers takes a number"));
-                i += 1;
-            }
-            "--pages" if i + 1 < args.len() => {
-                pages = Some(args[i + 1].parse().expect("--pages takes a number"));
-                i += 1;
-            }
-            "--reps" if i + 1 < args.len() => {
-                reps = Some(args[i + 1].parse().expect("--reps takes a number"));
-                i += 1;
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: [--scale quick|medium|paper] [--seed N] [--json] \
-                     [--resolvers N] [--pages N] [--reps N]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
+    let flags = Flags::parse(
+        std::env::args().skip(1),
+        &STUDY_FLAGS,
+        &["--json", "--help", "-h"],
+    )
+    .unwrap_or_else(|e| exit_usage(USAGE, &e));
+    if flags.switch("--help") || flags.switch("-h") {
+        eprintln!("usage: {USAGE}");
+        std::process::exit(0);
     }
-    let mut study = match scale_name.as_str() {
-        "quick" => Study::quick(seed),
-        "medium" => Study::medium(seed),
-        "paper" => Study::paper(seed),
-        other => {
-            eprintln!("unknown scale '{other}' (quick|medium|paper)");
-            std::process::exit(2);
-        }
-    };
-    if let Some(n) = resolvers {
-        study.scale.resolvers = Some(n);
-    }
-    if let Some(n) = pages {
-        study.scale.pages = Some(n);
-    }
-    if let Some(n) = reps {
-        study.scale.repetitions = n;
-        study.scale.rounds = n;
-    }
+    let study = Study::from_flags(&flags, "medium", |k| std::env::var(k).ok())
+        .unwrap_or_else(|e| exit_usage(USAGE, &e));
     Options {
         study,
-        json,
-        scale_name,
+        json: flags.switch("--json"),
+        scale_name: flags.value("--scale").unwrap_or("medium").to_string(),
     }
 }
 
-/// A scale override helper for experiments that need a custom grid.
-pub fn with_scale(study: &Study, f: impl FnOnce(&mut Scale)) -> Study {
-    let mut s = study.clone();
-    f(&mut s.scale);
-    s
+/// Print `error` and `usage` to stderr and exit 2.
+pub fn exit_usage(usage: &str, error: &str) -> ! {
+    eprintln!("{error}\nusage: {usage}");
+    std::process::exit(2);
 }
 
 /// Print a labelled paper-vs-measured comparison line.

@@ -20,6 +20,8 @@
 //! transports), [`resolver`], [`webperf`], [`measure`] and
 //! [`telemetry`] (qlog event tracing and lock-free metrics).
 
+pub mod cli;
+
 pub use doqlab_dnswire as dnswire;
 pub use doqlab_dox as dox;
 pub use doqlab_measure as measure;
@@ -99,7 +101,7 @@ impl Study {
 
     /// §2 discovery funnel.
     pub fn run_discovery(&self, population: &[ScannedHost]) -> DiscoveryReport {
-        doqlab_measure::run_discovery(population)
+        doqlab_measure::run_discovery(population, self.scale.threads)
     }
 
     fn single_query_campaign(&self) -> SingleQueryCampaign {

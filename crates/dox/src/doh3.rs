@@ -2,8 +2,8 @@
 //! future work. HTTP/3 runs over QUIC on UDP 443; like DoQ it gets the
 //! combined 1-RTT transport+crypto handshake and Session Resumption,
 //! but pays HTTP framing and QPACK header overhead per query. The
-//! `doh3_preview` experiment compares all three encrypted QUIC-era
-//! options.
+//! `doh3` regime of `doqlab measure whatif` measures it against the
+//! study-era transports.
 
 use crate::client::{ClientConfig, ConnMetadata, DnsClientConn, FailureKind, SessionState};
 use crate::doq::classify_quic_failure;

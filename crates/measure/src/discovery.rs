@@ -13,7 +13,6 @@
 //!    all five is the verified DoX set.
 
 use crate::engine;
-use crate::Scale;
 use doqlab_dnswire::{Message, Name, RecordType};
 use doqlab_dox::{ClientConfig, DnsClientHost, DnsTransport};
 use doqlab_netstack::quic::{PacketType, QuicPacket, VersionNegotiation};
@@ -191,14 +190,11 @@ fn scan_one(sim: &mut Simulator, host: &ScannedHost, server_id: u64) -> Discover
 /// Run the whole funnel over a scan population: one unit per host,
 /// scheduled by the work-stealing engine on per-worker simulator
 /// arenas. The per-host server id is the host's position in the
-/// population, so results don't depend on thread count.
-pub fn run_discovery(population: &[ScannedHost]) -> DiscoveryReport {
-    let reports = engine::run_units(
-        engine::env_threads(Scale::default_threads()),
-        population,
-        Simulator::arena,
-        |sim, host, i| scan_one(sim, host, 0x5CA_0000 + i as u64),
-    );
+/// population, so results don't depend on `threads`.
+pub fn run_discovery(population: &[ScannedHost], threads: usize) -> DiscoveryReport {
+    let reports = engine::run_units(threads, population, Simulator::arena, |sim, host, i| {
+        scan_one(sim, host, 0x5CA_0000 + i as u64)
+    });
     let mut report = DiscoveryReport::default();
     for r in &reports {
         report.absorb(r);
@@ -225,7 +221,7 @@ mod tests {
     #[test]
     fn funnel_identifies_exactly_the_right_hosts() {
         let pop = mini_population();
-        let report = run_discovery(&pop);
+        let report = run_discovery(&pop, 2);
         assert_eq!(report.probed_hosts, 80);
         // All 80 run QUIC on some port.
         assert_eq!(report.quic_hosts, 80);

@@ -1,9 +1,9 @@
 //! The shared campaign-execution engine.
 //!
-//! All three campaigns (§2 discovery, §3.1 single-query, §3.2 webperf)
-//! are embarrassingly parallel sweeps over a deterministic unit grid.
-//! Before this module existed each campaign reimplemented the same
-//! three pieces; they now share:
+//! Every campaign (§2 discovery, §3.1 single-query, §3.2 webperf, the
+//! regime sweeps and populations) is an embarrassingly parallel sweep
+//! over a deterministic unit grid. Before this module existed each
+//! campaign reimplemented the same three pieces; they now share:
 //!
 //! * [`UnitGrid`] — the `[vantage point × resolver × page × transport ×
 //!   repetition]` enumeration in one canonical order (page and any
@@ -18,56 +18,12 @@
 //!   [`doqlab_simnet::Simulator::reset`] between units, reusing the
 //!   event-queue, host-table and trace allocations across the
 //!   thousands of units it executes;
-//! * [`unit_seed`] — the per-unit RNG domain separation, and the
-//!   [`env_threads`]/[`env_seed`] overrides (`DOQLAB_THREADS`,
-//!   `DOQLAB_SEED`) that the experiment binaries route through.
+//! * [`unit_seed`] — the per-unit RNG domain separation.
+//!
+//! The worker count is the caller's [`Scale::threads`](crate::Scale::threads);
+//! nothing here reads the environment.
 
 use std::sync::Mutex;
-
-/// Environment variable overriding the worker-thread count of every
-/// campaign run ([`env_threads`]).
-pub const THREADS_ENV: &str = "DOQLAB_THREADS";
-
-/// Environment variable overriding the experiment binaries' campaign
-/// seed ([`env_seed`]).
-pub const SEED_ENV: &str = "DOQLAB_SEED";
-
-/// The worker-thread count to use: `DOQLAB_THREADS` if set to a
-/// positive integer, otherwise `configured`.
-pub fn env_threads(configured: usize) -> usize {
-    match std::env::var(THREADS_ENV) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => configured,
-        },
-        Err(_) => configured,
-    }
-}
-
-/// The campaign seed to use: `DOQLAB_SEED` if set to an integer,
-/// otherwise `configured`.
-pub fn env_seed(configured: u64) -> u64 {
-    match std::env::var(SEED_ENV) {
-        Ok(v) => v.trim().parse::<u64>().unwrap_or(configured),
-        Err(_) => configured,
-    }
-}
-
-/// Environment variable overriding the population campaign's simulated
-/// client count ([`env_clients`]).
-pub const CLIENTS_ENV: &str = "DOQLAB_CLIENTS";
-
-/// The simulated client count to use: `DOQLAB_CLIENTS` if set to a
-/// positive integer, otherwise `configured`.
-pub fn env_clients(configured: u64) -> u64 {
-    match std::env::var(CLIENTS_ENV) {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => configured,
-        },
-        Err(_) => configured,
-    }
-}
 
 /// Mix a campaign seed and a unit coordinate tuple into the unit's RNG
 /// seed (splitmix64-style finalization per part). Hashing every part —
@@ -302,13 +258,5 @@ mod tests {
         // Worker-local counters only ever increase along a worker's
         // sequence of units; every unit reports a positive count.
         assert!(results.iter().all(|&(_, c)| c >= 1));
-    }
-
-    #[test]
-    fn env_parsing_falls_back_on_garbage() {
-        // Can't mutate the process environment safely in a test binary
-        // running other threads, so exercise only the fallback paths.
-        assert_eq!(env_threads(7), 7);
-        assert_eq!(env_seed(2022), 2022);
     }
 }

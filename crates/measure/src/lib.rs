@@ -81,8 +81,8 @@ pub struct Scale {
     /// Pages (None = all ten).
     pub pages: Option<usize>,
     /// Simulated clients for the population campaign (None = the
-    /// campaign's 10⁵ default; `DOQLAB_CLIENTS` overrides either way
-    /// via [`engine::env_clients`]).
+    /// campaign's 10⁵ default; the binaries set it from
+    /// `DOQLAB_CLIENTS`).
     pub clients: Option<u64>,
     /// OS threads to shard vantage points / units across.
     pub threads: usize,
@@ -129,8 +129,8 @@ impl Scale {
         }
     }
 
-    /// One worker per available core (`DOQLAB_THREADS` overrides this
-    /// at campaign time via [`engine::env_threads`]).
+    /// One worker per available core: the default of [`Scale::threads`],
+    /// which the binaries set from `--threads` or `DOQLAB_THREADS`.
     pub fn default_threads() -> usize {
         std::thread::available_parallelism().map_or(4, |n| n.get())
     }

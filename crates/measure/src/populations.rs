@@ -22,8 +22,7 @@
 //!   reproduce that campaign bit for bit.
 //!
 //! Scale knobs: [`Scale::clients`] (quick 2·10³, medium 2·10⁴, paper
-//! 10⁵), overridden by the `DOQLAB_CLIENTS` environment variable via
-//! [`engine::env_clients`].
+//! 10⁵), which the binaries set from `DOQLAB_CLIENTS`.
 
 use crate::engine;
 use crate::single_query::{
@@ -95,11 +94,10 @@ const POP_SEED_DOMAIN: u64 = 0xC0_0817_2022;
 impl PopulationsCampaign {
     pub fn new(scale: Scale) -> Self {
         let sq = SingleQueryCampaign::new(scale.clone());
-        let clients = engine::env_clients(scale.clients.unwrap_or(DEFAULT_CLIENTS));
         PopulationsCampaign {
             seed: sq.seed,
+            clients: scale.clients.unwrap_or(DEFAULT_CLIENTS),
             scale,
-            clients,
             alphas: vec![0.75, 0.9, 1.05],
             queries_per_client: 100.0,
             domains: 1000,
@@ -345,7 +343,7 @@ pub fn run_populations_campaign(
     };
     let units = grid.units();
     engine::run_units(
-        engine::env_threads(campaign.scale.threads),
+        campaign.scale.threads,
         &units,
         Simulator::arena,
         |sim, u, _| {

@@ -323,8 +323,9 @@ pub struct RelativeDiffs {
 }
 
 pub fn relative_to_baseline(samples: &[WebperfSample], baseline: DnsTransport) -> RelativeDiffs {
-    // Group by (vp, resolver, page, round).
-    let mut groups: HashMap<(usize, usize, usize, usize), Vec<&WebperfSample>> = HashMap::new();
+    // Group by (vp, resolver, page, round), in grid order, so each
+    // series comes out in the same order on every run.
+    let mut groups: BTreeMap<(usize, usize, usize, usize), Vec<&WebperfSample>> = BTreeMap::new();
     for s in samples.iter().filter(|s| !s.failed) {
         groups
             .entry((s.vp, s.resolver, s.page, s.round))
@@ -1161,19 +1162,21 @@ mod tests {
 
     #[test]
     fn relative_diffs_pair_within_groups() {
-        let samples = vec![
-            web(DnsTransport::DoUdp, 0, 0, 0, 100.0),
-            web(DnsTransport::DoQ, 0, 0, 0, 110.0),
-            web(DnsTransport::DoUdp, 0, 1, 0, 200.0),
-            web(DnsTransport::DoQ, 0, 1, 0, 210.0),
-        ];
+        // Eight (vp, resolver, page) groups in scrambled input order:
+        // group g's DoUDP load takes 100·(g+1) ms and DoQ 10 ms longer.
+        let mut samples = Vec::new();
+        for g in [5, 2, 7, 1, 4, 3, 0, 6] {
+            let (vp, resolver, page) = (g >> 2, (g >> 1) & 1, g & 1);
+            let base = 100.0 * (g + 1) as f64;
+            samples.push(web(DnsTransport::DoQ, vp, resolver, page, base + 10.0));
+            samples.push(web(DnsTransport::DoUdp, vp, resolver, page, base));
+        }
         let d = relative_to_baseline(&samples, DnsTransport::DoUdp);
-        let doq = &d.plt["DoQ"];
-        assert_eq!(doq.len(), 2);
-        let mut sorted = doq.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert!((sorted[0] - 5.0).abs() < 0.01);
-        assert!((sorted[1] - 10.0).abs() < 0.01);
+        // Each series follows grid order: 10%, 5%, 3.3%, ..., 1.25%.
+        let in_grid_order: Vec<f64> = (1..=8).map(|g| 1000.0 / (100.0 * g as f64)).collect();
+        assert_eq!(d.plt["DoQ"], in_grid_order);
+        assert_eq!(d.fcp["DoQ"].len(), 8);
+        assert_eq!(d.plt.len(), 1, "no series for the baseline");
     }
 
     #[test]

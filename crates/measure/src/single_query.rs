@@ -743,7 +743,7 @@ pub fn run_single_query_campaign(
     };
     let units = grid.units();
     engine::run_units(
-        engine::env_threads(campaign.scale.threads),
+        campaign.scale.threads,
         &units,
         Simulator::arena,
         |sim, u, _| {

@@ -217,7 +217,7 @@ pub fn run_sweep(sweep: &Sweep, population: &[ResolverProfile]) -> Vec<SweepSamp
     };
     let units = grid.units();
     engine::run_units(
-        engine::env_threads(sweep.scale.threads),
+        sweep.scale.threads,
         &units,
         Simulator::arena,
         |sim, u, _| {

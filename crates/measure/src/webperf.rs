@@ -190,7 +190,7 @@ pub fn run_webperf_campaign(
     };
     let units = grid.units();
     engine::run_units(
-        engine::env_threads(campaign.scale.threads),
+        campaign.scale.threads,
         &units,
         Simulator::arena,
         |sim, u, _| {

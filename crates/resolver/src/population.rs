@@ -61,10 +61,6 @@ pub struct ResolverProfile {
     /// Certificate chain size — decides whether the full QUIC handshake
     /// exceeds the anti-amplification budget.
     pub cert_chain_len: u16,
-    /// Serve DoH3 on UDP 443 (off in the study-era population; the
-    /// `doh3_preview` experiment flips it).
-    #[serde(skip)]
-    pub serve_doh3: bool,
 }
 
 impl ResolverProfile {
@@ -78,7 +74,6 @@ impl ResolverProfile {
             cert_chain_len: self.cert_chain_len,
             quic_versions: self.quic_versions.clone(),
             doq_alpns: self.doq_alpns.clone(),
-            supports_doh3: self.serve_doh3,
             ..ServerConfig::default()
         }
     }
@@ -172,7 +167,6 @@ pub fn synthesize_dox_population(seed: u64) -> Vec<ResolverProfile> {
                 quic_versions,
                 doq_alpns,
                 cert_chain_len,
-                serve_doh3: false,
             });
             index += 1;
         }

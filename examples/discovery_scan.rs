@@ -6,7 +6,7 @@
 //! cargo run --release --example discovery_scan
 //! ```
 
-use doqlab_core::measure::run_discovery;
+use doqlab_core::measure::{run_discovery, Scale};
 use doqlab_core::resolver::synthesize_scan_population;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
         sample.len(),
         population.len()
     );
-    let report = run_discovery(&sample);
+    let report = run_discovery(&sample, Scale::default_threads());
     println!("probed hosts:              {}", report.probed_hosts);
     println!("QUIC (answered VN):        {}", report.quic_hosts);
     println!("DoQ resolvers (ALPN ok):   {}", report.doq_resolvers);

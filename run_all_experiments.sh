@@ -5,7 +5,7 @@ set -e
 SCALE="${1:-medium}"
 SEED=2022
 mkdir -p results
-cargo build --release -p doqlab-bench
+cargo build --release -p doqlab-bench -p doqlab
 
 run() {
     echo "=== $1 ($SCALE) ==="
@@ -29,9 +29,10 @@ run() {
 {
     run ablation_amplification
     run ablation_dot_bug "--resolvers 48"
-    run ablation_0rtt
     run ablation_tcp_keepalive "--resolvers 48"
-    run doh3_preview
     run sweep_loss "--resolvers 24"
-
+    # A3 (0-RTT resolvers) and F1 (DoH3): the what-if sweep's `0rtt`
+    # and `doh3` regimes.
+    echo "=== doqlab measure whatif ($SCALE) ==="
+    ./target/release/doqlab measure whatif --scale "$SCALE" --seed "$SEED"
 } | tee "results/ablations_$SCALE.txt"

@@ -16,8 +16,9 @@
 //! Campaign names may be prefixed with `measure` (`doqlab measure
 //! impairments` and `doqlab impairments` are the same command).
 
+use doqlab_core::cli::{Flags, STUDY_FLAGS};
 use doqlab_core::measure::report;
-use doqlab_core::measure::{engine, impairments, mobility, whatif, Regime, WebperfSample};
+use doqlab_core::measure::{impairments, mobility, whatif, Regime, WebperfSample};
 use doqlab_core::simnet::Duration;
 use doqlab_core::telemetry::metrics;
 use doqlab_core::Study;
@@ -26,15 +27,15 @@ fn usage() -> ! {
     eprintln!(
         "usage: doqlab [measure] \
          <discovery|single-query|webperf|impairments|mobility|populations|whatif|all> \
-         [--scale quick|medium|paper] [--seed N] [--threads N]\n\
+         [--scale quick|medium|paper] [--seed N] [--threads N] \
+         [--resolvers N] [--pages N] [--reps N]\n\
          \x20      doqlab trace <single-query> \
          [--scale quick|medium|paper] [--seed N] [--trace-out PATH]\n\
          \n\
-         environment:\n\
+         environment (read once at start-up; a flag beats its variable):\n\
          \x20 DOQLAB_THREADS  worker threads for campaign runs \
          (same as --threads)\n\
-         \x20 DOQLAB_SEED     campaign seed override \
-         (read by the experiment binaries)\n\
+         \x20 DOQLAB_SEED     campaign seed (same as --seed)\n\
          \x20 DOQLAB_CLIENTS  simulated clients for `measure populations` \
          (quick 2000, medium 20000, paper 100000)\n\
          \x20 DOQLAB_REBIND_MS   first rebind offset for `measure mobility`, \
@@ -45,70 +46,36 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Print `error`, then the usage, and exit 2.
+fn fail(error: &str) -> ! {
+    eprintln!("doqlab: {error}");
+    usage();
+}
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let mut command = args.remove(0);
+    let mut args = std::env::args().skip(1);
+    let mut command = args.next().unwrap_or_else(|| usage());
     // `doqlab measure <campaign>` is the spelled-out form of
     // `doqlab <campaign>`.
     if command == "measure" {
-        if args.is_empty() {
-            usage();
-        }
-        command = args.remove(0);
+        command = args.next().unwrap_or_else(|| usage());
     }
     let trace_target = if command == "trace" {
-        if args.is_empty() {
-            usage();
-        }
-        Some(args.remove(0))
+        Some(args.next().unwrap_or_else(|| usage()))
     } else {
         None
     };
-    let mut seed = engine::env_seed(2022);
-    let mut scale = "quick".to_string();
-    let mut trace_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().unwrap_or_else(|_| usage());
-                i += 1;
-            }
-            "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].clone();
-                i += 1;
-            }
-            "--threads" if i + 1 < args.len() => {
-                let n: usize = args[i + 1].parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    usage();
-                }
-                std::env::set_var(engine::THREADS_ENV, n.to_string());
-                i += 1;
-            }
-            "--trace-out" if i + 1 < args.len() => {
-                trace_out = Some(args[i + 1].clone());
-                i += 1;
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
+    let valued = [&STUDY_FLAGS[..], &["--trace-out"]].concat();
+    let flags = Flags::parse(args, &valued, &[]).unwrap_or_else(|e| fail(&e));
+    let trace_out = flags.value("--trace-out");
     if trace_out.is_some() && trace_target.is_none() {
-        usage(); // --trace-out only applies to `doqlab trace`
+        fail("--trace-out only applies to `doqlab trace`");
     }
-    let study = match scale.as_str() {
-        "quick" => Study::quick(seed),
-        "medium" => Study::medium(seed),
-        "paper" => Study::paper(seed),
-        _ => usage(),
-    };
+    let study =
+        Study::from_flags(&flags, "quick", |k| std::env::var(k).ok()).unwrap_or_else(|e| fail(&e));
 
     if let Some(target) = trace_target {
-        run_trace(&study, &target, trace_out.as_deref());
+        run_trace(&study, &target, trace_out);
         return;
     }
 
