@@ -86,10 +86,7 @@ impl DoHClient {
         if !data.is_empty() {
             self.tls.read_wire(now, &data);
         }
-        let plain = self.tls.read_app();
-        if !plain.is_empty() {
-            self.h2.read_wire(&plain);
-        }
+        self.h2.read_wire(self.tls.read_app().as_slice());
         for m in self.h2.take_messages() {
             let status = m
                 .header(":status")

@@ -46,14 +46,11 @@ impl DoTClient {
             self.tls.read_wire(now, &data);
         }
         // TLS app plaintext -> DNS messages.
-        let plain = self.tls.read_app();
-        if !plain.is_empty() {
-            self.reader.push(&plain);
-            while let Some(wire) = self.reader.next_message() {
-                if let Ok(msg) = Message::decode(&wire) {
-                    if msg.header.response && self.pending.remove(&msg.header.id) {
-                        self.responses.push((now, msg));
-                    }
+        self.reader.push(self.tls.read_app().as_slice());
+        while let Some(wire) = self.reader.next_message() {
+            if let Ok(msg) = Message::decode(&wire) {
+                if msg.header.response && self.pending.remove(&msg.header.id) {
+                    self.responses.push((now, msg));
                 }
             }
         }

@@ -337,20 +337,17 @@ impl DnsServerSet {
             if !data.is_empty() {
                 conn.tls.read_wire(now, &data);
             }
-            let mut plain = conn.tls.read_early();
-            plain.extend(conn.tls.read_app());
-            if !plain.is_empty() {
-                conn.reader.push(&plain);
-                while let Some(wire) = conn.reader.next_message() {
-                    if let Ok(query) = Message::decode(&wire) {
-                        if !query.header.response {
-                            dot_events.push(ServerEvent {
-                                key: ConnKey::Dot(peer),
-                                transport: DnsTransport::DoT,
-                                query,
-                                received_at: now,
-                            });
-                        }
+            conn.reader.push(&conn.tls.read_early());
+            conn.reader.push(conn.tls.read_app().as_slice());
+            while let Some(wire) = conn.reader.next_message() {
+                if let Ok(query) = Message::decode(&wire) {
+                    if !query.header.response {
+                        dot_events.push(ServerEvent {
+                            key: ConnKey::Dot(peer),
+                            transport: DnsTransport::DoT,
+                            query,
+                            received_at: now,
+                        });
                     }
                 }
             }
@@ -384,11 +381,8 @@ impl DnsServerSet {
             if !data.is_empty() {
                 conn.tls.read_wire(now, &data);
             }
-            let mut plain = conn.tls.read_early();
-            plain.extend(conn.tls.read_app());
-            if !plain.is_empty() {
-                conn.h2.read_wire(&plain);
-            }
+            conn.h2.read_wire(&conn.tls.read_early());
+            conn.h2.read_wire(conn.tls.read_app().as_slice());
             for req in conn.h2.take_messages() {
                 if let Ok(query) = Message::decode(&req.body) {
                     if !query.header.response {

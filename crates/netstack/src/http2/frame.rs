@@ -45,48 +45,41 @@ impl H2FrameType {
     }
 }
 
-/// One HTTP/2 frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct H2Frame {
+/// A non-ACK SETTINGS payload: a realistic set of six settings
+/// (36 bytes), like common implementations send — 6 x (u16 id,
+/// u32 value).
+const SETTINGS_PAYLOAD: [u8; 36] = [
+    0, 1, 0, 0, 0x10, 0, // header table size: 4096
+    0, 2, 0, 0, 0, 0, // enable push: 0
+    0, 3, 0, 0, 0, 100, // max concurrent streams: 100
+    0, 4, 0, 0x10, 0, 0, // initial window: 1 MiB
+    0, 5, 0, 0, 0x40, 0, // max frame size: 16,384
+    0, 6, 0, 1, 0, 0, // max header list size: 65,536
+];
+
+/// One HTTP/2 frame. The payload is borrowed: a frame is encoded
+/// straight into the output buffer and decoded in place from the input
+/// buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct H2Frame<'a> {
     pub ftype: H2FrameType,
     pub flags: u8,
     pub stream_id: u32,
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-impl H2Frame {
-    /// A SETTINGS frame. Non-ACK carries a realistic set of six
-    /// settings (36 bytes), like common implementations send.
-    pub fn settings(ack: bool) -> H2Frame {
-        let payload = if ack {
-            Vec::new()
-        } else {
-            // 6 x (u16 id, u32 value): header table size, enable push,
-            // max concurrent streams, initial window, max frame size,
-            // max header list size.
-            let mut p = Vec::with_capacity(36);
-            for (id, value) in [
-                (0x1u16, 4096u32),
-                (0x2, 0),
-                (0x3, 100),
-                (0x4, 1 << 20),
-                (0x5, 16_384),
-                (0x6, 65_536),
-            ] {
-                p.extend_from_slice(&id.to_be_bytes());
-                p.extend_from_slice(&value.to_be_bytes());
-            }
-            p
-        };
+impl<'a> H2Frame<'a> {
+    /// A SETTINGS frame; a non-ACK one carries six settings (36 bytes).
+    pub fn settings(ack: bool) -> H2Frame<'static> {
         H2Frame {
             ftype: H2FrameType::Settings,
             flags: if ack { FLAG_ACK } else { 0 },
             stream_id: 0,
-            payload,
+            payload: if ack { &[] } else { &SETTINGS_PAYLOAD },
         }
     }
 
-    pub fn headers(stream_id: u32, block: Vec<u8>, end_stream: bool) -> H2Frame {
+    pub fn headers(stream_id: u32, block: &'a [u8], end_stream: bool) -> H2Frame<'a> {
         H2Frame {
             ftype: H2FrameType::Headers,
             flags: FLAG_END_HEADERS | if end_stream { FLAG_END_STREAM } else { 0 },
@@ -95,7 +88,7 @@ impl H2Frame {
         }
     }
 
-    pub fn data(stream_id: u32, payload: Vec<u8>, end_stream: bool) -> H2Frame {
+    pub fn data(stream_id: u32, payload: &'a [u8], end_stream: bool) -> H2Frame<'a> {
         H2Frame {
             ftype: H2FrameType::Data,
             flags: if end_stream { FLAG_END_STREAM } else { 0 },
@@ -104,7 +97,7 @@ impl H2Frame {
         }
     }
 
-    pub fn ping_ack(payload: Vec<u8>) -> H2Frame {
+    pub fn ping_ack(payload: &'a [u8]) -> H2Frame<'a> {
         H2Frame {
             ftype: H2FrameType::Ping,
             flags: FLAG_ACK,
@@ -113,13 +106,13 @@ impl H2Frame {
         }
     }
 
-    pub fn goaway() -> H2Frame {
+    pub fn goaway() -> H2Frame<'static> {
         // last stream id (4) + error code (4).
         H2Frame {
             ftype: H2FrameType::GoAway,
             flags: 0,
             stream_id: 0,
-            payload: vec![0; 8],
+            payload: &[0; 8],
         }
     }
 
@@ -132,19 +125,20 @@ impl H2Frame {
             && self.flags & FLAG_END_STREAM != 0
     }
 
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(9 + self.payload.len());
+    /// Append the 9-byte header and the payload to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.reserve(9 + self.payload.len());
         let len = self.payload.len() as u32;
         out.extend_from_slice(&len.to_be_bytes()[1..]);
         out.push(self.ftype.to_u8());
         out.push(self.flags);
         out.extend_from_slice(&(self.stream_id & 0x7FFF_FFFF).to_be_bytes());
-        out.extend_from_slice(&self.payload);
-        out
+        out.extend_from_slice(self.payload);
     }
 
-    /// Parse one frame from the front of `buf`; `None` if incomplete.
-    pub fn decode(buf: &[u8]) -> Option<(H2Frame, usize)> {
+    /// Parse one frame from the front of `buf`, borrowing its payload;
+    /// `None` if incomplete.
+    pub fn decode(buf: &'a [u8]) -> Option<(H2Frame<'a>, usize)> {
         if buf.len() < 9 {
             return None;
         }
@@ -156,7 +150,7 @@ impl H2Frame {
             ftype: H2FrameType::from_u8(buf[3]),
             flags: buf[4],
             stream_id: u32::from_be_bytes([buf[5], buf[6], buf[7], buf[8]]) & 0x7FFF_FFFF,
-            payload: buf[9..9 + len].to_vec(),
+            payload: &buf[9..9 + len],
         };
         Some((frame, 9 + len))
     }
@@ -166,18 +160,24 @@ impl H2Frame {
 mod tests {
     use super::*;
 
+    fn wire(frame: H2Frame<'_>) -> Vec<u8> {
+        let mut out = Vec::new();
+        frame.encode(&mut out);
+        out
+    }
+
     #[test]
     fn roundtrip_all_constructors() {
         for frame in [
             H2Frame::settings(false),
             H2Frame::settings(true),
-            H2Frame::headers(1, vec![1, 2, 3], true),
-            H2Frame::headers(3, vec![], false),
-            H2Frame::data(1, b"body".to_vec(), true),
-            H2Frame::ping_ack(vec![0; 8]),
+            H2Frame::headers(1, &[1, 2, 3], true),
+            H2Frame::headers(3, &[], false),
+            H2Frame::data(1, b"body", true),
+            H2Frame::ping_ack(&[0; 8]),
             H2Frame::goaway(),
         ] {
-            let wire = frame.encode();
+            let wire = wire(frame);
             let (back, used) = H2Frame::decode(&wire).unwrap();
             assert_eq!(used, wire.len());
             assert_eq!(back, frame);
@@ -186,8 +186,8 @@ mod tests {
 
     #[test]
     fn settings_frame_is_realistic_size() {
-        assert_eq!(H2Frame::settings(false).encode().len(), 9 + 36);
-        assert_eq!(H2Frame::settings(true).encode().len(), 9);
+        assert_eq!(wire(H2Frame::settings(false)).len(), 9 + 36);
+        assert_eq!(wire(H2Frame::settings(true)).len(), 9);
     }
 
     #[test]
@@ -196,13 +196,13 @@ mod tests {
         s.flags = 0x01;
         assert!(!s.flags_end_stream());
         assert!(s.flags_ack());
-        let d = H2Frame::data(1, vec![], true);
+        let d = H2Frame::data(1, &[], true);
         assert!(d.flags_end_stream());
     }
 
     #[test]
     fn incomplete_frames_wait() {
-        let wire = H2Frame::data(1, vec![9; 100], false).encode();
+        let wire = wire(H2Frame::data(1, &[9; 100], false));
         for cut in [0, 5, 9, 50] {
             assert!(H2Frame::decode(&wire[..cut]).is_none());
         }
@@ -210,7 +210,7 @@ mod tests {
 
     #[test]
     fn reserved_bit_is_masked() {
-        let mut wire = H2Frame::data(1, vec![], false).encode();
+        let mut wire = wire(H2Frame::data(1, &[], false));
         wire[5] |= 0x80; // set the reserved bit
         let (frame, _) = H2Frame::decode(&wire).unwrap();
         assert_eq!(frame.stream_id, 1);

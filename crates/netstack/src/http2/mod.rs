@@ -22,6 +22,9 @@ use std::collections::HashMap;
 /// The 24-byte client connection preface.
 pub const PREFACE: &[u8] = b"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n";
 
+/// Largest DATA payload per frame: the default SETTINGS_MAX_FRAME_SIZE.
+const MAX_FRAME_SIZE: usize = 16_384;
+
 /// One HTTP message (request or response) assembled from frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct H2Message {
@@ -72,13 +75,13 @@ impl H2Connection {
     pub fn client() -> Self {
         let mut c = Self::new(Role::Client);
         c.out.extend_from_slice(PREFACE);
-        c.out.extend_from_slice(&H2Frame::settings(false).encode());
+        H2Frame::settings(false).encode(&mut c.out);
         c
     }
 
     pub fn server() -> Self {
         let mut s = Self::new(Role::Server);
-        s.out.extend_from_slice(&H2Frame::settings(false).encode());
+        H2Frame::settings(false).encode(&mut s.out);
         s
     }
 
@@ -115,52 +118,50 @@ impl H2Connection {
 
     fn send_message(&mut self, id: u32, headers: &[(&str, &str)], body: &[u8]) {
         let block = self.encoder.encode(headers);
-        let end_stream = body.is_empty();
+        let data_frames = body.len().div_ceil(MAX_FRAME_SIZE);
         self.out
-            .extend_from_slice(&H2Frame::headers(id, block, end_stream).encode());
-        if !body.is_empty() {
-            // DATA frames up to 16 KiB (the default max frame size).
-            let chunks: Vec<&[u8]> = body.chunks(16_384).collect();
-            for (i, chunk) in chunks.iter().enumerate() {
-                let last = i == chunks.len() - 1;
-                self.out
-                    .extend_from_slice(&H2Frame::data(id, chunk.to_vec(), last).encode());
-            }
+            .reserve(9 + block.len() + 9 * data_frames + body.len());
+        H2Frame::headers(id, &block, body.is_empty()).encode(&mut self.out);
+        for (i, chunk) in body.chunks(MAX_FRAME_SIZE).enumerate() {
+            H2Frame::data(id, chunk, i + 1 == data_frames).encode(&mut self.out);
         }
     }
 
     /// Feed received bytes; complete messages appear via
-    /// [`H2Connection::take_messages`].
+    /// [`H2Connection::take_messages`]. Frames are decoded in place; the
+    /// consumed prefix is dropped once per call.
     pub fn read_wire(&mut self, data: &[u8]) {
-        self.in_buf.extend_from_slice(data);
-        if !self.preface_seen {
-            if self.in_buf.len() < PREFACE.len() {
-                return;
-            }
+        let mut buf = std::mem::take(&mut self.in_buf);
+        buf.extend_from_slice(data);
+        let mut pos = 0;
+        if !self.preface_seen && buf.len() >= PREFACE.len() {
             // Tolerant: any 24 bytes are accepted as the preface (we
             // never interoperate with non-doqlab peers).
-            self.in_buf.drain(..PREFACE.len());
+            pos = PREFACE.len();
             self.preface_seen = true;
         }
-        while let Some((frame, used)) = H2Frame::decode(&self.in_buf) {
-            self.in_buf.drain(..used);
-            self.on_frame(frame);
+        if self.preface_seen {
+            while let Some((frame, used)) = H2Frame::decode(&buf[pos..]) {
+                pos += used;
+                self.on_frame(frame);
+            }
         }
+        buf.drain(..pos);
+        self.in_buf = buf;
     }
 
-    fn on_frame(&mut self, frame: H2Frame) {
+    fn on_frame(&mut self, frame: H2Frame<'_>) {
         match frame.ftype {
             H2FrameType::Settings => {
                 if !frame.flags_ack() {
-                    self.out
-                        .extend_from_slice(&H2Frame::settings(true).encode());
+                    H2Frame::settings(true).encode(&mut self.out);
                 } else {
                     self.settings_acked = true;
                 }
             }
             H2FrameType::Headers => {
                 let end = frame.flags_end_stream();
-                if let Some(headers) = self.decoder.decode(&frame.payload) {
+                if let Some(headers) = self.decoder.decode(frame.payload) {
                     let entry = self.assembling.entry(frame.stream_id).or_default();
                     entry.headers = headers;
                     entry.headers_done = true;
@@ -173,7 +174,7 @@ impl H2Connection {
             }
             H2FrameType::Data => {
                 let entry = self.assembling.entry(frame.stream_id).or_default();
-                entry.body.extend_from_slice(&frame.payload);
+                entry.body.extend_from_slice(frame.payload);
                 if frame.flags_end_stream() {
                     self.finish_stream(frame.stream_id);
                 }
@@ -181,8 +182,7 @@ impl H2Connection {
             H2FrameType::GoAway => self.goaway = true,
             H2FrameType::Ping => {
                 if !frame.flags_ack() {
-                    self.out
-                        .extend_from_slice(&H2Frame::ping_ack(frame.payload.clone()).encode());
+                    H2Frame::ping_ack(frame.payload).encode(&mut self.out);
                 }
             }
             H2FrameType::WindowUpdate | H2FrameType::RstStream | H2FrameType::Other(_) => {}
@@ -215,7 +215,7 @@ impl H2Connection {
 
     /// Send GOAWAY (graceful shutdown).
     pub fn go_away(&mut self) {
-        self.out.extend_from_slice(&H2Frame::goaway().encode());
+        H2Frame::goaway().encode(&mut self.out);
     }
 }
 

@@ -3,7 +3,7 @@
 //! Table 1 measures (a SYN with MSS + SACK-permitted + timestamps +
 //! window scale is 40 bytes; a data/ACK segment with timestamps is 32).
 
-use doqlab_simnet::{PayloadBuf, SocketAddr};
+use doqlab_simnet::PayloadBuf;
 
 /// TCP header flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -239,11 +239,6 @@ impl TcpSegment {
             options,
             payload: buf[header_len..].to_vec(),
         })
-    }
-
-    /// Endpoint-swap helper for building replies.
-    pub fn addresses(&self, from: SocketAddr, to: SocketAddr) -> (SocketAddr, SocketAddr) {
-        (from, to)
     }
 }
 

@@ -702,6 +702,21 @@ impl TcpSocket {
         t
     }
 
+    /// `n` bytes of `tx_buf` from `start`, copied as at most two slices
+    /// (the ring buffer's halves).
+    fn tx_payload(&self, start: usize, n: usize) -> Vec<u8> {
+        let (front, back) = self.tx_buf.as_slices();
+        let end = start + n;
+        let mut payload = Vec::with_capacity(n);
+        if start < front.len() {
+            payload.extend_from_slice(&front[start..end.min(front.len())]);
+        }
+        if end > front.len() {
+            payload.extend_from_slice(&back[start.saturating_sub(front.len())..end - front.len()]);
+        }
+        payload
+    }
+
     fn make_segment(
         &self,
         flags: TcpFlags,
@@ -807,7 +822,7 @@ impl TcpSocket {
                     if let Some(cookie) = &self.tfo_cookie {
                         if !cookie.is_empty() && !self.tx_buf.is_empty() {
                             let n = self.tx_buf.len().min(self.cfg.mss);
-                            payload = self.tx_buf.iter().take(n).copied().collect();
+                            payload = self.tx_payload(0, n);
                             seg_flags.psh = true;
                             sink::emit(now.as_nanos(), || Event::TcpFastOpen {
                                 side: "client",
@@ -818,7 +833,8 @@ impl TcpSocket {
                         }
                     }
                 }
-                let mut seg = self.make_segment(seg_flags, 0, payload.clone(), now);
+                let data_len = payload.len() as u64;
+                let mut seg = self.make_segment(seg_flags, 0, payload, now);
                 if self.cfg.enable_tfo && self.state == TcpState::SynSent {
                     // Send cookie if cached, else request one.
                     seg.options.push(TcpOption::FastOpenCookie(
@@ -830,7 +846,7 @@ impl TcpSocket {
                 }
                 out.push(seg);
                 // SYN consumed position 0; any TFO payload follows it.
-                self.snd_nxt = self.snd_nxt.max(1 + payload.len() as u64);
+                self.snd_nxt = self.snd_nxt.max(1 + data_len);
                 self.snd_max = self.snd_max.max(self.snd_nxt);
                 if self.rtt_sample.is_none() {
                     self.rtt_sample = Some((self.snd_nxt, now));
@@ -870,7 +886,7 @@ impl TcpSocket {
                 if n == 0 {
                     break;
                 }
-                let payload: Vec<u8> = self.tx_buf.iter().skip(start).take(n).copied().collect();
+                let payload = self.tx_payload(start, n);
                 let last = start + n == self.tx_buf.len();
                 let mut flags = TcpFlags::ACK;
                 flags.psh = last;

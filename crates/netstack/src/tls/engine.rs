@@ -150,9 +150,9 @@ impl TlsClient {
         let mut body = Vec::new();
         HandshakeMessage::new(payload).encode(&mut body);
         let rec = if plaintext_epoch {
-            TlsRecord::PlainHandshake(body)
+            TlsRecord::PlainHandshake(&body)
         } else {
-            TlsRecord::encrypted_handshake(body)
+            TlsRecord::encrypted_handshake(&body)
         };
         rec.encode(&mut self.out);
     }
@@ -181,9 +181,7 @@ impl TlsClient {
         );
         if early_data {
             let data = std::mem::take(&mut self.app_tx_pending);
-            for chunk in data.chunks(crate::tls::messages::MAX_RECORD_PLAINTEXT) {
-                TlsRecord::app_data(chunk.to_vec()).encode(&mut self.out);
-            }
+            TlsRecord::encode_app_data(&data, &mut self.out);
             self.early_sent = data;
         }
         let flight_len = self.out.len();
@@ -194,22 +192,27 @@ impl TlsClient {
         self.state = ClientState::WaitServerHello;
     }
 
-    /// Feed bytes received from the transport.
+    /// Feed bytes received from the transport. Records are decoded in
+    /// place; the consumed prefix is dropped once per call.
     pub fn read_wire(&mut self, now: SimTime, data: &[u8]) {
         if self.state == ClientState::Failed {
             return;
         }
-        self.rec_buf.extend_from_slice(data);
-        while let Some((rec, used)) = TlsRecord::decode(&self.rec_buf) {
-            self.rec_buf.drain(..used);
+        let mut buf = std::mem::take(&mut self.rec_buf);
+        buf.extend_from_slice(data);
+        let mut pos = 0;
+        while let Some((rec, used)) = TlsRecord::decode(&buf[pos..]) {
+            pos += used;
             self.on_record(now, rec);
             if self.state == ClientState::Failed {
-                return;
+                break;
             }
         }
+        buf.drain(..pos);
+        self.rec_buf = buf;
     }
 
-    fn on_record(&mut self, now: SimTime, rec: TlsRecord) {
+    fn on_record(&mut self, now: SimTime, rec: TlsRecord<'_>) {
         match rec {
             TlsRecord::Alert { fatal, code } => {
                 if fatal {
@@ -223,7 +226,7 @@ impl TlsClient {
                 inner_type: 22,
                 plaintext: bytes,
             } => {
-                self.hs_in.push(&bytes);
+                self.hs_in.push(bytes);
                 while let Some(msg) = self.hs_in.next_message() {
                     self.on_handshake(now, msg);
                     if self.state == ClientState::Failed {
@@ -235,7 +238,7 @@ impl TlsClient {
                 inner_type: 23,
                 plaintext,
             } => {
-                self.app_rx.extend_from_slice(&plaintext);
+                self.app_rx.extend_from_slice(plaintext);
             }
             TlsRecord::Encrypted { .. } => {}
         }
@@ -352,9 +355,7 @@ impl TlsClient {
         }
         if !self.app_tx_pending.is_empty() {
             let data = std::mem::take(&mut self.app_tx_pending);
-            for chunk in data.chunks(crate::tls::messages::MAX_RECORD_PLAINTEXT) {
-                TlsRecord::app_data(chunk.to_vec()).encode(&mut self.out);
-            }
+            TlsRecord::encode_app_data(&data, &mut self.out);
         }
     }
 
@@ -372,17 +373,16 @@ impl TlsClient {
     /// the handshake).
     pub fn write_app(&mut self, data: &[u8]) {
         if self.state == ClientState::Connected {
-            for chunk in data.chunks(crate::tls::messages::MAX_RECORD_PLAINTEXT) {
-                TlsRecord::app_data(chunk.to_vec()).encode(&mut self.out);
-            }
+            TlsRecord::encode_app_data(data, &mut self.out);
         } else {
             self.app_tx_pending.extend_from_slice(data);
         }
     }
 
-    /// Take decrypted application bytes.
-    pub fn read_app(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.app_rx)
+    /// Drain decrypted application bytes (`as_slice` reads them in
+    /// place); the buffer keeps its capacity for the next records.
+    pub fn read_app(&mut self) -> std::vec::Drain<'_, u8> {
+        self.app_rx.drain(..)
     }
 
     /// Take bytes to hand to the transport.
@@ -482,28 +482,34 @@ impl TlsServer {
         let mut body = Vec::new();
         HandshakeMessage::new(payload).encode(&mut body);
         let rec = if plaintext_epoch {
-            TlsRecord::PlainHandshake(body)
+            TlsRecord::PlainHandshake(&body)
         } else {
-            TlsRecord::encrypted_handshake(body)
+            TlsRecord::encrypted_handshake(&body)
         };
         rec.encode(&mut self.out);
     }
 
+    /// Feed bytes received from the transport. Records are decoded in
+    /// place; the consumed prefix is dropped once per call.
     pub fn read_wire(&mut self, now: SimTime, data: &[u8]) {
         if self.state == ServerState::Failed {
             return;
         }
-        self.rec_buf.extend_from_slice(data);
-        while let Some((rec, used)) = TlsRecord::decode(&self.rec_buf) {
-            self.rec_buf.drain(..used);
+        let mut buf = std::mem::take(&mut self.rec_buf);
+        buf.extend_from_slice(data);
+        let mut pos = 0;
+        while let Some((rec, used)) = TlsRecord::decode(&buf[pos..]) {
+            pos += used;
             self.on_record(now, rec);
             if self.state == ServerState::Failed {
-                return;
+                break;
             }
         }
+        buf.drain(..pos);
+        self.rec_buf = buf;
     }
 
-    fn on_record(&mut self, now: SimTime, rec: TlsRecord) {
+    fn on_record(&mut self, now: SimTime, rec: TlsRecord<'_>) {
         match rec {
             TlsRecord::Alert { fatal, code } => {
                 if fatal {
@@ -517,7 +523,7 @@ impl TlsServer {
                 inner_type: 22,
                 plaintext: bytes,
             } => {
-                self.hs_in.push(&bytes);
+                self.hs_in.push(bytes);
                 while let Some(msg) = self.hs_in.next_message() {
                     self.on_handshake(now, msg);
                     if self.state == ServerState::Failed {
@@ -530,9 +536,9 @@ impl TlsServer {
                 plaintext,
             } => {
                 if self.state == ServerState::Connected {
-                    self.app_rx.extend_from_slice(&plaintext);
+                    self.app_rx.extend_from_slice(plaintext);
                 } else if self.early_accepted {
-                    self.early_rx.extend_from_slice(&plaintext);
+                    self.early_rx.extend_from_slice(plaintext);
                 }
                 // Otherwise: early data we did not accept — in real TLS
                 // it is undecryptable and skipped; the client replays.
@@ -713,13 +719,13 @@ impl TlsServer {
     }
 
     pub fn write_app(&mut self, data: &[u8]) {
-        for chunk in data.chunks(crate::tls::messages::MAX_RECORD_PLAINTEXT) {
-            TlsRecord::app_data(chunk.to_vec()).encode(&mut self.out);
-        }
+        TlsRecord::encode_app_data(data, &mut self.out);
     }
 
-    pub fn read_app(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.app_rx)
+    /// Drain decrypted application bytes (`as_slice` reads them in
+    /// place); the buffer keeps its capacity for the next records.
+    pub fn read_app(&mut self) -> std::vec::Drain<'_, u8> {
+        self.app_rx.drain(..)
     }
 
     /// Early data readable before the handshake finishes (only when
@@ -831,10 +837,10 @@ mod tests {
         run(&mut c, &mut s);
         c.write_app(b"query");
         run(&mut c, &mut s);
-        assert_eq!(s.read_app(), b"query");
+        assert_eq!(s.read_app().as_slice(), b"query");
         s.write_app(b"answer");
         run(&mut c, &mut s);
-        assert_eq!(c.read_app(), b"answer");
+        assert_eq!(c.read_app().as_slice(), b"answer");
     }
 
     #[test]
@@ -845,7 +851,7 @@ mod tests {
         c.start(SimTime::ZERO);
         run(&mut c, &mut s);
         assert!(c.is_connected());
-        assert_eq!(s.read_app(), b"early-queued");
+        assert_eq!(s.read_app().as_slice(), b"early-queued");
     }
 
     #[test]
@@ -968,7 +974,7 @@ mod tests {
         run(&mut c, &mut s);
         assert!(c.is_connected());
         assert_eq!(c.early_data_accepted(), None, "never attempted");
-        assert_eq!(s.read_app(), b"query");
+        assert_eq!(s.read_app().as_slice(), b"query");
     }
 
     #[test]

@@ -53,10 +53,12 @@ const CT_APPLICATION_DATA: u8 = 23;
 
 /// A record-layer record. `Encrypted` wraps an inner content type and
 /// carries the AEAD overhead on the wire (outer type 23), mirroring how
-/// TLS 1.3 protects everything after the ServerHello.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TlsRecord {
-    PlainHandshake(Vec<u8>),
+/// TLS 1.3 protects everything after the ServerHello. Payloads are
+/// borrowed: a record is encoded straight into the output buffer and
+/// decoded in place from the input buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TlsRecord<'a> {
+    PlainHandshake(&'a [u8]),
     ChangeCipherSpec,
     Alert {
         fatal: bool,
@@ -65,54 +67,66 @@ pub enum TlsRecord {
     /// Encrypted content: (inner content type, plaintext bytes).
     Encrypted {
         inner_type: u8,
-        plaintext: Vec<u8>,
+        plaintext: &'a [u8],
     },
 }
 
-impl TlsRecord {
-    pub fn encrypted_handshake(plaintext: Vec<u8>) -> TlsRecord {
+impl<'a> TlsRecord<'a> {
+    pub fn encrypted_handshake(plaintext: &'a [u8]) -> TlsRecord<'a> {
         TlsRecord::Encrypted {
             inner_type: CT_HANDSHAKE,
             plaintext,
         }
     }
 
-    pub fn app_data(plaintext: Vec<u8>) -> TlsRecord {
-        TlsRecord::Encrypted {
-            inner_type: CT_APPLICATION_DATA,
-            plaintext,
+    /// Append `data` to `out` as application-data records of at most
+    /// 16 KiB of plaintext each, sizing `out` once.
+    pub fn encode_app_data(data: &[u8], out: &mut Vec<u8>) {
+        let records = data.len().div_ceil(MAX_RECORD_PLAINTEXT);
+        out.reserve(data.len() + records * (5 + RECORD_OVERHEAD));
+        for chunk in data.chunks(MAX_RECORD_PLAINTEXT) {
+            TlsRecord::Encrypted {
+                inner_type: CT_APPLICATION_DATA,
+                plaintext: chunk,
+            }
+            .encode(out);
         }
     }
 
     /// Serialize with the 5-byte record header.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let (ctype, payload): (u8, Vec<u8>) = match self {
-            TlsRecord::PlainHandshake(p) => (CT_HANDSHAKE, p.clone()),
-            TlsRecord::ChangeCipherSpec => (CT_CHANGE_CIPHER_SPEC, vec![1]),
-            TlsRecord::Alert { fatal, code } => (CT_ALERT, vec![if *fatal { 2 } else { 1 }, *code]),
+        let alert;
+        let (ctype, body, inner_type) = match *self {
+            TlsRecord::PlainHandshake(p) => (CT_HANDSHAKE, p, None),
+            TlsRecord::ChangeCipherSpec => (CT_CHANGE_CIPHER_SPEC, &[1u8][..], None),
+            TlsRecord::Alert { fatal, code } => {
+                alert = [if fatal { 2 } else { 1 }, code];
+                (CT_ALERT, &alert[..], None)
+            }
             TlsRecord::Encrypted {
                 inner_type,
                 plaintext,
-            } => {
-                let mut p = plaintext.clone();
-                p.push(*inner_type);
-                p.extend_from_slice(&[0u8; RECORD_OVERHEAD - 1]); // AEAD tag
-                (CT_APPLICATION_DATA, p)
-            }
+            } => (CT_APPLICATION_DATA, plaintext, Some(inner_type)),
         };
+        let len = body.len() + inner_type.map_or(0, |_| RECORD_OVERHEAD);
         assert!(
-            payload.len() <= MAX_RECORD_PLAINTEXT + RECORD_OVERHEAD,
+            len <= MAX_RECORD_PLAINTEXT + RECORD_OVERHEAD,
             "record exceeds RFC 8446 size limit; chunk before encoding"
         );
+        out.reserve(5 + len);
         out.push(ctype);
         out.extend_from_slice(&0x0303u16.to_be_bytes()); // legacy version
-        out.extend_from_slice(&(payload.len() as u16).to_be_bytes());
-        out.extend_from_slice(&payload);
+        out.extend_from_slice(&(len as u16).to_be_bytes());
+        out.extend_from_slice(body);
+        if let Some(inner_type) = inner_type {
+            out.push(inner_type);
+            out.extend_from_slice(&[0u8; RECORD_OVERHEAD - 1]); // AEAD tag
+        }
     }
 
-    /// Parse one record from the front of `buf`; returns the record and
-    /// bytes consumed, or `None` if incomplete.
-    pub fn decode(buf: &[u8]) -> Option<(TlsRecord, usize)> {
+    /// Parse one record from the front of `buf`, borrowing its payload;
+    /// returns the record and bytes consumed, or `None` if incomplete.
+    pub fn decode(buf: &'a [u8]) -> Option<(TlsRecord<'a>, usize)> {
         if buf.len() < 5 {
             return None;
         }
@@ -123,7 +137,7 @@ impl TlsRecord {
         }
         let payload = &buf[5..5 + len];
         let rec = match ctype {
-            CT_HANDSHAKE => TlsRecord::PlainHandshake(payload.to_vec()),
+            CT_HANDSHAKE => TlsRecord::PlainHandshake(payload),
             CT_CHANGE_CIPHER_SPEC => TlsRecord::ChangeCipherSpec,
             CT_ALERT => TlsRecord::Alert {
                 fatal: payload.first() == Some(&2),
@@ -136,7 +150,7 @@ impl TlsRecord {
                 let plaintext_end = payload.len() - RECORD_OVERHEAD;
                 TlsRecord::Encrypted {
                     inner_type: payload[plaintext_end],
-                    plaintext: payload[..plaintext_end].to_vec(),
+                    plaintext: &payload[..plaintext_end],
                 }
             }
             _ => return None,
@@ -532,14 +546,17 @@ mod tests {
     #[test]
     fn record_roundtrip_plain_and_encrypted() {
         for rec in [
-            TlsRecord::PlainHandshake(vec![1, 2, 3]),
+            TlsRecord::PlainHandshake(&[1, 2, 3]),
             TlsRecord::ChangeCipherSpec,
             TlsRecord::Alert {
                 fatal: true,
                 code: 40,
             },
-            TlsRecord::encrypted_handshake(vec![9; 50]),
-            TlsRecord::app_data(b"dns".to_vec()),
+            TlsRecord::encrypted_handshake(&[9; 50]),
+            TlsRecord::Encrypted {
+                inner_type: CT_APPLICATION_DATA,
+                plaintext: b"dns",
+            },
         ] {
             let mut buf = Vec::new();
             rec.encode(&mut buf);
@@ -551,17 +568,15 @@ mod tests {
 
     #[test]
     fn encrypted_record_carries_aead_overhead() {
-        let rec = TlsRecord::app_data(vec![0; 100]);
         let mut buf = Vec::new();
-        rec.encode(&mut buf);
+        TlsRecord::encode_app_data(&[0; 100], &mut buf);
         assert_eq!(buf.len(), 5 + 100 + RECORD_OVERHEAD);
     }
 
     #[test]
     fn record_decode_incomplete_returns_none() {
-        let rec = TlsRecord::app_data(vec![0; 100]);
         let mut buf = Vec::new();
-        rec.encode(&mut buf);
+        TlsRecord::encode_app_data(&[0; 100], &mut buf);
         for cut in [0, 3, 50, buf.len() - 1] {
             assert!(TlsRecord::decode(&buf[..cut]).is_none(), "cut = {cut}");
         }

@@ -1,7 +1,9 @@
 //! Property-based transport tests: whatever the network does within
 //! the model's envelope (loss, delay, duplication), the stacks must
-//! deliver exactly the bytes that were sent, in order.
+//! deliver exactly the bytes that were sent, in order — and however
+//! the byte stream is cut, TLS records and HTTP/2 frames reassemble.
 
+use doqlab_netstack::http2::H2Connection;
 use doqlab_netstack::quic::{QuicConfig, QuicConnection, QuicServer, QUIC_V1};
 use doqlab_netstack::tcp::{TcpConfig, TcpSocket};
 use doqlab_netstack::tls::{TlsClient, TlsConfig, TlsServer};
@@ -12,18 +14,117 @@ fn sa(h: u8, port: u16) -> SocketAddr {
     SocketAddr::new(Ipv4Addr::new(10, 0, 0, h), port)
 }
 
-/// Drive two TCP sockets over a lossy in-order pipe; returns what `b`
-/// received.
-fn tcp_transfer(data: &[u8], loss_seed: u64, loss: f64) -> Vec<u8> {
+/// Feed `wire` to `read` in pieces whose sizes cycle through `sizes`.
+fn deliver_in_pieces(wire: &[u8], sizes: &[usize], mut read: impl FnMut(&[u8])) {
+    let mut rest = wire;
+    for &n in sizes.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (piece, tail) = rest.split_at(n.min(rest.len()));
+        read(piece);
+        rest = tail;
+    }
+}
+
+/// A TLS client and server for `alpn` with the handshake done.
+fn tls_pair(alpn: &[u8]) -> (TlsClient, TlsServer) {
+    let cfg = TlsConfig {
+        server_id: 3,
+        alpn: vec![alpn.to_vec()],
+        ..TlsConfig::default()
+    };
+    let mut c = TlsClient::new(cfg.clone(), None);
+    let mut s = TlsServer::new(cfg);
+    c.start(SimTime::ZERO);
+    while !(c.is_connected() && s.is_connected()) {
+        s.read_wire(SimTime::ZERO, &c.take_output());
+        c.read_wire(SimTime::ZERO, &s.take_output());
+    }
+    (c, s)
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn an_http2_response_through_tls_is_pinned() {
+    // A GET and its 40,000-byte response. The client's flight carries
+    // the preface, SETTINGS and HEADERS; the server's first flight its
+    // SETTINGS and the ACK; its second HEADERS and three DATA frames in
+    // three application-data records whose 16 KiB boundaries fall
+    // inside frames. Their wire bytes must not move with how the layers
+    // buffer and copy them.
+    let (mut c, mut s) = tls_pair(b"h2");
+    let (mut hc, mut hs) = (H2Connection::client(), H2Connection::server());
+    let get = [
+        (":method", "GET"),
+        (":scheme", "https"),
+        (":authority", "www.example.test"),
+        (":path", "/"),
+    ];
+    let stream = hc.send_request(&get, b"");
+    c.write_app(&hc.take_output());
+    let request = c.take_output();
+    s.read_wire(SimTime::ZERO, &request);
+    hs.read_wire(s.read_app().as_slice());
+    assert_eq!(hs.take_messages().len(), 1);
+    s.write_app(&hs.take_output());
+    let settings = s.take_output();
+    c.read_wire(SimTime::ZERO, &settings);
+
+    let body: Vec<u8> = (0..40_000usize).map(|i| (i * 31 % 251) as u8).collect();
+    let length = body.len().to_string();
+    let headers = [
+        (":status", "200"),
+        ("content-type", "text/html"),
+        ("content-length", length.as_str()),
+        ("cache-control", "max-age=600"),
+    ];
+    hs.send_response(stream, &headers, &body);
+    s.write_app(&hs.take_output());
+    let response = s.take_output();
+    c.read_wire(SimTime::ZERO, &response);
+    hc.read_wire(c.read_app().as_slice());
+    let responses = hc.take_messages();
+    assert_eq!(responses.len(), 1);
+    assert_eq!(responses[0].body, body);
+
+    let pins: Vec<(usize, u64)> = [&request, &settings, &response]
+        .into_iter()
+        .map(|wire| (wire.len(), fnv1a(wire)))
+        .collect();
+    assert_eq!(
+        pins,
+        [
+            (121, 0xeb8a_2709_0606_47de),
+            (76, 0xb078_0856_34d5_f1b9),
+            (40_134, 0x81b5_777d_68bc_a401),
+        ]
+    );
+}
+
+/// Drive two TCP sockets over a lossy in-order pipe, `a` writing
+/// `data` `piece` bytes per step (so its send buffer wraps as acks
+/// drain it); returns what `b` received.
+fn tcp_transfer(data: &[u8], piece: usize, loss_seed: u64, loss: f64) -> Vec<u8> {
     let mut rng = SimRng::new(loss_seed);
     let mut a = TcpSocket::client(sa(1, 1), sa(2, 2), 7, TcpConfig::default());
     let mut b = TcpSocket::server(sa(2, 2), sa(1, 1), 9, TcpConfig::default());
     a.open(SimTime::ZERO);
-    a.send(data);
-    a.close();
+    let mut unsent = data.chunks(piece);
     let mut now = SimTime::ZERO;
     let mut received = Vec::new();
     for _ in 0..50_000 {
+        match unsent.next() {
+            Some(chunk) => a.send(chunk),
+            None if a.can_send() => a.close(),
+            None => {}
+        }
         let mut idle = true;
         for seg in a.poll(now) {
             if !rng.chance(loss) {
@@ -64,18 +165,19 @@ proptest! {
     #[test]
     fn tcp_delivers_exactly_under_loss(
         len in 0usize..20_000,
+        piece in 1usize..5_000,
         seed in any::<u64>(),
         loss in 0.0f64..0.25,
     ) {
         let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
-        let received = tcp_transfer(&data, seed, loss);
+        let received = tcp_transfer(&data, piece, seed, loss);
         prop_assert_eq!(received, data);
     }
 
     #[test]
     fn tls_stream_is_transparent_under_chunking(
         payloads in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 1..2000), 1..5),
+            proptest::collection::vec(any::<u8>(), 1..40_000), 1..5),
         chunk in 1usize..700,
     ) {
         let cfg = TlsConfig {
@@ -111,6 +213,28 @@ proptest! {
         }
         let want: Vec<u8> = payloads.concat();
         prop_assert_eq!(server_got, want);
+    }
+
+    #[test]
+    fn http2_bodies_survive_any_chunking(
+        request in proptest::collection::vec(any::<u8>(), 0..70_000),
+        response in proptest::collection::vec(any::<u8>(), 0..70_000),
+        sizes in proptest::collection::vec(1usize..20_000, 1..8),
+    ) {
+        let mut c = H2Connection::client();
+        let mut s = H2Connection::server();
+        let post = [(":method", "POST"), (":path", "/dns-query")];
+        let stream = c.send_request(&post, &request);
+        deliver_in_pieces(&c.take_output(), &sizes, |piece| s.read_wire(piece));
+        let got = s.take_messages();
+        prop_assert_eq!(got.len(), 1);
+        prop_assert_eq!(&got[0].body, &request);
+
+        s.send_response(stream, &[(":status", "200")], &response);
+        deliver_in_pieces(&s.take_output(), &sizes, |piece| c.read_wire(piece));
+        let got = c.take_messages();
+        prop_assert_eq!(got.len(), 1);
+        prop_assert_eq!(&got[0].body, &response);
     }
 
     #[test]

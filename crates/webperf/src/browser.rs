@@ -235,31 +235,6 @@ impl BrowserHost {
         self.plt.is_some()
     }
 
-    /// Debug view of origin connections.
-    pub fn debug_origins(&self) -> Vec<(String, String)> {
-        self.origins
-            .iter()
-            .map(|(d, o)| (d.clone(), o.conn.debug_summary()))
-            .collect()
-    }
-
-    /// Debug view: (resource id, domain, state).
-    pub fn debug_states(&self) -> Vec<(usize, String, &'static str)> {
-        self.page
-            .resources
-            .iter()
-            .map(|r| {
-                let state = match self.states[r.id] {
-                    ResourceState::Undiscovered => "undiscovered",
-                    ResourceState::WaitingDns => "waiting-dns",
-                    ResourceState::Requested => "requested",
-                    ResourceState::Done => "done",
-                };
-                (r.id, r.domain.clone(), state)
-            })
-            .collect()
-    }
-
     /// The navigation's metrics (call after the simulation settles).
     pub fn result(&self) -> PageLoadResult {
         let start = self.nav_start.unwrap_or(SimTime::ZERO);

@@ -104,10 +104,7 @@ impl HttpsClientConn {
         if !data.is_empty() {
             self.tls.read_wire(now, &data);
         }
-        let plain = self.tls.read_app();
-        if !plain.is_empty() {
-            self.h2.read_wire(&plain);
-        }
+        self.h2.read_wire(self.tls.read_app().as_slice());
         for msg in self.h2.take_messages() {
             if let Some(id) = self.by_stream.remove(&msg.stream_id) {
                 self.completed.push(FetchDone {
@@ -144,19 +141,5 @@ impl HttpsClientConn {
 
     pub fn failed(&self) -> bool {
         self.tcp.is_reset() || self.tls.error().is_some()
-    }
-
-    /// One-line diagnostic summary.
-    pub fn debug_summary(&self) -> String {
-        format!(
-            "tcp={:?} est={} reset={} tls={} tls_err={:?} outstanding={} next_to={:?}",
-            self.tcp.state(),
-            self.tcp.is_established(),
-            self.tcp.is_reset(),
-            self.tls.is_connected(),
-            self.tls.error(),
-            self.tcp.tx_outstanding(),
-            self.tcp.next_timeout(),
-        )
     }
 }

@@ -95,10 +95,7 @@ impl OriginHost {
             if !data.is_empty() {
                 conn.tls.read_wire(now, &data);
             }
-            let plain = conn.tls.read_app();
-            if !plain.is_empty() {
-                conn.h2.read_wire(&plain);
-            }
+            conn.h2.read_wire(conn.tls.read_app().as_slice());
             for req in conn.h2.take_messages() {
                 self.requests_served += 1;
                 let path = req.header(":path").unwrap_or("/").to_string();
@@ -122,24 +119,6 @@ impl OriginHost {
                 seg.encode_payload(),
             ));
         }
-    }
-}
-
-impl OriginHost {
-    /// Debug: one line per TCP connection.
-    pub fn debug_conns(&mut self) -> Vec<String> {
-        self.listener
-            .connections()
-            .map(|(peer, sock)| {
-                format!(
-                    "{peer}: {:?} est={} outstanding={} next_to={:?}",
-                    sock.state(),
-                    sock.is_established(),
-                    sock.tx_outstanding(),
-                    sock.next_timeout()
-                )
-            })
-            .collect()
     }
 }
 
