@@ -69,6 +69,9 @@ pub struct H2Frame<'a> {
 }
 
 impl<'a> H2Frame<'a> {
+    /// Bytes in a frame header: 24-bit length, type, flags, stream id.
+    pub const HEADER_LEN: usize = 9;
+
     /// A SETTINGS frame; a non-ACK one carries six settings (36 bytes).
     pub fn settings(ack: bool) -> H2Frame<'static> {
         H2Frame {
@@ -125,9 +128,9 @@ impl<'a> H2Frame<'a> {
             && self.flags & FLAG_END_STREAM != 0
     }
 
-    /// Append the 9-byte header and the payload to `out`.
+    /// Append the header and the payload to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.reserve(9 + self.payload.len());
+        out.reserve(Self::HEADER_LEN + self.payload.len());
         let len = self.payload.len() as u32;
         out.extend_from_slice(&len.to_be_bytes()[1..]);
         out.push(self.ftype.to_u8());
@@ -139,20 +142,21 @@ impl<'a> H2Frame<'a> {
     /// Parse one frame from the front of `buf`, borrowing its payload;
     /// `None` if incomplete.
     pub fn decode(buf: &'a [u8]) -> Option<(H2Frame<'a>, usize)> {
-        if buf.len() < 9 {
+        if buf.len() < Self::HEADER_LEN {
             return None;
         }
         let len = u32::from_be_bytes([0, buf[0], buf[1], buf[2]]) as usize;
-        if buf.len() < 9 + len {
+        let end = Self::HEADER_LEN + len;
+        if buf.len() < end {
             return None;
         }
         let frame = H2Frame {
             ftype: H2FrameType::from_u8(buf[3]),
             flags: buf[4],
             stream_id: u32::from_be_bytes([buf[5], buf[6], buf[7], buf[8]]) & 0x7FFF_FFFF,
-            payload: &buf[9..9 + len],
+            payload: &buf[Self::HEADER_LEN..end],
         };
-        Some((frame, 9 + len))
+        Some((frame, end))
     }
 }
 

@@ -120,7 +120,7 @@ impl H2Connection {
         let block = self.encoder.encode(headers);
         let data_frames = body.len().div_ceil(MAX_FRAME_SIZE);
         self.out
-            .reserve(9 + block.len() + 9 * data_frames + body.len());
+            .reserve(H2Frame::HEADER_LEN * (1 + data_frames) + block.len() + body.len());
         H2Frame::headers(id, &block, body.is_empty()).encode(&mut self.out);
         for (i, chunk) in body.chunks(MAX_FRAME_SIZE).enumerate() {
             H2Frame::data(id, chunk, i + 1 == data_frames).encode(&mut self.out);

@@ -110,20 +110,24 @@ fn an_http2_response_through_tls_is_pinned() {
 
 /// Drive two TCP sockets over a lossy in-order pipe, `a` writing
 /// `data` `piece` bytes per step (so its send buffer wraps as acks
-/// drain it); returns what `b` received.
-fn tcp_transfer(data: &[u8], piece: usize, loss_seed: u64, loss: f64) -> Vec<u8> {
+/// drain it) and closing with the last piece; returns what `b`
+/// received and whether `a`'s FIN reached it. A `piece` of at least
+/// `data.len()` writes and closes before the first poll, so the close
+/// comes in SynSent.
+fn tcp_transfer(data: &[u8], piece: usize, loss_seed: u64, loss: f64) -> (Vec<u8>, bool) {
     let mut rng = SimRng::new(loss_seed);
     let mut a = TcpSocket::client(sa(1, 1), sa(2, 2), 7, TcpConfig::default());
     let mut b = TcpSocket::server(sa(2, 2), sa(1, 1), 9, TcpConfig::default());
     a.open(SimTime::ZERO);
-    let mut unsent = data.chunks(piece);
+    let mut unsent = data.chunks(piece).peekable();
     let mut now = SimTime::ZERO;
     let mut received = Vec::new();
     for _ in 0..50_000 {
-        match unsent.next() {
-            Some(chunk) => a.send(chunk),
-            None if a.can_send() => a.close(),
-            None => {}
+        if let Some(chunk) = unsent.next() {
+            a.send(chunk);
+        }
+        if unsent.peek().is_none() && a.can_send() {
+            a.close();
         }
         let mut idle = true;
         for seg in a.poll(now) {
@@ -156,7 +160,7 @@ fn tcp_transfer(data: &[u8], piece: usize, loss_seed: u64, loss: f64) -> Vec<u8>
             now += Duration::from_millis(1);
         }
     }
-    received
+    (received, b.peer_closed())
 }
 
 proptest! {
@@ -170,8 +174,14 @@ proptest! {
         loss in 0.0f64..0.25,
     ) {
         let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
-        let received = tcp_transfer(&data, piece, seed, loss);
-        prop_assert_eq!(received, data);
+        // In random pieces, and written and closed whole while the
+        // handshake is under way (the FIN waits in SynSent): either way
+        // all the data arrive, then the FIN.
+        for piece in [piece, usize::MAX] {
+            let (received, fin) = tcp_transfer(&data, piece, seed, loss);
+            prop_assert_eq!(&received, &data);
+            prop_assert!(fin, "no FIN after {} bytes in {}-byte pieces", len, piece);
+        }
     }
 
     #[test]
