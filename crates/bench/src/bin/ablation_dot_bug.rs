@@ -5,80 +5,56 @@
 //! in ~60% of page loads — which made DoT look worse than DoH. The
 //! paper upstreamed a fix; `dot_bug = false` is that fix.
 
-use doqlab_bench::{compare, parse_options};
+use doqlab_bench::{compare, load_stats, parse_options};
 use doqlab_core::dox::DnsTransport;
 use doqlab_core::measure::webperf::WebperfCampaign;
-use doqlab_core::measure::{median, run_webperf_campaign};
 
 fn main() {
     let opts = parse_options();
-    let population = opts.study.population();
-    let pages = opts.study.pages();
-    let mut buggy = WebperfCampaign::new(opts.study.scale.clone());
-    buggy.seed = opts.study.seed;
-    buggy.dot_bug = true;
-    let mut fixed = buggy.clone();
-    fixed.dot_bug = false;
-
-    let s_buggy = run_webperf_campaign(&buggy, &population, &pages);
-    let s_fixed = run_webperf_campaign(&fixed, &population, &pages);
-
-    let dot_stats = |samples: &[doqlab_core::measure::WebperfSample]| {
-        let dot: Vec<&doqlab_core::measure::WebperfSample> = samples
-            .iter()
-            .filter(|s| s.transport == DnsTransport::DoT && !s.failed)
-            .collect();
-        let plt = median(&dot.iter().map(|s| s.plt_ms).collect::<Vec<_>>()).unwrap_or(f64::NAN);
-        let multi: Vec<&&doqlab_core::measure::WebperfSample> =
-            dot.iter().filter(|s| s.page_dns_queries > 1).collect();
-        let reconnect_loads = multi.iter().filter(|s| s.proxy_connections > 1).count() as f64
-            / multi.len().max(1) as f64;
-        let conns = median(
-            &dot.iter()
-                .map(|s| s.proxy_connections as f64)
-                .collect::<Vec<_>>(),
-        )
-        .unwrap_or(f64::NAN);
-        (plt, reconnect_loads, conns)
+    let study = &opts.study;
+    let buggy = study.webperf_campaign();
+    let fixed = WebperfCampaign {
+        dot_bug: false,
+        ..buggy.clone()
     };
-    let (plt_buggy, frac_buggy, conns_buggy) = dot_stats(&s_buggy);
-    let (plt_fixed, frac_fixed, conns_fixed) = dot_stats(&s_fixed);
+    let on = load_stats(&study.run_webperf_campaign(&buggy), DnsTransport::DoT);
+    let off = load_stats(&study.run_webperf_campaign(&fixed), DnsTransport::DoT);
 
     println!("== A2: dnsproxy DoT reconnect-bug ablation ==\n");
     compare(
         "Multi-query page loads with extra DoT connections (bug ON)",
         "~60%",
-        format!("{:.0}%", frac_buggy * 100.0),
+        format!("{:.0}%", on.reconnect_share * 100.0),
     );
     compare(
         "... with the upstreamed fix (bug OFF)",
         "0%",
-        format!("{:.0}%", frac_fixed * 100.0),
+        format!("{:.0}%", off.reconnect_share * 100.0),
     );
     compare(
         "Median DoT connections per load (bug ON)",
         ">1",
-        format!("{conns_buggy:.1}"),
+        format!("{:.1}", on.connections),
     );
     compare(
         "Median DoT connections per load (bug OFF)",
         "1",
-        format!("{conns_fixed:.1}"),
+        format!("{:.1}", off.connections),
     );
     compare(
         "Median DoT PLT, bug ON (ms)",
         "worse than DoH",
-        format!("{plt_buggy:.1}"),
+        format!("{:.1}", on.plt_ms),
     );
     compare(
         "Median DoT PLT, bug OFF (ms)",
         "~DoH",
-        format!("{plt_fixed:.1}"),
+        format!("{:.1}", off.plt_ms),
     );
     if opts.json {
         let out = serde_json::json!({
-            "bug_on":  { "plt_median_ms": plt_buggy, "reconnect_load_fraction": frac_buggy },
-            "bug_off": { "plt_median_ms": plt_fixed, "reconnect_load_fraction": frac_fixed },
+            "bug_on":  { "plt_median_ms": on.plt_ms, "reconnect_load_fraction": on.reconnect_share },
+            "bug_off": { "plt_median_ms": off.plt_ms, "reconnect_load_fraction": off.reconnect_share },
         });
         println!(
             "{}",

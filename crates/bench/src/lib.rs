@@ -32,6 +32,8 @@
 //! for comparison.
 
 use doqlab_core::cli::{Flags, STUDY_FLAGS};
+use doqlab_core::dox::DnsTransport;
+use doqlab_core::measure::{median, WebperfSample};
 use doqlab_core::Study;
 
 /// Parsed common CLI options.
@@ -77,4 +79,36 @@ pub fn exit_usage(usage: &str, error: &str) -> ! {
 /// Print a labelled paper-vs-measured comparison line.
 pub fn compare(label: &str, paper: &str, measured: String) {
     println!("{label:<52} paper: {paper:<18} measured: {measured}");
+}
+
+/// What the Web ablations (A2, A4) read off one transport's successful
+/// Web samples.
+#[derive(Debug, Clone, Copy)]
+pub struct LoadStats {
+    /// Median page-load time, in milliseconds.
+    pub plt_ms: f64,
+    /// Median proxy connections per load.
+    pub connections: f64,
+    /// Share of multi-query page loads that opened more than one proxy
+    /// connection.
+    pub reconnect_share: f64,
+}
+
+/// [`LoadStats`] over the successful samples on `transport` (NaN
+/// medians when there are none).
+pub fn load_stats(samples: &[WebperfSample], transport: DnsTransport) -> LoadStats {
+    let ok: Vec<&WebperfSample> = samples
+        .iter()
+        .filter(|s| s.transport == transport && !s.failed)
+        .collect();
+    let median_of = |f: fn(&WebperfSample) -> f64| {
+        median(&ok.iter().map(|s| f(s)).collect::<Vec<_>>()).unwrap_or(f64::NAN)
+    };
+    let multi: Vec<_> = ok.iter().filter(|s| s.page_dns_queries > 1).collect();
+    LoadStats {
+        plt_ms: median_of(|s| s.plt_ms),
+        connections: median_of(|s| s.proxy_connections as f64),
+        reconnect_share: multi.iter().filter(|s| s.proxy_connections > 1).count() as f64
+            / multi.len().max(1) as f64,
+    }
 }

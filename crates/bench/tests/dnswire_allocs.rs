@@ -4,7 +4,8 @@
 //! counting global allocator). A name that fits `Name`'s inline buffer
 //! is parsed, decoded, cloned and cut to its parent without touching the
 //! allocator; the google.com A query and answer that every single-query
-//! unit exchanges encode and decode in an exact number of allocations.
+//! unit exchanges encode and decode in an exact number of allocations;
+//! a warm stream de-framer hands out messages without copying them.
 //! A regression here — a label vector or a compression key sneaking back
 //! in — fails before it shows up as a throughput drop in the benchmark.
 //!
@@ -16,7 +17,9 @@
 #![cfg(feature = "count-allocs")]
 
 use doqlab_dnswire::name::INLINE_LEN;
-use doqlab_dnswire::{Message, Name, Question, RecordType, WireReader, WireWriter};
+use doqlab_dnswire::{
+    framing, LengthPrefixedReader, Message, Name, Question, RecordType, WireReader, WireWriter,
+};
 use doqlab_resolver::authoritative_answer;
 use doqlab_simnet::alloc_count::thread_allocations;
 use std::hint::black_box;
@@ -106,4 +109,23 @@ fn the_google_com_exchange_has_a_fixed_allocation_budget() {
             }
         );
     }
+}
+
+#[test]
+fn a_warm_stream_reader_takes_messages_in_place() {
+    // Two framed queries in one push, as a DoT or DoTCP segment can
+    // carry them: once the buffer has grown, taking both copies nothing.
+    let query = Message::query(0x5151, Name::parse("google.com").unwrap(), RecordType::A).encode();
+    let mut wire = framing::frame(&query);
+    wire.extend(framing::frame(&query));
+    let mut reader = LengthPrefixedReader::new();
+    reader.push(&wire);
+    while reader.next_message().is_some() {}
+    let ((), allocs) = counted(|| {
+        reader.push(&wire);
+        assert_eq!(reader.next_message(), Some(&query[..]));
+        assert_eq!(reader.next_message(), Some(&query[..]));
+        assert_eq!(reader.next_message(), None);
+    });
+    assert_eq!(allocs, 0, "push two framed messages and take both");
 }

@@ -42,17 +42,14 @@ use doqlab_resolver::{
 };
 use doqlab_webperf::{tranco_top10, PageProfile};
 
-/// Everything the paper's methodology needs, in one place.
+/// Everything the paper's methodology needs, in one place: a seed and
+/// a scale. Each campaign runs the paper's configuration; a variant
+/// (a regime, a Web campaign with other capabilities) is a value passed
+/// to [`Study::run_sweep`] or [`Study::run_webperf_campaign`].
 #[derive(Debug, Clone)]
 pub struct Study {
     pub seed: u64,
     pub scale: Scale,
-    /// §2: present Session Resumption material on measured queries.
-    pub use_resumption: bool,
-    /// §3.2: reproduce the dnsproxy DoT reconnect bug.
-    pub dot_bug: bool,
-    /// §4 future work: resolvers support 0-RTT.
-    pub zero_rtt_resolvers: bool,
 }
 
 impl Study {
@@ -61,17 +58,14 @@ impl Study {
         Study {
             seed,
             scale: Scale::quick(),
-            use_resumption: true,
-            dot_bug: true,
-            zero_rtt_resolvers: false,
         }
     }
 
     /// Mid-size: the full resolver population, fewer repetitions.
     pub fn medium(seed: u64) -> Study {
         Study {
+            seed,
             scale: Scale::medium(),
-            ..Study::quick(seed)
         }
     }
 
@@ -79,8 +73,8 @@ impl Study {
     /// ~56k Web samples per protocol).
     pub fn paper(seed: u64) -> Study {
         Study {
+            seed,
             scale: Scale::paper(),
-            ..Study::quick(seed)
         }
     }
 
@@ -105,11 +99,10 @@ impl Study {
     }
 
     fn single_query_campaign(&self) -> SingleQueryCampaign {
-        let mut c = SingleQueryCampaign::new(self.scale.clone());
-        c.seed = self.seed;
-        c.use_resumption = self.use_resumption;
-        c.enable_0rtt_resolvers = self.zero_rtt_resolvers;
-        c
+        SingleQueryCampaign {
+            seed: self.seed,
+            ..SingleQueryCampaign::new(self.scale.clone())
+        }
     }
 
     /// §3.1 single-query campaign over the study population.
@@ -128,16 +121,13 @@ impl Study {
     /// A regime sweep (`doqlab measure impairments|mobility|whatif`):
     /// single-query units re-run under each regime, for example
     /// [`measure::impairments::standard_sweep`]. Shares the study seed
-    /// and campaign flags with the single-query campaign, so a zero
-    /// regime reproduces that campaign's samples bit for bit; a regime
-    /// that sets a campaign flag overrides the study's.
+    /// with the single-query campaign, so a zero regime reproduces that
+    /// campaign's samples bit for bit.
     pub fn run_sweep(&self, regimes: Vec<Regime>) -> Vec<SweepSample> {
         let population = self.population();
         let sweep = Sweep {
             seed: self.seed,
             regimes,
-            use_resumption: self.use_resumption,
-            enable_0rtt_resolvers: self.zero_rtt_resolvers,
             ..Sweep::new(self.scale.clone())
         };
         doqlab_measure::run_sweep(&sweep, &population)
@@ -155,31 +145,27 @@ impl Study {
         doqlab_measure::run_populations_campaign(&c, &population)
     }
 
-    fn webperf_campaign(&self) -> WebperfCampaign {
-        let mut c = WebperfCampaign::new(self.scale.clone());
-        c.seed = self.seed;
-        c.dot_bug = self.dot_bug;
-        c.enable_0rtt_resolvers = self.zero_rtt_resolvers;
-        c
+    /// The §3.2 Web campaign at the study's seed and scale. A Web
+    /// regime is this value with other `caps` or `dot_bug`, run through
+    /// [`Study::run_webperf_campaign`] on the same unit seeds, so its
+    /// samples pair unit by unit with [`Study::run_webperf`]'s.
+    pub fn webperf_campaign(&self) -> WebperfCampaign {
+        WebperfCampaign {
+            seed: self.seed,
+            ..WebperfCampaign::new(self.scale.clone())
+        }
     }
 
     /// §3.2 Web-performance campaign.
     pub fn run_webperf(&self) -> Vec<WebperfSample> {
-        doqlab_measure::run_webperf_campaign(
-            &self.webperf_campaign(),
-            &self.population(),
-            &self.pages(),
-        )
+        self.run_webperf_campaign(&self.webperf_campaign())
     }
 
-    /// The Web half of the what-if sweep: the Web campaign with
-    /// `use_doh3`, on the same unit seeds as [`Study::run_webperf`], so
-    /// the two worlds pair unit by unit and the DoH column's FCP/PLT
-    /// deltas are attributable to HTTP/3 alone.
-    pub fn run_webperf_doh3(&self) -> Vec<WebperfSample> {
-        let mut c = self.webperf_campaign();
-        c.use_doh3 = true;
-        doqlab_measure::run_webperf_campaign(&c, &self.population(), &self.pages())
+    /// A Web campaign, such as a variant of
+    /// [`Study::webperf_campaign`], over the study's population and
+    /// pages.
+    pub fn run_webperf_campaign(&self, campaign: &WebperfCampaign) -> Vec<WebperfSample> {
+        doqlab_measure::run_webperf_campaign(campaign, &self.population(), &self.pages())
     }
 }
 

@@ -17,10 +17,13 @@ pub fn frame(msg: &[u8]) -> Vec<u8> {
 /// Incremental de-framer: feed arbitrary byte chunks, take out complete
 /// messages. Stream transports deliver bytes with no message alignment,
 /// so a reader must tolerate split length prefixes and coalesced
-/// messages.
+/// messages. Messages are read in place from an offset into the buffer,
+/// which drops the messages already taken once per [`push`](Self::push).
 #[derive(Debug, Default)]
 pub struct LengthPrefixedReader {
     buf: Vec<u8>,
+    /// Start of the first message not yet taken.
+    pos: usize,
 }
 
 impl LengthPrefixedReader {
@@ -30,26 +33,30 @@ impl LengthPrefixedReader {
 
     /// Append received bytes.
     pub fn push(&mut self, data: &[u8]) {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
         self.buf.extend_from_slice(data);
     }
 
-    /// Take the next complete message, if one is buffered.
-    pub fn next_message(&mut self) -> Option<Vec<u8>> {
-        if self.buf.len() < 2 {
+    /// The next complete message, if one is buffered, borrowed from the
+    /// reader until the next call.
+    pub fn next_message(&mut self) -> Option<&[u8]> {
+        let rest = &self.buf[self.pos..];
+        if rest.len() < 2 {
             return None;
         }
-        let len = u16::from_be_bytes([self.buf[0], self.buf[1]]) as usize;
-        if self.buf.len() < 2 + len {
+        let len = u16::from_be_bytes([rest[0], rest[1]]) as usize;
+        if rest.len() < 2 + len {
             return None;
         }
-        let msg = self.buf[2..2 + len].to_vec();
-        self.buf.drain(..2 + len);
-        Some(msg)
+        let start = self.pos + 2;
+        self.pos = start + len;
+        Some(&self.buf[start..self.pos])
     }
 
     /// Bytes buffered but not yet forming a complete message.
     pub fn pending_len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
     }
 }
 
@@ -67,7 +74,7 @@ mod tests {
     fn single_message_roundtrip() {
         let mut r = LengthPrefixedReader::new();
         r.push(&frame(b"hello"));
-        assert_eq!(r.next_message(), Some(b"hello".to_vec()));
+        assert_eq!(r.next_message(), Some(&b"hello"[..]));
         assert_eq!(r.next_message(), None);
         assert_eq!(r.pending_len(), 0);
     }
@@ -80,7 +87,7 @@ mod tests {
             r.push(&wire[..split]);
             assert_eq!(r.next_message(), None, "split at {split}");
             r.push(&wire[split..]);
-            assert_eq!(r.next_message(), Some(b"abcdef".to_vec()));
+            assert_eq!(r.next_message(), Some(&b"abcdef"[..]));
         }
     }
 
@@ -91,10 +98,11 @@ mod tests {
         wire.extend(frame(b""));
         let mut r = LengthPrefixedReader::new();
         r.push(&wire);
-        assert_eq!(r.next_message(), Some(b"one".to_vec()));
-        assert_eq!(r.next_message(), Some(b"two".to_vec()));
-        assert_eq!(r.next_message(), Some(vec![]));
+        assert_eq!(r.next_message(), Some(&b"one"[..]));
+        assert_eq!(r.next_message(), Some(&b"two"[..]));
+        assert_eq!(r.next_message(), Some(&[][..]));
         assert_eq!(r.next_message(), None);
+        assert_eq!(r.pending_len(), 0);
     }
 
     #[test]

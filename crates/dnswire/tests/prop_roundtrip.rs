@@ -131,7 +131,7 @@ proptest! {
         for c in wire.chunks(chunk) {
             reader.push(c);
             while let Some(m) = reader.next_message() {
-                out.push(m);
+                out.push(m.to_vec());
             }
         }
         prop_assert_eq!(out, msgs);

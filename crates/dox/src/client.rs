@@ -1,5 +1,6 @@
 //! The unified client interface the measurement harness drives.
 
+use crate::server::ServerConfig;
 use doqlab_dnswire::Message;
 use doqlab_netstack::tls::SessionTicket;
 use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
@@ -247,6 +248,62 @@ impl Default for ClientConfig {
             pool_idle_timeout: None,
             pool_handshake_timeout: std::time::Duration::from_secs(4),
             failover: None,
+        }
+    }
+}
+
+/// The dormant capabilities the paper found no resolver deploying (§3,
+/// §4), switched on together for a resolver and the clients that query
+/// it. This is the one place that knows how each is switched on; the
+/// default switches nothing and leaves every configuration as it is.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Capabilities {
+    /// TLS 1.3 / QUIC 0-RTT: the resolver issues early-data tickets and
+    /// accepts early data (clients attempt it by default).
+    pub zero_rtt: bool,
+    /// TCP Fast Open (RFC 7413): the resolver issues cookies and clients
+    /// request them.
+    pub tfo: bool,
+    /// edns-tcp-keepalive (RFC 7828): clients ask the resolver to hold
+    /// DoTCP connections open, and the resolver grants a timeout instead
+    /// of closing after the first response.
+    pub keepalive: bool,
+    /// DoH runs as DNS over HTTP/3 against an HTTP/3-capable resolver.
+    pub doh3: bool,
+}
+
+impl Capabilities {
+    /// The resolver's configuration with these capabilities switched on
+    /// (a capability the resolver already has stays on).
+    pub fn server(&self, mut cfg: ServerConfig) -> ServerConfig {
+        cfg.enable_0rtt |= self.zero_rtt;
+        cfg.enable_tfo |= self.tfo;
+        if self.keepalive {
+            cfg.tcp_keepalive = true;
+            cfg.close_tcp_after_response = false;
+        }
+        cfg.supports_doh3 |= self.doh3;
+        cfg
+    }
+
+    /// A stub's or a proxy's client configuration with these
+    /// capabilities requested.
+    pub fn client(&self) -> ClientConfig {
+        ClientConfig {
+            enable_tfo: self.tfo,
+            request_tcp_keepalive: self.keepalive,
+            ..ClientConfig::default()
+        }
+    }
+
+    /// The transport a unit nominally on `nominal` runs on. Apply it
+    /// after the unit seed is drawn from `nominal`, so a DoH3 unit
+    /// replays its DoH twin's draws.
+    pub fn transport(&self, nominal: DnsTransport) -> DnsTransport {
+        if self.doh3 && nominal == DnsTransport::DoH {
+            DnsTransport::DoH3
+        } else {
+            nominal
         }
     }
 }

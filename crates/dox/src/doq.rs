@@ -144,7 +144,7 @@ impl DoQClient {
             if use_prefix {
                 reader.push(&data);
                 if let Some(wire) = reader.next_message() {
-                    if let Ok(mut msg) = Message::decode(&wire) {
+                    if let Ok(mut msg) = Message::decode(wire) {
                         msg.header.id = *orig_id;
                         self.responses.push((now, msg));
                         done.push(stream);

@@ -48,7 +48,7 @@ impl DoTClient {
         // TLS app plaintext -> DNS messages.
         self.reader.push(self.tls.read_app().as_slice());
         while let Some(wire) = self.reader.next_message() {
-            if let Ok(msg) = Message::decode(&wire) {
+            if let Ok(msg) = Message::decode(wire) {
                 if msg.header.response && self.pending.remove(&msg.header.id) {
                     self.responses.push((now, msg));
                 }

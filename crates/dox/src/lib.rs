@@ -28,8 +28,8 @@ pub mod udp;
 
 pub use alpn::DoqAlpn;
 pub use client::{
-    ClientConfig, ConnMetadata, DnsClientConn, DnsTransport, FailoverPolicy, FailureKind,
-    SessionCache, SessionState,
+    Capabilities, ClientConfig, ConnMetadata, DnsClientConn, DnsTransport, FailoverPolicy,
+    FailureKind, SessionCache, SessionState,
 };
 pub use host::{make_client, DnsClientHost};
 pub use server::{DnsServerSet, ServerConfig, ServerEvent};

@@ -287,7 +287,7 @@ impl DnsServerSet {
             let reader = self.tcp_readers.entry(peer).or_default();
             reader.push(&data);
             while let Some(wire) = reader.next_message() {
-                if let Ok(query) = Message::decode(&wire) {
+                if let Ok(query) = Message::decode(wire) {
                     if !query.header.response {
                         tcp_events.push(ServerEvent {
                             key: ConnKey::Tcp(peer),
@@ -340,7 +340,7 @@ impl DnsServerSet {
             conn.reader.push(&conn.tls.read_early());
             conn.reader.push(conn.tls.read_app().as_slice());
             while let Some(wire) = conn.reader.next_message() {
-                if let Ok(query) = Message::decode(&wire) {
+                if let Ok(query) = Message::decode(wire) {
                     if !query.header.response {
                         dot_events.push(ServerEvent {
                             key: ConnKey::Dot(peer),
@@ -430,17 +430,17 @@ impl DnsServerSet {
                     let (data, fin) = conn.stream_recv(stream);
                     // Queries are small: they arrive in one frame in this
                     // simulation (one datagram covers any DNS query).
+                    let mut r = LengthPrefixedReader::new();
                     let wire = if alpn.uses_length_prefix() {
-                        let mut r = LengthPrefixedReader::new();
                         r.push(&data);
                         r.next_message()
                     } else if fin {
-                        Some(data)
+                        Some(&data[..])
                     } else {
                         None
                     };
                     if let Some(wire) = wire {
-                        if let Ok(query) = Message::decode(&wire) {
+                        if let Ok(query) = Message::decode(wire) {
                             if !query.header.response {
                                 doq_events.push(ServerEvent {
                                     key: ConnKey::Doq {

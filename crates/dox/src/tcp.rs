@@ -94,7 +94,7 @@ impl DoTcpClient {
         if !data.is_empty() {
             self.reader.push(&data);
             while let Some(wire) = self.reader.next_message() {
-                if let Ok(msg) = Message::decode(&wire) {
+                if let Ok(msg) = Message::decode(wire) {
                     if msg.header.response && self.pending.remove(&msg.header.id) {
                         if self.keepalive.is_none() {
                             let granted = msg.opt().and_then(|o| match o.tcp_keepalive() {
@@ -221,7 +221,7 @@ mod tests {
                     let mut reader = LengthPrefixedReader::new();
                     reader.push(&data);
                     while let Some(wire) = reader.next_message() {
-                        let q = Message::decode(&wire).unwrap();
+                        let q = Message::decode(wire).unwrap();
                         let mut resp = Message::response_to(&q, vec![]);
                         // Grant keepalive when the client asked (RFC
                         // 7828): 120 units of 100 ms.

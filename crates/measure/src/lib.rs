@@ -20,7 +20,7 @@
 //!   aggregate bytes per transport.
 //! * [`sweep`] — regime sweeps: single-query units re-run under a list
 //!   of [`Regime`]s, each plain data (a seed rule,
-//!   [`single_query::UnitOptions`] and campaign flags). Three standard
+//!   [`single_query::UnitOptions`] and a resumption flag). Three standard
 //!   sweeps ship as data:
 //!   - [`impairments`] — deterministic burst loss, outages, reordering
 //!     and duplication, reporting failure rates and response-time

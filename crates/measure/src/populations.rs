@@ -129,7 +129,6 @@ impl PopulationsCampaign {
             seed: self.seed,
             scale: self.scale.clone(),
             use_resumption: true,
-            enable_0rtt_resolvers: false,
             path_params: self.path_params.clone(),
         }
     }

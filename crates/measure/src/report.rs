@@ -813,10 +813,10 @@ pub struct WhatifWebRow {
 }
 
 /// Pair the two Web worlds of the what-if campaign: `base` is a normal
-/// run, `doh3` the same campaign with `use_doh3` — identical unit
-/// seeds, so each DoH3 sample replays a DoH twin's draws and the FCP /
-/// PLT deltas are attributable to HTTP/3 alone. Pairing is positional:
-/// both runs emit the grid in the same order.
+/// run, `doh3` the same campaign with [`crate::whatif::DOH3`] —
+/// identical unit seeds, so each DoH3 sample replays a DoH twin's draws
+/// and the FCP / PLT deltas are attributable to HTTP/3 alone. Pairing
+/// is positional: both runs emit the grid in the same order.
 pub fn whatif_web_rows(base: &[WebperfSample], doh3: &[WebperfSample]) -> Vec<WhatifWebRow> {
     let doh: Vec<&WebperfSample> = base
         .iter()

@@ -25,8 +25,8 @@ use crate::vantage::{vantage_points, VantagePoint};
 use crate::Scale;
 use doqlab_dnswire::{Message, Name, RecordType};
 use doqlab_dox::{
-    ClientConfig, ConnMetadata, DnsClientHost, DnsTransport, FailoverPolicy, FailureKind,
-    SessionState,
+    Capabilities, ClientConfig, ConnMetadata, DnsClientHost, DnsTransport, FailoverPolicy,
+    FailureKind, SessionState,
 };
 use doqlab_resolver::{RecursionModel, ResolverHost, ResolverProfile};
 use doqlab_simnet::geo::Continent;
@@ -213,8 +213,6 @@ pub struct SingleQueryCampaign {
     /// (disable to reproduce the preliminary study's amplification
     /// penalty — ablation A1).
     pub use_resumption: bool,
-    /// Upgrade every resolver to support 0-RTT (future-work ablation A3).
-    pub enable_0rtt_resolvers: bool,
     pub path_params: GeoPathParams,
 }
 
@@ -224,7 +222,6 @@ impl SingleQueryCampaign {
             seed: 0xD05_2022,
             scale,
             use_resumption: true,
-            enable_0rtt_resolvers: false,
             path_params: GeoPathParams::default(),
         }
     }
@@ -260,21 +257,12 @@ pub struct UnitOptions {
     /// Cross-transport happy-eyeballs ladder for the measured
     /// connection.
     pub failover: Option<FailoverPolicy>,
-    /// TCP Fast Open (RFC 7413): the resolver issues cookies, both
-    /// clients request them, and the measured DoTCP connection puts the
-    /// query on the SYN using the cookie the warming connection cached
-    /// — carried even when the campaign disables TLS resumption, since
-    /// TFO is an independent mechanism.
-    pub tfo: bool,
-    /// edns-tcp-keepalive (RFC 7828): the measured client asks the
-    /// resolver to hold the DoTCP connection open and the resolver
-    /// grants a timeout instead of closing after the first response.
-    pub keepalive: bool,
-    /// Run DoH units as DNS over HTTP/3 (DoH3) against an
-    /// HTTP/3-capable resolver, leaving the other transports untouched.
-    /// The unit seed is derived from the nominal transport, so a DoH3
-    /// unit pairs bit-for-bit with its DoH baseline.
-    pub doh3: bool,
+    /// Capabilities switched on for the resolver and both clients. With
+    /// TFO the measured DoTCP connection puts the query on the SYN using
+    /// the cookie the warming connection cached — carried even when the
+    /// campaign disables TLS resumption, since TFO is an independent
+    /// mechanism.
+    pub caps: Capabilities,
 }
 
 impl Default for UnitOptions {
@@ -289,9 +277,7 @@ impl Default for UnitOptions {
             run_deadline: Duration::from_secs(20),
             rebinds: Vec::new(),
             failover: None,
-            tfo: false,
-            keepalive: false,
-            doh3: false,
+            caps: Capabilities::default(),
         }
     }
 }
@@ -370,7 +356,7 @@ fn run_unit_inner(
 
 /// The parameterized unit body: the plain single-query unit plus the
 /// [`UnitOptions`] overrides (seed, measured-phase impairment,
-/// resilience policy, rebinds, failover, capability flags). With
+/// resilience policy, rebinds, failover, capabilities). With
 /// default options this is exactly the vanilla unit — no extra RNG
 /// draws, identical samples.
 #[allow(clippy::too_many_arguments)] // the unit tuple is the argument list
@@ -394,15 +380,9 @@ pub fn run_unit_custom(
             ],
         )
     });
-    // The DoH3 toggle substitutes the transport *after* the seed is
-    // derived from the nominal one, so a DoH3 unit shares its seed —
-    // path draws, jitter, everything — with the DoH unit it
-    // counterfactually replaces.
-    let transport = if opts.doh3 && transport == DnsTransport::DoH {
-        DnsTransport::DoH3
-    } else {
-        transport
-    };
+    // After the seed: a DoH3 unit shares its seed — path draws, jitter,
+    // everything — with the DoH unit it counterfactually replaces.
+    let transport = opts.caps.transport(transport);
     let mut path = GeoPathModel::new(campaign.path_params.clone());
     let warm_ip = Ipv4Addr::new(10, 10, vp.index as u8 + 1, 2);
     let meas_ip = Ipv4Addr::new(10, 10, vp.index as u8 + 1, 3);
@@ -419,20 +399,7 @@ pub fn run_unit_custom(
     }
     sim.reset(seed, Box::new(path));
 
-    let mut server_cfg = profile.server_config();
-    if campaign.enable_0rtt_resolvers {
-        server_cfg.enable_0rtt = true;
-    }
-    if opts.tfo {
-        server_cfg.enable_tfo = true;
-    }
-    if opts.keepalive {
-        server_cfg.tcp_keepalive = true;
-        server_cfg.close_tcp_after_response = false;
-    }
-    if opts.doh3 {
-        server_cfg.supports_doh3 = true;
-    }
+    let server_cfg = opts.caps.server(profile.server_config());
     sim.add_host(
         Box::new(ResolverHost::new(server_cfg, RecursionModel::default())),
         &[profile.ip],
@@ -442,10 +409,7 @@ pub fn run_unit_custom(
     let remote = SocketAddr::new(profile.ip, transport.port());
 
     // --- cache warming ----------------------------------------------------
-    let warm_cfg = ClientConfig {
-        enable_tfo: opts.tfo,
-        ..ClientConfig::default()
-    };
+    let warm_cfg = opts.caps.client();
     let warm = DnsClientHost::new(
         transport,
         SocketAddr::new(warm_ip, 40_000),
@@ -481,19 +445,17 @@ pub fn run_unit_custom(
         // under the no-resumption ablation, like a kernel's TFO cache
         // surviving a cleared TLS session store.
         SessionState {
-            tfo_cookie: session.tfo_cookie.filter(|_| opts.tfo),
+            tfo_cookie: session.tfo_cookie.filter(|_| opts.caps.tfo),
             ..SessionState::default()
         }
     };
     let meas_cfg = ClientConfig {
         session: meas_session,
-        enable_tfo: opts.tfo,
-        request_tcp_keepalive: opts.keepalive,
         query_deadline: opts.query_deadline,
         reconnect_max: opts.reconnect_max,
         reconnect_backoff: opts.reconnect_backoff,
         failover: opts.failover.clone(),
-        ..ClientConfig::default()
+        ..opts.caps.client()
     };
     let meas = DnsClientHost::new(
         transport,

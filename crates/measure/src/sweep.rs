@@ -4,11 +4,12 @@
 //! Each unit is `[vantage point : resolver : regime : protocol :
 //! repetition]`, with regimes riding the unit grid's `pages` axis. A
 //! [`Regime`] is plain data — a name, a [`SeedRule`], the
-//! [`UnitOptions`] it applies and the campaign flags it sets — so a
-//! composed condition (burst loss plus a rebind plus 0-RTT, say) is one
-//! more value, not one more campaign. The standard sweeps live as data
-//! in [`crate::impairments`] (loss and outages), [`crate::mobility`]
-//! (rebinds and failover) and [`crate::whatif`] (dormant capabilities).
+//! [`UnitOptions`] it applies (capabilities included) and whether it
+//! resumes sessions — so a composed condition (burst loss plus a rebind
+//! plus 0-RTT, say) is one more value, not one more campaign. The
+//! standard sweeps live as data in [`crate::impairments`] (loss and
+//! outages), [`crate::mobility`] (rebinds and failover) and
+//! [`crate::whatif`] (dormant capabilities).
 //!
 //! Two reproducibility contracts, pinned by the tests here and by the
 //! engine invariance suite:
@@ -16,8 +17,8 @@
 //! * a sweep is bit-identical across thread counts and repeated runs at
 //!   a fixed seed (all randomness flows through the unit's seeded RNG);
 //! * a zero regime ([`Regime::is_zero`]) on the single-query seed
-//!   reproduces the single-query campaign run with the same campaign
-//!   flags bit for bit.
+//!   reproduces the single-query campaign run with the same resumption
+//!   setting bit for bit.
 
 use crate::engine;
 use crate::single_query::{run_unit_custom, SingleQueryCampaign, SingleQuerySample, UnitOptions};
@@ -50,11 +51,8 @@ pub struct Regime {
     /// stay `None`: the seed rule decides the seed.
     pub options: UnitOptions,
     /// Present captured session material on the measured connection
-    /// (`None` keeps the sweep's [`Sweep::use_resumption`]).
+    /// (`None` keeps the single-query campaign's default, on).
     pub resumption: Option<bool>,
-    /// Upgrade every resolver to support 0-RTT (`None` keeps the
-    /// sweep's [`Sweep::enable_0rtt_resolvers`]).
-    pub zero_rtt_resolvers: Option<bool>,
 }
 
 impl Regime {
@@ -65,17 +63,15 @@ impl Regime {
             seed: SeedRule::SingleQuery,
             options: UnitOptions::default(),
             resumption: None,
-            zero_rtt_resolvers: None,
         }
     }
 
     /// The regime switches nothing on: single-query seeds, default unit
-    /// options and no campaign flag turned on.
+    /// options and resumption not forced on.
     pub fn is_zero(&self) -> bool {
         self.seed == SeedRule::SingleQuery
             && self.options == UnitOptions::default()
             && self.resumption != Some(true)
-            && self.zero_rtt_resolvers != Some(true)
     }
 }
 
@@ -107,8 +103,6 @@ pub struct Sweep {
     pub seed: u64,
     pub scale: Scale,
     pub regimes: Vec<Regime>,
-    pub use_resumption: bool,
-    pub enable_0rtt_resolvers: bool,
     pub path_params: GeoPathParams,
 }
 
@@ -120,24 +114,22 @@ impl Sweep {
             seed: sq.seed,
             scale: sq.scale,
             regimes: Vec::new(),
-            use_resumption: sq.use_resumption,
-            enable_0rtt_resolvers: sq.enable_0rtt_resolvers,
             path_params: sq.path_params,
         }
     }
 
-    /// The single-query campaign a regime's units embed: the regime's
-    /// campaign flags where it sets them, the sweep's elsewhere.
+    /// The single-query campaign a regime's units embed, resuming
+    /// sessions as the regime says.
     fn single_query(&self, regime: &Regime) -> SingleQueryCampaign {
-        SingleQueryCampaign {
+        let mut sq = SingleQueryCampaign {
             seed: self.seed,
-            scale: self.scale.clone(),
-            use_resumption: regime.resumption.unwrap_or(self.use_resumption),
-            enable_0rtt_resolvers: regime
-                .zero_rtt_resolvers
-                .unwrap_or(self.enable_0rtt_resolvers),
             path_params: self.path_params.clone(),
+            ..SingleQueryCampaign::new(self.scale.clone())
+        };
+        if let Some(resumption) = regime.resumption {
+            sq.use_resumption = resumption;
         }
+        sq
     }
 }
 
@@ -292,9 +284,9 @@ pub(crate) mod tests {
                 _ => {
                     // The paper's world: no resumption, no 0-RTT.
                     assert_eq!(baseline.resumption, Some(false));
-                    assert_eq!(baseline.zero_rtt_resolvers, Some(false));
+                    assert!(!baseline.options.caps.zero_rtt);
                     // 0-RTT implies resumption: early data needs a ticket.
-                    let zrtt = rest.iter().find(|r| r.zero_rtt_resolvers == Some(true));
+                    let zrtt = rest.iter().find(|r| r.options.caps.zero_rtt);
                     assert_eq!(zrtt.expect("0rtt regime").resumption, Some(true));
                     let names: Vec<&str> = sweep.iter().map(|r| r.name.as_str()).collect();
                     assert_eq!(
@@ -350,16 +342,13 @@ pub(crate) mod tests {
         for (name, regimes) in standard_sweeps() {
             let (c, pop) = tiny_sweep(regimes);
             assert_eq!(c.seed, 0xD05_2022);
-            assert!(c.use_resumption && !c.enable_0rtt_resolvers);
             let swept = run_sweep(&c, &pop);
-            // The reference spells out each baseline's campaign flags:
-            // the sweep defaults (resumption on, no 0-RTT resolvers) for
-            // impairments and mobility, the paper's world (both off) for
-            // what-if.
+            // The reference spells out each baseline's resumption: the
+            // single-query default (on) for impairments and mobility, the
+            // paper's world (off) for what-if.
             let plain = run_single_query_campaign(
                 &SingleQueryCampaign {
                     use_resumption: name != "whatif",
-                    enable_0rtt_resolvers: false,
                     ..SingleQueryCampaign::new(c.scale.clone())
                 },
                 &pop,
@@ -417,7 +406,7 @@ pub(crate) mod tests {
             mobility::DEFAULT_STAGGER,
         )
         .remove(3);
-        let composed = Regime {
+        let mut composed = Regime {
             name: "composed".into(),
             seed: chaos.seed,
             options: UnitOptions {
@@ -425,8 +414,8 @@ pub(crate) mod tests {
                 ..failover.options
             },
             resumption: Some(true),
-            zero_rtt_resolvers: Some(true),
         };
+        composed.options.caps.zero_rtt = true;
         let runs: Vec<String> = [1, 2]
             .into_iter()
             .map(|threads| {

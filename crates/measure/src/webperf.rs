@@ -10,7 +10,7 @@
 use crate::engine;
 use crate::vantage::vantage_points;
 use crate::Scale;
-use doqlab_dox::DnsTransport;
+use doqlab_dox::{Capabilities, DnsTransport};
 use doqlab_resolver::ResolverProfile;
 use doqlab_simnet::geo::Continent;
 use doqlab_simnet::path::GeoPathParams;
@@ -43,7 +43,9 @@ pub struct WebperfSample {
     pub loads_failed: usize,
 }
 
-/// Campaign configuration.
+/// Campaign configuration. A Web regime is one more value of it: the
+/// same campaign with other `caps` or `dot_bug` runs on the same unit
+/// seeds, so two runs pair unit by unit.
 #[derive(Debug, Clone)]
 pub struct WebperfCampaign {
     pub seed: u64,
@@ -51,11 +53,10 @@ pub struct WebperfCampaign {
     /// Reproduce the dnsproxy DoT reconnect bug (ablation A2 turns it
     /// off).
     pub dot_bug: bool,
-    /// Upgrade resolvers to 0-RTT (ablation A3).
-    pub enable_0rtt_resolvers: bool,
-    /// Run DoH units as DNS over HTTP/3 against an HTTP/3-capable
-    /// resolver (the what-if campaign's doh3 counterfactual).
-    pub use_doh3: bool,
+    /// Capabilities switched on for every unit's resolver and proxy
+    /// (the what-if Web half runs DoH as DoH3, ablation A4 DoTCP with
+    /// TFO and keepalive).
+    pub caps: Capabilities,
     pub path_params: GeoPathParams,
 }
 
@@ -65,8 +66,7 @@ impl WebperfCampaign {
             seed: 0x3EB_2022,
             scale,
             dot_bug: true,
-            enable_0rtt_resolvers: false,
-            use_doh3: false,
+            caps: Capabilities::default(),
             path_params: GeoPathParams::default(),
         }
     }
@@ -113,31 +113,19 @@ pub fn run_webperf_unit(
     round: usize,
 ) -> WebperfSample {
     let vps = vantage_points();
-    let mut resolver_cfg = profile.server_config();
-    if campaign.enable_0rtt_resolvers {
-        resolver_cfg.enable_0rtt = true;
-    }
-    // The unit seed derives from the nominal transport BEFORE any DoH3
-    // substitution: a doh3 unit replays the exact draws of its DoH
-    // twin, so FCP/PLT deltas are attributable to HTTP/3 alone.
-    let seed = unit_seed(campaign.seed, vp, profile.index, pi, t, round);
-    let t = if campaign.use_doh3 && t == DnsTransport::DoH {
-        resolver_cfg.supports_doh3 = true;
-        DnsTransport::DoH3
-    } else {
-        t
-    };
+    // The unit seed derives from the nominal transport; the page load
+    // substitutes DoH3 after it, so a doh3 unit replays the exact draws
+    // of its DoH twin and FCP/PLT deltas are attributable to HTTP/3.
     let cfg = PageLoadConfig {
-        seed,
+        seed: unit_seed(campaign.seed, vp, profile.index, pi, t, round),
         transport: t,
         page: page.clone(),
-        resolver: resolver_cfg,
+        resolver: profile.server_config(),
         recursion: Default::default(),
         vp_location: vps[vp].location,
         resolver_location: profile.location,
         dot_bug: campaign.dot_bug,
-        enable_0rtt: true,
-        tcp_keepalive_client: false,
+        caps: campaign.caps,
         measured_loads: campaign.scale.loads_per_round,
         load_timeout: Duration::from_secs(30),
         path_params: campaign.path_params.clone(),
@@ -159,7 +147,7 @@ pub fn run_webperf_unit(
         page: pi,
         page_name: page.name.clone(),
         page_dns_queries: page.dns_query_count(),
-        transport: t,
+        transport: campaign.caps.transport(t),
         round,
         fcp_ms: fcp.unwrap_or(f64::NAN),
         plt_ms: plt.unwrap_or(f64::NAN),
@@ -262,7 +250,7 @@ mod tests {
             ..Scale::quick()
         };
         let mut campaign = WebperfCampaign::new(scale);
-        campaign.use_doh3 = true;
+        campaign.caps.doh3 = true;
         let pop = synthesize_dox_population(1);
         let pages = tranco_top10();
         let samples = run_webperf_campaign(&campaign, &pop, &pages);

@@ -19,38 +19,50 @@
 //! * **doh3** — DoH units run as DNS over HTTP/3 against an
 //!   HTTP/3-capable resolver.
 //!
-//! Every regime, the all-off baseline included, sets both campaign
-//! flags itself (the baseline runs without resumption, like the
-//! paper's world) and reuses the single-query unit seeds: a regime unit
-//! is the *same* unit — same path draws, same resolver — with only the
-//! feature flag changed, so per-unit deltas are genuine
-//! counterfactuals rather than resampled noise (see [`crate::sweep`]).
+//! Every regime, the all-off baseline included, sets resumption itself
+//! (the baseline runs without it, like the paper's world) and reuses
+//! the single-query unit seeds: a regime unit is the *same* unit — same
+//! path draws, same resolver — with only the capability changed, so
+//! per-unit deltas are genuine counterfactuals rather than resampled
+//! noise (see [`crate::sweep`]).
+//!
+//! The Web half re-runs the Web campaign with the doh3 regime's
+//! capabilities, [`DOH3`], on the Web campaign's own unit seeds.
 
 use crate::single_query::UnitOptions;
 use crate::sweep::{Regime, SeedRule};
+use doqlab_dox::Capabilities;
+
+/// The doh3 regime's capabilities, which the what-if Web half runs
+/// with too.
+pub const DOH3: Capabilities = Capabilities {
+    zero_rtt: false,
+    tfo: false,
+    keepalive: false,
+    doh3: true,
+};
 
 /// The default sweep: the all-off baseline, then each capability
 /// switched on alone (0-RTT implies resumption — early data needs a
 /// ticket to ride on).
 pub fn standard_whatif_sweep() -> Vec<Regime> {
-    let whatif = |name: &str, resumption, zero_rtt, switch_on: fn(&mut UnitOptions)| {
+    let whatif = |name: &str, resumption, switch_on: fn(&mut Capabilities)| {
         let mut options = UnitOptions::default();
-        switch_on(&mut options);
+        switch_on(&mut options.caps);
         Regime {
             name: name.into(),
             seed: SeedRule::SingleQuery,
             options,
             resumption: Some(resumption),
-            zero_rtt_resolvers: Some(zero_rtt),
         }
     };
     vec![
-        whatif("baseline", false, false, |_| {}),
-        whatif("resumption", true, false, |_| {}),
-        whatif("0rtt", true, true, |_| {}),
-        whatif("tfo", false, false, |o| o.tfo = true),
-        whatif("keepalive", false, false, |o| o.keepalive = true),
-        whatif("doh3", false, false, |o| o.doh3 = true),
+        whatif("baseline", false, |_| {}),
+        whatif("resumption", true, |_| {}),
+        whatif("0rtt", true, |c| c.zero_rtt = true),
+        whatif("tfo", false, |c| c.tfo = true),
+        whatif("keepalive", false, |c| c.keepalive = true),
+        whatif("doh3", false, |c| *c = DOH3),
     ]
 }
 

@@ -883,8 +883,14 @@ impl QuicConnection {
     fn process_crypto(&mut self, now: SimTime, epoch: usize) {
         let bytes = self.spaces[epoch].crypto_rx.take();
         self.spaces[epoch].hs_partial.extend_from_slice(&bytes);
-        // Decode until a partial message remains (wait for more CRYPTO data).
-        while let Some((msg, used)) = HandshakeMessage::decode(&self.spaces[epoch].hs_partial) {
+        // Decode until a partial message remains (wait for more CRYPTO
+        // data); a whole message that does not parse fails the handshake.
+        loop {
+            let (msg, used) = match HandshakeMessage::decode(&self.spaces[epoch].hs_partial) {
+                Ok(Some(decoded)) => decoded,
+                Ok(None) => break,
+                Err(_) => return self.hs_fail("malformed handshake message"),
+            };
             self.spaces[epoch].hs_partial.drain(..used);
             self.on_handshake_message(now, msg);
             if self.hs == HsState::Failed || self.draining {

@@ -68,6 +68,9 @@ pub enum TlsError {
     NoCommonAlpn,
     UnexpectedMessage(&'static str),
     PeerAlert(u8),
+    /// Bytes from the peer that cannot be a record or a handshake
+    /// message (RFC 8446's `decode_error`).
+    Malformed(&'static str),
 }
 
 impl std::fmt::Display for TlsError {
@@ -77,11 +80,71 @@ impl std::fmt::Display for TlsError {
             TlsError::NoCommonAlpn => write!(f, "no common ALPN protocol"),
             TlsError::UnexpectedMessage(m) => write!(f, "unexpected message: {m}"),
             TlsError::PeerAlert(c) => write!(f, "peer sent fatal alert {c}"),
+            TlsError::Malformed(what) => write!(f, "malformed {what}"),
         }
     }
 }
 
 impl std::error::Error for TlsError {}
+
+/// What the record layer hands an endpoint.
+enum Inbound<'a> {
+    Handshake(HandshakeMessage),
+    AppData(&'a [u8]),
+    FatalAlert(u8),
+}
+
+/// The record loop both endpoints share. Appends `data` to `rec_buf`,
+/// decodes every whole record in place, reassembles handshake messages
+/// through `hs_in`, and hands each message, application-data plaintext
+/// and fatal alert to `on_input` for as long as it returns true (the
+/// endpoint has not failed). The consumed prefix is dropped once per
+/// call. Malformed input — a record or a handshake message that does
+/// not parse — returns its error at once, so the endpoint fails instead
+/// of waiting for bytes that would never complete it (and, failed,
+/// reads nothing more).
+fn read_records(
+    rec_buf: &mut Vec<u8>,
+    hs_in: &mut HandshakeReader,
+    data: &[u8],
+    mut on_input: impl FnMut(Inbound<'_>) -> bool,
+) -> Result<(), TlsError> {
+    rec_buf.extend_from_slice(data);
+    let mut pos = 0;
+    while let Some((rec, used)) = TlsRecord::decode(&rec_buf[pos..])? {
+        pos += used;
+        let alive = match rec {
+            TlsRecord::Alert { fatal: true, code } => on_input(Inbound::FatalAlert(code)),
+            TlsRecord::PlainHandshake(bytes)
+            | TlsRecord::Encrypted {
+                inner_type: 22,
+                plaintext: bytes,
+            } => {
+                hs_in.push(bytes);
+                let mut alive = true;
+                while alive {
+                    let Some(msg) = hs_in.next_message()? else {
+                        break;
+                    };
+                    alive = on_input(Inbound::Handshake(msg));
+                }
+                alive
+            }
+            TlsRecord::Encrypted {
+                inner_type: 23,
+                plaintext,
+            } => on_input(Inbound::AppData(plaintext)),
+            TlsRecord::Alert { .. } | TlsRecord::ChangeCipherSpec | TlsRecord::Encrypted { .. } => {
+                true
+            }
+        };
+        if !alive {
+            break;
+        }
+    }
+    rec_buf.drain(..pos);
+    Ok(())
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ClientState {
@@ -193,54 +256,29 @@ impl TlsClient {
     }
 
     /// Feed bytes received from the transport. Records are decoded in
-    /// place; the consumed prefix is dropped once per call.
+    /// place and the consumed prefix is dropped once per call; input
+    /// that cannot be a record or a handshake message fails the
+    /// endpoint with [`TlsError::Malformed`].
     pub fn read_wire(&mut self, now: SimTime, data: &[u8]) {
         if self.state == ClientState::Failed {
             return;
         }
-        let mut buf = std::mem::take(&mut self.rec_buf);
-        buf.extend_from_slice(data);
-        let mut pos = 0;
-        while let Some((rec, used)) = TlsRecord::decode(&buf[pos..]) {
-            pos += used;
-            self.on_record(now, rec);
-            if self.state == ClientState::Failed {
-                break;
-            }
-        }
-        buf.drain(..pos);
-        self.rec_buf = buf;
-    }
-
-    fn on_record(&mut self, now: SimTime, rec: TlsRecord<'_>) {
-        match rec {
-            TlsRecord::Alert { fatal, code } => {
-                if fatal {
+        let mut rec_buf = std::mem::take(&mut self.rec_buf);
+        let mut hs_in = std::mem::take(&mut self.hs_in);
+        let read = read_records(&mut rec_buf, &mut hs_in, data, |input| {
+            match input {
+                Inbound::Handshake(msg) => self.on_handshake(now, msg),
+                Inbound::AppData(plaintext) => self.app_rx.extend_from_slice(plaintext),
+                Inbound::FatalAlert(code) => {
                     self.error.get_or_insert(TlsError::PeerAlert(code));
                     self.state = ClientState::Failed;
                 }
             }
-            TlsRecord::ChangeCipherSpec => {}
-            TlsRecord::PlainHandshake(bytes)
-            | TlsRecord::Encrypted {
-                inner_type: 22,
-                plaintext: bytes,
-            } => {
-                self.hs_in.push(bytes);
-                while let Some(msg) = self.hs_in.next_message() {
-                    self.on_handshake(now, msg);
-                    if self.state == ClientState::Failed {
-                        return;
-                    }
-                }
-            }
-            TlsRecord::Encrypted {
-                inner_type: 23,
-                plaintext,
-            } => {
-                self.app_rx.extend_from_slice(plaintext);
-            }
-            TlsRecord::Encrypted { .. } => {}
+            self.state != ClientState::Failed
+        });
+        (self.rec_buf, self.hs_in) = (rec_buf, hs_in);
+        if let Err(e) = read {
+            self.fail(e);
         }
     }
 
@@ -490,60 +528,39 @@ impl TlsServer {
     }
 
     /// Feed bytes received from the transport. Records are decoded in
-    /// place; the consumed prefix is dropped once per call.
+    /// place and the consumed prefix is dropped once per call; input
+    /// that cannot be a record or a handshake message fails the
+    /// endpoint with [`TlsError::Malformed`].
     pub fn read_wire(&mut self, now: SimTime, data: &[u8]) {
         if self.state == ServerState::Failed {
             return;
         }
-        let mut buf = std::mem::take(&mut self.rec_buf);
-        buf.extend_from_slice(data);
-        let mut pos = 0;
-        while let Some((rec, used)) = TlsRecord::decode(&buf[pos..]) {
-            pos += used;
-            self.on_record(now, rec);
-            if self.state == ServerState::Failed {
-                break;
-            }
-        }
-        buf.drain(..pos);
-        self.rec_buf = buf;
-    }
-
-    fn on_record(&mut self, now: SimTime, rec: TlsRecord<'_>) {
-        match rec {
-            TlsRecord::Alert { fatal, code } => {
-                if fatal {
+        let mut rec_buf = std::mem::take(&mut self.rec_buf);
+        let mut hs_in = std::mem::take(&mut self.hs_in);
+        let read = read_records(&mut rec_buf, &mut hs_in, data, |input| {
+            match input {
+                Inbound::Handshake(msg) => self.on_handshake(now, msg),
+                Inbound::AppData(plaintext) => {
+                    if self.state == ServerState::Connected {
+                        self.app_rx.extend_from_slice(plaintext);
+                    } else if self.early_accepted {
+                        self.early_rx.extend_from_slice(plaintext);
+                    }
+                    // Otherwise: early data we did not accept — in real
+                    // TLS it is undecryptable and skipped; the client
+                    // replays.
+                }
+                Inbound::FatalAlert(code) => {
                     self.error.get_or_insert(TlsError::PeerAlert(code));
                     self.state = ServerState::Failed;
                 }
             }
-            TlsRecord::ChangeCipherSpec => {}
-            TlsRecord::PlainHandshake(bytes)
-            | TlsRecord::Encrypted {
-                inner_type: 22,
-                plaintext: bytes,
-            } => {
-                self.hs_in.push(bytes);
-                while let Some(msg) = self.hs_in.next_message() {
-                    self.on_handshake(now, msg);
-                    if self.state == ServerState::Failed {
-                        return;
-                    }
-                }
-            }
-            TlsRecord::Encrypted {
-                inner_type: 23,
-                plaintext,
-            } => {
-                if self.state == ServerState::Connected {
-                    self.app_rx.extend_from_slice(plaintext);
-                } else if self.early_accepted {
-                    self.early_rx.extend_from_slice(plaintext);
-                }
-                // Otherwise: early data we did not accept — in real TLS
-                // it is undecryptable and skipped; the client replays.
-            }
-            TlsRecord::Encrypted { .. } => {}
+            self.state != ServerState::Failed
+        });
+        (self.rec_buf, self.hs_in) = (rec_buf, hs_in);
+        if let Err(e) = read {
+            self.error = Some(e);
+            self.state = ServerState::Failed;
         }
     }
 
@@ -1062,5 +1079,39 @@ mod tests {
             }
         }
         assert!(c.is_connected() && s.is_connected());
+    }
+
+    #[test]
+    fn malformed_input_fails_the_endpoint_instead_of_stalling_it() {
+        // After the handshake, bytes that can never complete a record —
+        // an encrypted record shorter than its AEAD overhead, an unknown
+        // content type, a whole handshake message that does not parse —
+        // and then a well-formed record. Each endpoint must fail with a
+        // decode error, not buffer the good record behind the bad bytes
+        // forever.
+        let garbage: [&[u8]; 3] = [
+            &[23, 3, 3, 0, 1, 0],
+            &[99, 3, 3, 0, 2, 0, 0],
+            &[22, 3, 3, 0, 5, 255, 0, 0, 1, 7],
+        ];
+        for bad in garbage {
+            let mut c = TlsClient::new(cfg_client(&["dot"]), None);
+            let mut s = TlsServer::new(cfg_server(&["dot"]));
+            c.start(SimTime::ZERO);
+            run(&mut c, &mut s);
+            assert!(c.is_connected() && s.is_connected());
+
+            s.read_wire(SimTime::ZERO, bad);
+            c.write_app(b"query");
+            s.read_wire(SimTime::ZERO, &c.take_output());
+            assert!(s.read_app().as_slice().is_empty(), "{bad:?}");
+            assert!(matches!(s.error(), Some(TlsError::Malformed(_))), "{bad:?}");
+
+            c.read_wire(SimTime::ZERO, bad);
+            s.write_app(b"answer");
+            c.read_wire(SimTime::ZERO, &s.take_output());
+            assert!(c.read_app().as_slice().is_empty(), "{bad:?}");
+            assert!(matches!(c.error(), Some(TlsError::Malformed(_))), "{bad:?}");
+        }
     }
 }

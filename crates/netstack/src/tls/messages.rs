@@ -8,6 +8,7 @@
 //! QUIC amplification limit, Table 1's byte accounting, and TCP
 //! segmentation of the certificate flight.
 
+use crate::tls::engine::TlsError;
 use crate::tls::session::SessionTicket;
 #[cfg(test)]
 use doqlab_simnet::Duration;
@@ -124,16 +125,19 @@ impl<'a> TlsRecord<'a> {
         }
     }
 
-    /// Parse one record from the front of `buf`, borrowing its payload;
-    /// returns the record and bytes consumed, or `None` if incomplete.
-    pub fn decode(buf: &'a [u8]) -> Option<(TlsRecord<'a>, usize)> {
+    /// Parse one record from the front of `buf`, borrowing its payload:
+    /// the record and bytes consumed, `Ok(None)` while the record is
+    /// incomplete, or an error for bytes that cannot be a record (an
+    /// unknown content type, an encrypted record shorter than its AEAD
+    /// overhead).
+    pub fn decode(buf: &'a [u8]) -> Result<Option<(TlsRecord<'a>, usize)>, TlsError> {
         if buf.len() < 5 {
-            return None;
+            return Ok(None);
         }
         let ctype = buf[0];
         let len = u16::from_be_bytes([buf[3], buf[4]]) as usize;
         if buf.len() < 5 + len {
-            return None;
+            return Ok(None);
         }
         let payload = &buf[5..5 + len];
         let rec = match ctype {
@@ -145,7 +149,7 @@ impl<'a> TlsRecord<'a> {
             },
             CT_APPLICATION_DATA => {
                 if payload.len() < RECORD_OVERHEAD {
-                    return None;
+                    return Err(TlsError::Malformed("record shorter than its AEAD overhead"));
                 }
                 let plaintext_end = payload.len() - RECORD_OVERHEAD;
                 TlsRecord::Encrypted {
@@ -153,9 +157,9 @@ impl<'a> TlsRecord<'a> {
                     plaintext: &payload[..plaintext_end],
                 }
             }
-            _ => return None,
+            _ => return Err(TlsError::Malformed("record content type")),
         };
-        Some((rec, 5 + len))
+        Ok(Some((rec, 5 + len)))
     }
 }
 
@@ -321,19 +325,22 @@ impl HandshakeMessage {
         }
     }
 
-    /// Parse one message from the front of `buf`; `None` if incomplete.
-    pub fn decode(buf: &[u8]) -> Option<(HandshakeMessage, usize)> {
+    /// Parse one message from the front of `buf`: the message and bytes
+    /// consumed, `Ok(None)` while it is incomplete, or an error for a
+    /// whole message that does not parse.
+    pub fn decode(buf: &[u8]) -> Result<Option<(HandshakeMessage, usize)>, TlsError> {
         if buf.len() < 4 {
-            return None;
+            return Ok(None);
         }
         let typ = buf[0];
         let len = u32::from_be_bytes([0, buf[1], buf[2], buf[3]]) as usize;
         if buf.len() < 4 + len {
-            return None;
+            return Ok(None);
         }
         let body = &buf[4..4 + len];
-        let payload = Self::decode_body(typ, body)?;
-        Some((HandshakeMessage { payload }, 4 + len))
+        let payload =
+            Self::decode_body(typ, body).ok_or(TlsError::Malformed("handshake message"))?;
+        Ok(Some((HandshakeMessage { payload }, 4 + len)))
     }
 
     fn decode_body(typ: u8, b: &[u8]) -> Option<HandshakePayload> {
@@ -429,10 +436,14 @@ impl HandshakeReader {
         self.buf.extend_from_slice(data);
     }
 
-    pub fn next_message(&mut self) -> Option<HandshakeMessage> {
-        let (msg, used) = HandshakeMessage::decode(&self.buf)?;
+    /// The next whole message, `Ok(None)` until one is buffered, or the
+    /// error of one that does not parse.
+    pub fn next_message(&mut self) -> Result<Option<HandshakeMessage>, TlsError> {
+        let Some((msg, used)) = HandshakeMessage::decode(&self.buf)? else {
+            return Ok(None);
+        };
         self.buf.drain(..used);
-        Some(msg)
+        Ok(Some(msg))
     }
 }
 
@@ -457,7 +468,7 @@ mod tests {
     fn roundtrip(msg: HandshakeMessage) -> HandshakeMessage {
         let mut buf = Vec::new();
         msg.encode(&mut buf);
-        let (out, used) = HandshakeMessage::decode(&buf).expect("decodes");
+        let (out, used) = HandshakeMessage::decode(&buf).unwrap().expect("whole");
         assert_eq!(used, buf.len());
         out
     }
@@ -560,7 +571,7 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             rec.encode(&mut buf);
-            let (out, used) = TlsRecord::decode(&buf).expect("decodes");
+            let (out, used) = TlsRecord::decode(&buf).unwrap().expect("whole");
             assert_eq!(used, buf.len());
             assert_eq!(out, rec);
         }
@@ -578,7 +589,7 @@ mod tests {
         let mut buf = Vec::new();
         TlsRecord::encode_app_data(&[0; 100], &mut buf);
         for cut in [0, 3, 50, buf.len() - 1] {
-            assert!(TlsRecord::decode(&buf[..cut]).is_none(), "cut = {cut}");
+            assert_eq!(TlsRecord::decode(&buf[..cut]), Ok(None), "cut = {cut}");
         }
     }
 
@@ -590,13 +601,13 @@ mod tests {
         let mut reader = HandshakeReader::new();
         let mid = wire.len() / 2;
         reader.push(&wire[..mid]);
-        let first = reader.next_message();
+        let first = reader.next_message().unwrap();
         reader.push(&wire[mid..]);
         let mut got = Vec::new();
         if let Some(m) = first {
             got.push(m);
         }
-        while let Some(m) = reader.next_message() {
+        while let Some(m) = reader.next_message().unwrap() {
             got.push(m);
         }
         assert_eq!(got.len(), 2);
@@ -605,8 +616,9 @@ mod tests {
     }
 
     #[test]
-    fn garbage_decodes_to_none_not_panic() {
-        assert!(HandshakeMessage::decode(&[255, 0, 0, 1, 7]).is_none());
-        assert!(TlsRecord::decode(&[99, 3, 3, 0, 1, 0]).is_none());
+    fn garbage_is_malformed_not_incomplete() {
+        assert!(HandshakeMessage::decode(&[255, 0, 0, 1, 7]).is_err());
+        assert!(TlsRecord::decode(&[99, 3, 3, 0, 1, 0]).is_err());
+        assert!(TlsRecord::decode(&[23, 3, 3, 0, 1, 0]).is_err());
     }
 }

@@ -18,7 +18,7 @@
 
 use doqlab_core::cli::{Flags, STUDY_FLAGS};
 use doqlab_core::measure::report;
-use doqlab_core::measure::{impairments, mobility, whatif, Regime, WebperfSample};
+use doqlab_core::measure::{impairments, mobility, whatif, Regime, WebperfCampaign, WebperfSample};
 use doqlab_core::simnet::Duration;
 use doqlab_core::telemetry::metrics;
 use doqlab_core::Study;
@@ -198,7 +198,8 @@ fn run_mobility(study: &Study) {
 }
 
 /// The what-if sweep plus its Web half, which pairs `web` (the plain
-/// webperf samples, run here when not given) with a DoH3 re-run.
+/// webperf samples, run here when not given) with a re-run under the
+/// doh3 regime's capabilities.
 fn run_whatif(study: &Study, web: Option<Vec<WebperfSample>>) {
     run_sweep(
         study,
@@ -207,7 +208,10 @@ fn run_whatif(study: &Study, web: Option<Vec<WebperfSample>>) {
         report::render_whatif,
     );
     let base = web.unwrap_or_else(|| study.run_webperf());
-    let doh3 = study.run_webperf_doh3();
+    let doh3 = study.run_webperf_campaign(&WebperfCampaign {
+        caps: whatif::DOH3,
+        ..study.webperf_campaign()
+    });
     println!(
         "{}",
         report::render_whatif_web(&report::whatif_web_rows(&base, &doh3))

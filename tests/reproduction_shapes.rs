@@ -4,7 +4,7 @@
 
 use doqlab_core::dox::DnsTransport;
 use doqlab_core::measure::report::{fig4, overview, relative_to_baseline, table1};
-use doqlab_core::measure::{median, Scale};
+use doqlab_core::measure::{median, Regime, Scale};
 use doqlab_core::Study;
 
 fn small_study(seed: u64) -> Study {
@@ -167,8 +167,6 @@ fn zero_rtt_study_closes_the_gap_to_doudp() {
         },
         ..small_study(3)
     };
-    let mut upgraded = base.clone();
-    upgraded.zero_rtt_resolvers = true;
     let total = |samples: &[doqlab_core::measure::SingleQuerySample], t: DnsTransport| {
         median(
             &samples
@@ -180,7 +178,13 @@ fn zero_rtt_study_closes_the_gap_to_doudp() {
         .unwrap()
     };
     let s_base = base.run_single_query();
-    let s_up = upgraded.run_single_query();
+    let mut zero_rtt = Regime::baseline();
+    zero_rtt.options.caps.zero_rtt = true;
+    let s_up: Vec<_> = base
+        .run_sweep(vec![zero_rtt])
+        .into_iter()
+        .map(|s| s.sample)
+        .collect();
     let udp = total(&s_base, DnsTransport::DoUdp);
     let doq_now = total(&s_base, DnsTransport::DoQ);
     let doq_0rtt = total(&s_up, DnsTransport::DoQ);
