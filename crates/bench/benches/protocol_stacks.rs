@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use doqlab_dnswire::{framing, Message, Name, RData, RecordType, ResourceRecord};
 use doqlab_netstack::http2::{HpackDecoder, HpackEncoder};
-use doqlab_netstack::quic::{read_varint, write_varint, Frame};
+use doqlab_netstack::quic::{read_varint, write_varint, AckRanges, Frame};
 
 fn dns_codec(c: &mut Criterion) {
     let query = Message::query(7, Name::parse("www.google.com").unwrap(), RecordType::A);
@@ -70,16 +70,16 @@ fn quic_primitives(c: &mut Criterion) {
     let frames = vec![
         Frame::Crypto {
             offset: 0,
-            data: vec![0; 900],
+            data: &[0; 900],
         },
         Frame::Ack {
-            ranges: vec![(9, 7), (4, 0)],
+            ranges: AckRanges::new(&[(9, 7), (4, 0)]),
             delay: 0,
         },
         Frame::Stream {
             id: 0,
             offset: 0,
-            data: vec![0; 120],
+            data: &[0; 120],
             fin: true,
         },
         Frame::Padding(100),
@@ -89,8 +89,8 @@ fn quic_primitives(c: &mut Criterion) {
         f.encode(&mut payload);
     }
     group.throughput(Throughput::Bytes(payload.len() as u64));
-    group.bench_function("frame_decode_all", |b| {
-        b.iter(|| Frame::decode_all(black_box(&payload)).unwrap())
+    group.bench_function("frame_parse", |b| {
+        b.iter(|| Frame::parse(black_box(&payload)).unwrap().count())
     });
     group.finish();
 }

@@ -90,7 +90,7 @@ fn probe_payload() -> Vec<u8> {
         *b"zmapscan",
         *b"scansrc0",
         0,
-        vec![0; 40],
+        &[0; 40],
     );
     let mut buf = Vec::new();
     pkt.encode(&mut buf);

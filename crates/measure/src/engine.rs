@@ -25,6 +25,13 @@
 
 use std::sync::Mutex;
 
+/// Bytes of the spare block [`run_units`] takes just before its result
+/// slots and frees right after them: room below the results for what
+/// its caller allocates while it still holds them. Below glibc's
+/// starting `mmap` threshold (128 KiB), which only ever rises, so it
+/// always comes from the heap.
+const SPARE_BELOW_RESULTS: usize = 64 << 10;
+
 /// Mix a campaign seed and a unit coordinate tuple into the unit's RNG
 /// seed (splitmix64-style finalization per part). Hashing every part —
 /// rather than packing parts into one integer — means coordinates can
@@ -123,7 +130,19 @@ where
     S: Send,
 {
     let threads = threads.max(1).min(units.len().max(1));
+    // The slots are the call's one grid-sized block, taken from the top
+    // of the calling thread's heap. A block the caller allocates while
+    // it still holds the results (a timing record, an aggregate) would
+    // otherwise come from the top too, right above them; once the
+    // results are freed, their space could not rejoin the top, the next
+    // small allocations would split it, and the next call's slots would
+    // go above, so peak RSS would read one grid higher in some runs of
+    // a repeated sweep. A spare block freed once the slots exist leaves
+    // that room below them. `black_box` keeps the compiler from
+    // eliding the unused allocation.
+    let spare = std::hint::black_box(Vec::<u8>::with_capacity(SPARE_BELOW_RESULTS));
     let mut slots: Vec<Option<S>> = Vec::with_capacity(units.len());
+    drop(spare);
     slots.resize_with(units.len(), || None);
     {
         // The queue hands out each unit with its result slot. A

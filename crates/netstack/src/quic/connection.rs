@@ -7,14 +7,14 @@
 //! with a packet-reordering threshold, per RFC 9002, with the 1 s
 //! initial timeout the paper cites.
 
-use super::frame::Frame;
-use super::packet::{Packet, PacketType, VersionNegotiation, CID_LEN};
+use super::frame::{AckRanges, Frame};
+use super::packet::{encode_tag, Packet, PacketType, VersionNegotiation, CID_LEN};
 use super::{draft_version, AMPLIFICATION_FACTOR, MIN_INITIAL_SIZE, PACKET_TAG_LEN, QUIC_V1};
 use crate::tls::{HandshakeMessage, HandshakePayload, SessionTicket, TlsConfig, TlsVersion};
-use doqlab_simnet::{Duration, SimRng, SimTime, SocketAddr};
+use doqlab_simnet::{Duration, PayloadBuf, SimRng, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
 use doqlab_telemetry::{sink, Event};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// qlog packet-type label.
 fn ptype_str(ptype: PacketType) -> &'static str {
@@ -97,12 +97,14 @@ const EPOCH_APP: usize = 2;
 /// Probe retransmissions before a path validation attempt is abandoned.
 const PATH_PROBE_MAX_RETRIES: u32 = 5;
 
-/// Offset-indexed send buffer with loss retransmission.
+/// Offset-indexed send buffer with loss retransmission. `data` keeps
+/// every byte ever queued, so a lost range is sent again from it.
 #[derive(Debug, Default)]
 struct SendBuf {
     data: Vec<u8>,
     next: u64,
-    retx: BTreeMap<u64, Vec<u8>>,
+    /// Lost ranges to send again: offset to length.
+    retx: BTreeMap<u64, usize>,
 }
 
 impl SendBuf {
@@ -110,19 +112,18 @@ impl SendBuf {
         self.data.extend_from_slice(bytes);
     }
 
-    /// Next chunk to transmit (retransmissions first), at most `max`
-    /// bytes.
-    fn next_chunk(&mut self, max: usize) -> Option<(u64, Vec<u8>)> {
+    /// Next range to transmit (retransmissions first), at most `max`
+    /// bytes: its offset and length.
+    fn next_chunk(&mut self, max: usize) -> Option<(u64, usize)> {
         if max == 0 {
             return None;
         }
-        if let Some((&off, _)) = self.retx.first_key_value() {
-            let chunk = self.retx.remove(&off).expect("peeked");
-            if chunk.len() > max {
-                self.retx.insert(off + max as u64, chunk[max..].to_vec());
-                return Some((off, chunk[..max].to_vec()));
+        if let Some((off, len)) = self.retx.pop_first() {
+            if len > max {
+                self.retx.insert(off + max as u64, len - max);
+                return Some((off, max));
             }
-            return Some((off, chunk));
+            return Some((off, len));
         }
         let avail = self.data.len() as u64 - self.next;
         if avail == 0 {
@@ -130,13 +131,21 @@ impl SendBuf {
         }
         let n = (avail as usize).min(max);
         let off = self.next;
-        let chunk = self.data[off as usize..off as usize + n].to_vec();
         self.next += n as u64;
-        Some((off, chunk))
+        Some((off, n))
     }
 
-    fn on_lost(&mut self, offset: u64, data: Vec<u8>) {
-        self.retx.entry(offset).or_insert(data);
+    fn on_lost(&mut self, offset: u64, len: usize) {
+        self.retx.entry(offset).or_insert(len);
+    }
+
+    fn bytes(&self, offset: u64, len: usize) -> &[u8] {
+        &self.data[offset as usize..offset as usize + len]
+    }
+
+    /// Bytes are waiting to be sent or sent again.
+    fn has_pending(&self) -> bool {
+        !self.retx.is_empty() || self.next < self.data.len() as u64
     }
 }
 
@@ -202,13 +211,82 @@ impl Stream {
     fn rx_complete(&self) -> bool {
         self.rx_fin.is_some_and(|f| self.recv.next >= f)
     }
+
+    /// Bytes or a FIN are waiting to be sent.
+    fn has_output(&self) -> bool {
+        self.send.has_pending() || (self.fin_queued && !self.fin_sent)
+    }
+}
+
+/// One frame of a datagram being built, or of a sent packet's record,
+/// named by where its bytes live instead of holding them: CRYPTO and
+/// STREAM data are ranges of a send buffer, an ACK lists its space's
+/// received packet numbers, and NEW_TOKEN carries the token minted for
+/// the peer.
+#[derive(Debug, Clone, Copy)]
+enum Item {
+    Ack,
+    Ping,
+    Padding(usize),
+    Crypto {
+        offset: u64,
+        len: usize,
+    },
+    Stream {
+        id: u64,
+        offset: u64,
+        len: usize,
+        fin: bool,
+    },
+    NewToken,
+    HandshakeDone,
+    PathChallenge([u8; 8]),
+    PathResponse([u8; 8]),
+    Close(u64),
+}
+
+impl Item {
+    fn is_ack_eliciting(&self) -> bool {
+        !matches!(self, Item::Padding(_) | Item::Ack | Item::Close(_))
+    }
 }
 
 #[derive(Debug)]
 struct SentPacket {
     time: SimTime,
     ack_eliciting: bool,
-    frames: Vec<Frame>,
+    /// The packet's frames, for what to send again if it is lost.
+    frames: Vec<Item>,
+}
+
+/// A set of packet numbers as disjoint inclusive `(hi, lo)` ranges,
+/// highest first, with at least one missing number between neighbours:
+/// the list an ACK frame carries.
+#[derive(Debug, Default)]
+struct PnRanges(Vec<(u64, u64)>);
+
+impl PnRanges {
+    /// Add `pn`; false if it was already present.
+    fn insert(&mut self, pn: u64) -> bool {
+        let r = &mut self.0;
+        // The first range reaching down to `pn` or below it.
+        let i = r.partition_point(|&(_, lo)| lo > pn);
+        if i < r.len() && pn <= r[i].0 {
+            return false;
+        }
+        let joins_lower = i < r.len() && r[i].0 + 1 == pn;
+        let joins_upper = i > 0 && r[i - 1].1 == pn + 1;
+        match (joins_upper, joins_lower) {
+            (true, true) => {
+                r[i - 1].1 = r[i].1;
+                r.remove(i);
+            }
+            (true, false) => r[i - 1].1 = pn,
+            (false, true) => r[i].0 = pn,
+            (false, false) => r.insert(i, (pn, pn)),
+        }
+        true
+    }
 }
 
 #[derive(Debug, Default)]
@@ -216,26 +294,12 @@ struct Space {
     next_pn: u64,
     sent: BTreeMap<u64, SentPacket>,
     /// Every pn we have received (for ACK frames and dedup).
-    received: BTreeSet<u64>,
+    received: PnRanges,
     ack_owed: bool,
     crypto_tx: SendBuf,
+    /// Reassembled handshake bytes; `assembled` holds those not yet
+    /// forming a complete message.
     crypto_rx: RecvBuf,
-    /// Contiguous handshake bytes not yet forming a complete message.
-    hs_partial: Vec<u8>,
-}
-
-impl Space {
-    /// Build descending ACK ranges from the received set.
-    fn ack_ranges(&self) -> Vec<(u64, u64)> {
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        for &pn in self.received.iter().rev() {
-            match ranges.last_mut() {
-                Some((_hi, lo)) if *lo == pn + 1 => *lo = pn,
-                _ => ranges.push((pn, pn)),
-            }
-        }
-        ranges
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,6 +334,8 @@ pub struct QuicConnection {
     next_uni_stream_id: u64,
     /// Stream ids this endpoint opened (anything else is peer-opened).
     locally_opened: std::collections::HashSet<u64>,
+    /// Ids of the streams with bytes or a FIN to send, ascending.
+    sending: Vec<u64>,
     /// Streams opened by the peer not yet handed to the application.
     new_peer_streams: VecDeque<u64>,
     hs: HsState,
@@ -286,7 +352,9 @@ pub struct QuicConnection {
     tickets_rx: Vec<SessionTicket>,
     early_permitted: bool,
     early_accepted: Option<bool>,
-    early_stream_frames: Vec<(u64, u64, Vec<u8>, bool)>,
+    /// 0-RTT STREAM frames sent, `(id, offset, length, fin)`, replayed
+    /// in 1-RTT if the server rejects early data.
+    early_stream_frames: Vec<(u64, u64, usize, bool)>,
     resumed: bool,
 
     // Address validation / amplification (server).
@@ -328,6 +396,14 @@ pub struct QuicConnection {
     pto_deadline: Option<SimTime>,
     /// Statistics: version negotiation round trips observed.
     pub vn_round_trips: u32,
+
+    // Output.
+    /// Datagrams built by the last poll, drained by the caller.
+    tx: Vec<PayloadBuf>,
+    /// The frames of the datagram being built, reused.
+    plan: Vec<Item>,
+    /// Emptied sent-packet records, reused.
+    spare_records: Vec<Vec<Item>>,
 }
 
 impl QuicConnection {
@@ -391,6 +467,7 @@ impl QuicConnection {
             next_stream_id: 0,
             next_uni_stream_id: 0,
             locally_opened: std::collections::HashSet::new(),
+            sending: Vec::new(),
             new_peer_streams: VecDeque::new(),
             hs: HsState::Initial,
             established_at: None,
@@ -428,6 +505,9 @@ impl QuicConnection {
             idle_deadline: Some(now + max_idle),
             pto_deadline: None,
             vn_round_trips: 0,
+            tx: Vec::new(),
+            plan: Vec::new(),
+            spare_records: Vec::new(),
         }
     }
 
@@ -446,10 +526,10 @@ impl QuicConnection {
             // ~100 bytes of QUIC transport parameters.
             pad: 100 + self.cfg.tls.extra_client_hello_pad,
         };
-        let mut bytes = Vec::new();
-        HandshakeMessage::new(ch).encode(&mut bytes);
-        self.spaces[EPOCH_INITIAL].crypto_tx.queue(&bytes);
-        let flight_len = bytes.len();
+        let crypto = &mut self.spaces[EPOCH_INITIAL].crypto_tx.data;
+        let before = crypto.len();
+        HandshakeMessage::new(ch).encode(crypto);
+        let flight_len = crypto.len() - before;
         sink::emit(now.as_nanos(), || Event::TlsFlightSent {
             flight: "client_hello",
             bytes: flight_len,
@@ -533,6 +613,7 @@ impl QuicConnection {
         if fin {
             stream.fin_queued = true;
         }
+        mark_sending(&mut self.sending, id);
     }
 
     /// Read assembled stream data; `bool` reports whether the peer
@@ -668,7 +749,7 @@ impl QuicConnection {
         self.start_handshake(now);
     }
 
-    fn on_packet(&mut self, now: SimTime, pkt: Packet) {
+    fn on_packet(&mut self, now: SimTime, pkt: Packet<'_>) {
         let (ptype, size) = (ptype_str(pkt.ptype), pkt.payload.len());
         sink::emit(now.as_nanos(), || Event::QuicPacketReceived { ptype, size });
         metrics::count(Counter::QuicPacketsReceived, 1);
@@ -679,7 +760,7 @@ impl QuicConnection {
                 sink::emit(now.as_nanos(), || Event::QuicStateUpdated {
                     state: "retry_received",
                 });
-                self.token = Some(pkt.token);
+                self.token = Some(pkt.token.to_vec());
                 let v = self.version;
                 self.restart_with_version(now, v);
             }
@@ -704,7 +785,7 @@ impl QuicConnection {
         if !self.spaces[epoch].received.insert(pkt.packet_number) {
             return; // duplicate
         }
-        let Some(frames) = Frame::decode_all(&pkt.payload) else {
+        let Some(frames) = Frame::parse(pkt.payload) else {
             return;
         };
         let zero_rtt = pkt.ptype == PacketType::ZeroRtt;
@@ -721,17 +802,17 @@ impl QuicConnection {
         }
     }
 
-    fn on_frame(&mut self, now: SimTime, epoch: usize, zero_rtt: bool, frame: Frame) {
+    fn on_frame(&mut self, now: SimTime, epoch: usize, zero_rtt: bool, frame: Frame<'_>) {
         match frame {
             Frame::Padding(_) | Frame::Ping => {}
-            Frame::Ack { ranges, .. } => self.on_ack(now, epoch, &ranges),
+            Frame::Ack { ranges, .. } => self.on_ack(now, epoch, ranges),
             Frame::Crypto { offset, data } => {
-                self.spaces[epoch].crypto_rx.insert(offset, &data);
+                self.spaces[epoch].crypto_rx.insert(offset, data);
                 self.process_crypto(now, epoch);
             }
             Frame::NewToken { token } => {
                 if self.role == Role::Client {
-                    self.new_token_rx = Some(token);
+                    self.new_token_rx = Some(token.to_vec());
                 }
             }
             Frame::Stream {
@@ -746,7 +827,7 @@ impl QuicConnection {
                 }
                 let known = self.streams.contains_key(&id);
                 let stream = self.streams.entry(id).or_default();
-                stream.recv.insert(offset, &data);
+                stream.recv.insert(offset, data);
                 if fin {
                     stream.rx_fin = Some(offset + data.len() as u64);
                 }
@@ -791,20 +872,20 @@ impl QuicConnection {
         }
     }
 
-    fn on_ack(&mut self, now: SimTime, epoch: usize, ranges: &[(u64, u64)]) {
-        let largest = ranges.first().map(|r| r.0);
+    fn on_ack(&mut self, now: SimTime, epoch: usize, ranges: AckRanges<'_>) {
+        let largest = ranges.iter().next().map(|r| r.0);
         let mut newly_acked = false;
         let mut rtt_sample = None;
-        for &(hi, lo) in ranges {
+        for (hi, lo) in ranges.iter() {
             let space = &mut self.spaces[epoch];
-            let acked: Vec<u64> = space.sent.range(lo..=hi).map(|(pn, _)| *pn).collect();
-            for pn in acked {
+            while let Some((&pn, _)) = space.sent.range(lo..=hi).next() {
                 let sp = space.sent.remove(&pn).expect("ranged");
                 newly_acked = true;
                 if Some(pn) == largest && sp.ack_eliciting {
                     // RTT sample from the largest newly acked packet.
                     rtt_sample = Some(now - sp.time);
                 }
+                recycle(&mut self.spare_records, sp.frames);
             }
         }
         if let Some(rtt) = rtt_sample {
@@ -825,13 +906,11 @@ impl QuicConnection {
         // Packet-threshold loss detection: anything 3 packets below the
         // largest acked is lost.
         if let Some(largest) = largest {
-            let lost: Vec<u64> = self.spaces[epoch]
-                .sent
-                .range(..largest.saturating_sub(2))
-                .map(|(pn, _)| *pn)
-                .collect();
-            for pn in lost {
-                let sp = self.spaces[epoch].sent.remove(&pn).expect("ranged");
+            while let Some(entry) = self.spaces[epoch].sent.first_entry() {
+                if *entry.key() >= largest.saturating_sub(2) {
+                    break;
+                }
+                let (pn, sp) = entry.remove_entry();
                 sink::emit(now.as_nanos(), || Event::QuicPacketLost {
                     ptype: epoch_str(epoch),
                     pn,
@@ -843,59 +922,70 @@ impl QuicConnection {
         self.rearm_pto(now);
     }
 
-    fn requeue_lost_frames(&mut self, epoch: usize, frames: Vec<Frame>) {
-        for f in frames {
-            match f {
-                Frame::Crypto { offset, data } => {
-                    self.spaces[epoch].crypto_tx.on_lost(offset, data)
-                }
-                Frame::Stream {
+    /// Queue again what a lost packet carried, reading CRYPTO and
+    /// STREAM bytes back from the send buffers when they go out.
+    fn requeue_lost_frames(&mut self, epoch: usize, frames: Vec<Item>) {
+        for &item in &frames {
+            match item {
+                Item::Crypto { offset, len } => self.spaces[epoch].crypto_tx.on_lost(offset, len),
+                Item::Stream {
                     id,
                     offset,
-                    data,
+                    len,
                     fin,
-                } => {
-                    if let Some(s) = self.streams.get_mut(&id) {
-                        s.send.on_lost(offset, data);
-                        if fin {
-                            s.fin_sent = false;
-                        }
-                    }
-                }
-                Frame::NewToken { .. } => self.new_token_queued = true,
-                Frame::HandshakeDone => self.handshake_done_queued = true,
-                Frame::PathChallenge(_) => {
+                } => self.stream_lost(id, offset, len, fin),
+                Item::NewToken => self.new_token_queued = true,
+                Item::HandshakeDone => self.handshake_done_queued = true,
+                Item::PathChallenge(_) => {
                     // Re-queue only while the validation attempt is
                     // still live (not answered or abandoned since).
                     if self.path_challenge_pending.is_some() {
                         self.path_challenge_queued = true;
                     }
                 }
-                Frame::PathResponse(data) => self.path_response_queued = Some(data),
-                Frame::Ping | Frame::Padding(_) | Frame::Ack { .. } => {}
-                Frame::ConnectionClose { .. } => self.close_sent = false,
+                Item::PathResponse(data) => self.path_response_queued = Some(data),
+                Item::Ping | Item::Padding(_) | Item::Ack => {}
+                Item::Close(_) => self.close_sent = false,
             }
+        }
+        recycle(&mut self.spare_records, frames);
+    }
+
+    /// STREAM data (and its FIN) that did not arrive goes out again.
+    fn stream_lost(&mut self, id: u64, offset: u64, len: usize, fin: bool) {
+        if let Some(s) = self.streams.get_mut(&id) {
+            s.send.on_lost(offset, len);
+            if fin {
+                s.fin_sent = false;
+            }
+            mark_sending(&mut self.sending, id);
         }
     }
 
     // ---- handshake --------------------------------------------------------
 
     fn process_crypto(&mut self, now: SimTime, epoch: usize) {
-        let bytes = self.spaces[epoch].crypto_rx.take();
-        self.spaces[epoch].hs_partial.extend_from_slice(&bytes);
-        // Decode until a partial message remains (wait for more CRYPTO
-        // data); a whole message that does not parse fails the handshake.
-        loop {
-            let (msg, used) = match HandshakeMessage::decode(&self.spaces[epoch].hs_partial) {
-                Ok(Some(decoded)) => decoded,
-                Ok(None) => break,
-                Err(_) => return self.hs_fail("malformed handshake message"),
-            };
-            self.spaces[epoch].hs_partial.drain(..used);
-            self.on_handshake_message(now, msg);
-            if self.hs == HsState::Failed || self.draining {
-                break;
+        // Decode in place from the reassembled bytes until a partial
+        // message remains (wait for more CRYPTO data); a whole message
+        // that does not parse fails the handshake. The decoded prefix
+        // is dropped once, at the end.
+        let mut used = 0;
+        let malformed = loop {
+            match HandshakeMessage::decode(&self.spaces[epoch].crypto_rx.assembled[used..]) {
+                Ok(Some((msg, n))) => {
+                    used += n;
+                    self.on_handshake_message(now, msg);
+                    if self.hs == HsState::Failed || self.draining {
+                        break false;
+                    }
+                }
+                Ok(None) => break false,
+                Err(_) => break true,
             }
+        };
+        self.spaces[epoch].crypto_rx.assembled.drain(..used);
+        if malformed {
+            self.hs_fail("malformed handshake message");
         }
     }
 
@@ -991,13 +1081,8 @@ impl QuicConnection {
                     if !early_data_accepted {
                         // Replay 0-RTT stream data in 1-RTT.
                         let frames = std::mem::take(&mut self.early_stream_frames);
-                        for (id, offset, data, fin) in frames {
-                            if let Some(s) = self.streams.get_mut(&id) {
-                                s.send.on_lost(offset, data);
-                                if fin {
-                                    s.fin_sent = false;
-                                }
-                            }
+                        for (id, offset, len, fin) in frames {
+                            self.stream_lost(id, offset, len, fin);
                         }
                     }
                 }
@@ -1064,9 +1149,7 @@ impl QuicConnection {
     }
 
     fn queue_hs(&mut self, epoch: usize, payload: HandshakePayload) {
-        let mut bytes = Vec::new();
-        HandshakeMessage::new(payload).encode(&mut bytes);
-        self.spaces[epoch].crypto_tx.queue(&bytes);
+        HandshakeMessage::new(payload).encode(&mut self.spaces[epoch].crypto_tx.data);
     }
 
     // ---- timers -----------------------------------------------------------
@@ -1200,80 +1283,70 @@ impl QuicConnection {
 
     // ---- output -----------------------------------------------------------
 
-    /// Build all datagrams that should be transmitted now.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Vec<Vec<u8>> {
-        if self.draining {
-            return Vec::new();
+    /// Build all datagrams that should be transmitted now; the caller
+    /// drains them.
+    pub fn poll_transmit(&mut self, now: SimTime) -> std::vec::Drain<'_, PayloadBuf> {
+        if !self.draining {
+            self.handle_timers(now);
         }
-        self.handle_timers(now);
-        if self.draining {
-            return Vec::new();
-        }
-        let mut datagrams = Vec::new();
-        // Amplification budget (servers, pre-validation).
-        let mut budget = if self.validated {
-            usize::MAX
-        } else {
-            (AMPLIFICATION_FACTOR * self.bytes_received).saturating_sub(self.bytes_sent)
-        };
-        for _ in 0..64 {
-            if budget < 64 {
-                break; // not even room for a minimal packet
+        if !self.draining {
+            // Amplification budget (servers, pre-validation).
+            let mut budget = if self.validated {
+                usize::MAX
+            } else {
+                (AMPLIFICATION_FACTOR * self.bytes_received).saturating_sub(self.bytes_sent)
+            };
+            for _ in 0..64 {
+                if budget < 64 {
+                    break; // not even room for a minimal packet
+                }
+                let Some(dgram) = self.build_datagram(now, budget.min(self.cfg.max_datagram))
+                else {
+                    break;
+                };
+                budget = budget.saturating_sub(dgram.len());
+                self.bytes_sent += dgram.len();
+                self.tx.push(dgram);
             }
-            let dgram = self.build_datagram(now, budget.min(self.cfg.max_datagram));
-            if dgram.is_empty() {
-                break;
-            }
-            budget = budget.saturating_sub(dgram.len());
-            self.bytes_sent += dgram.len();
-            datagrams.push(dgram);
+            self.rearm_pto(now);
         }
-        self.rearm_pto(now);
-        datagrams
+        self.tx.drain(..)
     }
 
-    /// Assemble one datagram of at most `budget` bytes; empty if there
-    /// is nothing to send.
-    fn build_datagram(&mut self, now: SimTime, budget: usize) -> Vec<u8> {
+    /// Assemble one datagram of at most `budget` bytes; `None` if there
+    /// is nothing to send. Frames are chosen first, into `plan`, so the
+    /// datagram's exact size is known before its first byte is written.
+    fn build_datagram(&mut self, now: SimTime, budget: usize) -> Option<PayloadBuf> {
         // Per-epoch long-header overhead (header + pn + tag), generous.
         const LONG_OVERHEAD: usize = 1 + 4 + 2 + 2 * CID_LEN + 8 + 4 + PACKET_TAG_LEN;
         const SHORT_OVERHEAD: usize = 1 + CID_LEN + 4 + PACKET_TAG_LEN;
-        let mut parts: Vec<(PacketType, Vec<Frame>)> = Vec::new();
+        let token = make_token(self.cfg.tls.server_id, self.remote);
+        let mut plan = std::mem::take(&mut self.plan);
+        plan.clear();
+        // Each packet's type and its items, `plan[start..end]`.
+        let mut parts = [(PacketType::Initial, 0, 0); 3];
+        let mut nparts = 0;
         let mut remaining = budget;
         let mut contains_initial = false;
         let mut initial_ack_eliciting = false;
 
         // CONNECTION_CLOSE preempts everything.
         if let Some(code) = self.close_queued {
-            if !self.close_sent {
-                self.close_sent = true;
-                let epoch_type = if self.is_established() {
-                    PacketType::OneRtt
-                } else {
-                    PacketType::Initial
-                };
-                let frames = vec![Frame::ConnectionClose {
-                    error_code: code,
-                    reason: Vec::new(),
-                }];
-                let mut out = Vec::new();
-                self.encode_packet(epoch_type, frames, &mut out);
-                let epoch = if epoch_type == PacketType::OneRtt {
-                    EPOCH_APP
-                } else {
-                    EPOCH_INITIAL
-                };
-                let (pn, size) = (self.spaces[epoch].next_pn - 1, out.len());
-                sink::emit(now.as_nanos(), || Event::QuicPacketSent {
-                    ptype: ptype_str(epoch_type),
-                    pn,
-                    size,
-                });
-                metrics::count(Counter::QuicPacketsSent, 1);
-                self.draining = true;
-                return out;
+            if self.close_sent {
+                self.plan = plan;
+                return None;
             }
-            return Vec::new();
+            self.close_sent = true;
+            let ptype = if self.is_established() {
+                PacketType::OneRtt
+            } else {
+                PacketType::Initial
+            };
+            plan.push(Item::Close(code));
+            let out = self.encode_datagram(now, &[(ptype, 0, 1)], &plan, &token);
+            self.plan = plan;
+            self.draining = true;
+            return Some(out);
         }
 
         // Initial + Handshake epochs: ACKs then CRYPTO.
@@ -1284,37 +1357,40 @@ impl QuicConnection {
             if remaining < LONG_OVERHEAD + 8 {
                 break;
             }
-            let mut frames = Vec::new();
+            let start = plan.len();
+            let mut used = 0;
             if self.spaces[epoch].ack_owed {
-                let ranges = self.spaces[epoch].ack_ranges();
-                if !ranges.is_empty() {
-                    frames.push(Frame::Ack { ranges, delay: 0 });
+                if !self.spaces[epoch].received.0.is_empty() {
+                    used += self.item_len(epoch, Item::Ack, &token);
+                    plan.push(Item::Ack);
                 }
                 self.spaces[epoch].ack_owed = false;
             }
-            let mut frame_budget =
-                remaining - LONG_OVERHEAD - frames.iter().map(|f| f.wire_len()).sum::<usize>();
+            let mut frame_budget = remaining - LONG_OVERHEAD - used;
             while frame_budget > 8 {
                 let max_chunk = frame_budget - 8; // frame header slack
-                let Some((offset, data)) = self.spaces[epoch].crypto_tx.next_chunk(max_chunk)
-                else {
+                let Some((offset, len)) = self.spaces[epoch].crypto_tx.next_chunk(max_chunk) else {
                     break;
                 };
-                let f = Frame::Crypto { offset, data };
-                frame_budget -= f.wire_len().min(frame_budget);
-                frames.push(f);
+                let item = Item::Crypto { offset, len };
+                let n = self.item_len(epoch, item, &token);
+                frame_budget -= n.min(frame_budget);
+                used += n;
+                plan.push(item);
             }
-            if self.ping_queued && epoch == EPOCH_INITIAL && frames.is_empty() {
+            if self.ping_queued && epoch == EPOCH_INITIAL && plan.len() == start {
                 self.ping_queued = false;
-                frames.push(Frame::Ping);
+                used += self.item_len(epoch, Item::Ping, &token);
+                plan.push(Item::Ping);
             }
-            if !frames.is_empty() {
+            if plan.len() > start {
                 if ptype == PacketType::Initial {
                     contains_initial = true;
-                    initial_ack_eliciting |= frames.iter().any(|f| f.is_ack_eliciting());
+                    initial_ack_eliciting |= plan[start..].iter().any(Item::is_ack_eliciting);
                 }
-                remaining -= LONG_OVERHEAD + frames.iter().map(|f| f.wire_len()).sum::<usize>();
-                parts.push((ptype, frames));
+                remaining -= LONG_OVERHEAD + used;
+                parts[nparts] = (ptype, start, plan.len());
+                nparts += 1;
             }
         }
 
@@ -1326,7 +1402,7 @@ impl QuicConnection {
             Role::Client => self.is_established(),
             Role::Server => matches!(self.hs, HsState::WaitFinished | HsState::Done),
         };
-        let app_ptype = if !parts.is_empty() {
+        let app_ptype = if nparts > 0 {
             // Keep 1-RTT/0-RTT data out of datagrams carrying
             // Initial/Handshake packets: those are the handshake phase
             // on the wire (client Initials are padded to 1200 bytes),
@@ -1348,247 +1424,312 @@ impl QuicConnection {
                 LONG_OVERHEAD
             };
             if remaining >= overhead + 8 {
-                let mut frames = Vec::new();
+                let start = plan.len();
                 let mut frame_budget = remaining - overhead;
                 if ptype == PacketType::OneRtt {
                     if self.spaces[EPOCH_APP].ack_owed {
-                        let ranges = self.spaces[EPOCH_APP].ack_ranges();
-                        if !ranges.is_empty() {
-                            frames.push(Frame::Ack { ranges, delay: 0 });
+                        if !self.spaces[EPOCH_APP].received.0.is_empty() {
+                            plan.push(Item::Ack);
                         }
                         self.spaces[EPOCH_APP].ack_owed = false;
                     }
                     if self.handshake_done_queued {
                         self.handshake_done_queued = false;
-                        frames.push(Frame::HandshakeDone);
+                        plan.push(Item::HandshakeDone);
                     }
                     if self.new_token_queued && self.role == Role::Server {
                         self.new_token_queued = false;
-                        frames.push(Frame::NewToken {
-                            token: make_token(self.cfg.tls.server_id, self.remote),
-                        });
+                        plan.push(Item::NewToken);
                     }
                     if let Some(data) = self.path_response_queued.take() {
-                        frames.push(Frame::PathResponse(data));
+                        plan.push(Item::PathResponse(data));
                     }
                     if self.path_challenge_queued {
                         self.path_challenge_queued = false;
                         let data = self.path_challenge_pending.expect("queued implies pending");
-                        frames.push(Frame::PathChallenge(data));
+                        plan.push(Item::PathChallenge(data));
                         let retry = self.path_probe_retries;
                         sink::emit(now.as_nanos(), || Event::QuicPathChallenge { retry });
                         metrics::count(Counter::QuicPathChallenges, 1);
                     }
-                    frame_budget = frame_budget
-                        .saturating_sub(frames.iter().map(|f| f.wire_len()).sum::<usize>());
+                    frame_budget = frame_budget.saturating_sub(self.items_len(
+                        EPOCH_APP,
+                        &plan[start..],
+                        &token,
+                    ));
                     // Post-handshake CRYPTO (session tickets).
                     while frame_budget > 8 {
-                        let Some((offset, data)) = self.spaces[EPOCH_APP]
+                        let Some((offset, len)) = self.spaces[EPOCH_APP]
                             .crypto_tx
                             .next_chunk(frame_budget - 8)
                         else {
                             break;
                         };
-                        let f = Frame::Crypto { offset, data };
-                        frame_budget = frame_budget.saturating_sub(f.wire_len());
-                        frames.push(f);
+                        let item = Item::Crypto { offset, len };
+                        frame_budget =
+                            frame_budget.saturating_sub(self.item_len(EPOCH_APP, item, &token));
+                        plan.push(item);
                     }
                 }
-                // Stream data.
-                let ids: Vec<u64> = self.streams.keys().copied().collect();
-                for id in ids {
+                // Stream data, from the streams that have some, in id
+                // order.
+                let mut i = 0;
+                while i < self.sending.len() {
                     if frame_budget <= 12 {
                         break;
                     }
+                    let id = self.sending[i];
                     loop {
                         if frame_budget <= 12 {
                             break;
                         }
-                        let stream = self.streams.get_mut(&id).expect("listed");
-                        let chunk = stream.send.next_chunk(frame_budget - 12);
-                        match chunk {
-                            Some((offset, data)) => {
-                                let end = offset + data.len() as u64;
+                        let stream = self.streams.get_mut(&id).expect("sending streams exist");
+                        let item = match stream.send.next_chunk(frame_budget - 12) {
+                            Some((offset, len)) => {
+                                let end = offset + len as u64;
                                 let fin = stream.fin_queued && end == stream.send.data.len() as u64;
                                 if fin {
                                     stream.fin_offset = Some(end);
                                     stream.fin_sent = true;
                                 }
-                                let f = Frame::Stream {
+                                if ptype == PacketType::ZeroRtt {
+                                    self.early_stream_frames.push((id, offset, len, fin));
+                                }
+                                Item::Stream {
                                     id,
                                     offset,
-                                    data: data.clone(),
+                                    len,
                                     fin,
-                                };
-                                frame_budget = frame_budget.saturating_sub(f.wire_len());
-                                if ptype == PacketType::ZeroRtt {
-                                    self.early_stream_frames.push((id, offset, data, fin));
                                 }
-                                frames.push(f);
                             }
-                            None => {
-                                // A bare FIN (no data left to carry it).
-                                let stream = self.streams.get_mut(&id).expect("listed");
-                                if stream.fin_queued && !stream.fin_sent {
-                                    let end = stream.send.data.len() as u64;
-                                    stream.fin_offset = Some(end);
-                                    stream.fin_sent = true;
-                                    let f = Frame::Stream {
-                                        id,
-                                        offset: end,
-                                        data: Vec::new(),
-                                        fin: true,
-                                    };
-                                    frame_budget = frame_budget.saturating_sub(f.wire_len());
-                                    frames.push(f);
+                            // A bare FIN (no data left to carry it).
+                            None if stream.fin_queued && !stream.fin_sent => {
+                                let end = stream.send.data.len() as u64;
+                                stream.fin_offset = Some(end);
+                                stream.fin_sent = true;
+                                Item::Stream {
+                                    id,
+                                    offset: end,
+                                    len: 0,
+                                    fin: true,
                                 }
-                                break;
                             }
-                        }
+                            None => break,
+                        };
+                        frame_budget =
+                            frame_budget.saturating_sub(self.item_len(EPOCH_APP, item, &token));
+                        plan.push(item);
+                    }
+                    if self.streams[&id].has_output() {
+                        i += 1;
+                    } else {
+                        self.sending.remove(i);
                     }
                 }
-                if !frames.is_empty() {
-                    parts.push((ptype, frames));
+                if plan.len() > start {
+                    parts[nparts] = (ptype, start, plan.len());
+                    nparts += 1;
                 }
             }
         }
 
+        let parts = &mut parts[..nparts];
         if parts.is_empty() {
-            return Vec::new();
+            self.plan = plan;
+            return None;
         }
         // Datagrams with client Initials, or ack-eliciting Initials
         // from either role, are padded to 1200 bytes (§14.1).
         if contains_initial && (self.role == Role::Client || initial_ack_eliciting) {
-            let token_len = self.token.as_ref().map_or(0, |t| t.len());
-            let exact = |ptype: PacketType, payload: usize, token_len: usize| -> usize {
-                match ptype {
-                    PacketType::OneRtt => 1 + CID_LEN + 4 + payload + PACKET_TAG_LEN,
-                    _ => {
-                        let mut n = 1 + 4 + 1 + CID_LEN + 1 + CID_LEN;
-                        if ptype == PacketType::Initial {
-                            n += super::varint::varint_len(token_len as u64) + token_len;
-                        }
-                        let length = 4 + payload + PACKET_TAG_LEN;
-                        n + super::varint::varint_len(length as u64) + length
-                    }
-                }
-            };
-            let size: usize = parts
-                .iter()
-                .map(|(ptype, frames)| {
-                    let tl = if *ptype == PacketType::Initial {
-                        token_len
-                    } else {
-                        0
-                    };
-                    exact(*ptype, frames.iter().map(|f| f.wire_len()).sum(), tl)
-                })
-                .sum();
+            let size = self.datagram_len(parts, &plan, &token);
             let target = MIN_INITIAL_SIZE.min(budget);
             if size < target {
-                // Pad inside the Initial packet; adding padding can grow
-                // the length varint, so add then shrink to hit the
-                // target exactly.
-                if let Some((_, frames)) = parts.iter_mut().find(|(t, _)| *t == PacketType::Initial)
-                {
-                    frames.push(Frame::Padding(target - size));
+                // Pad inside the Initial packet, always the first;
+                // adding padding can grow the length varint, so add
+                // then shrink to hit the target exactly.
+                let end = parts[0].2;
+                plan.insert(end, Item::Padding(target - size));
+                parts[0].2 += 1;
+                for part in &mut parts[1..] {
+                    part.1 += 1;
+                    part.2 += 1;
                 }
-                let current: usize = parts
-                    .iter()
-                    .map(|(ptype, frames)| {
-                        let tl = if *ptype == PacketType::Initial {
-                            token_len
-                        } else {
-                            0
-                        };
-                        exact(*ptype, frames.iter().map(|f| f.wire_len()).sum(), tl)
-                    })
-                    .sum();
+                let current = self.datagram_len(parts, &plan, &token);
                 if current > target {
-                    if let Some((_, frames)) =
-                        parts.iter_mut().find(|(t, _)| *t == PacketType::Initial)
-                    {
-                        if let Some(Frame::Padding(n)) = frames.last_mut() {
-                            *n = n.saturating_sub(current - target);
-                        }
+                    if let Item::Padding(n) = &mut plan[end] {
+                        *n = n.saturating_sub(current - target);
                     }
                 }
             }
         }
-        let mut out = Vec::new();
-        for (ptype, frames) in parts {
-            self.encode_packet_tracked(now, ptype, frames, &mut out);
-        }
-        out
+        let out = self.encode_datagram(now, parts, &plan, &token);
+        self.plan = plan;
+        Some(out)
     }
 
-    fn encode_packet(&mut self, ptype: PacketType, frames: Vec<Frame>, out: &mut Vec<u8>) {
-        let epoch = match ptype {
-            PacketType::Initial => EPOCH_INITIAL,
-            PacketType::Handshake => EPOCH_HANDSHAKE,
-            _ => EPOCH_APP,
-        };
-        let pn = self.spaces[epoch].next_pn;
-        self.spaces[epoch].next_pn += 1;
-        let mut payload = Vec::new();
-        for f in &frames {
-            f.encode(&mut payload);
+    /// The frame `item` names, borrowing its bytes from the connection.
+    fn frame<'a>(&'a self, epoch: usize, item: Item, token: &'a [u8]) -> Frame<'a> {
+        match item {
+            Item::Ack => Frame::Ack {
+                ranges: AckRanges::new(&self.spaces[epoch].received.0),
+                delay: 0,
+            },
+            Item::Ping => Frame::Ping,
+            Item::Padding(n) => Frame::Padding(n),
+            Item::Crypto { offset, len } => Frame::Crypto {
+                offset,
+                data: self.spaces[epoch].crypto_tx.bytes(offset, len),
+            },
+            Item::Stream {
+                id,
+                offset,
+                len,
+                fin,
+            } => Frame::Stream {
+                id,
+                offset,
+                data: self.streams[&id].send.bytes(offset, len),
+                fin,
+            },
+            Item::NewToken => Frame::NewToken { token },
+            Item::HandshakeDone => Frame::HandshakeDone,
+            Item::PathChallenge(data) => Frame::PathChallenge(data),
+            Item::PathResponse(data) => Frame::PathResponse(data),
+            Item::Close(error_code) => Frame::ConnectionClose {
+                error_code,
+                reason: &[],
+            },
         }
-        let mut pkt = Packet::new(ptype, self.version, self.dcid, self.scid, pn, payload);
+    }
+
+    fn item_len(&self, epoch: usize, item: Item, token: &[u8]) -> usize {
+        self.frame(epoch, item, token).wire_len()
+    }
+
+    fn items_len(&self, epoch: usize, items: &[Item], token: &[u8]) -> usize {
+        items.iter().map(|&i| self.item_len(epoch, i, token)).sum()
+    }
+
+    /// The header of this connection's next packet of type `ptype`.
+    fn header(&self, ptype: PacketType) -> Packet<'_> {
+        let epoch = epoch_of(ptype);
+        let mut pkt = Packet::new(
+            ptype,
+            self.version,
+            self.dcid,
+            self.scid,
+            self.spaces[epoch].next_pn,
+            &[],
+        );
         if ptype == PacketType::Initial {
-            if let Some(token) = &self.token {
-                pkt.token = token.clone();
-            }
+            pkt.token = self.token.as_deref().unwrap_or_default();
         }
-        pkt.encode(out);
+        pkt
     }
 
-    fn encode_packet_tracked(
+    /// Exact size of the datagram `parts` describe.
+    fn datagram_len(
+        &self,
+        parts: &[(PacketType, usize, usize)],
+        plan: &[Item],
+        token: &[u8],
+    ) -> usize {
+        parts
+            .iter()
+            .map(|&(ptype, start, end)| {
+                let payload = self.items_len(epoch_of(ptype), &plan[start..end], token);
+                self.header(ptype).len_with_payload(payload)
+            })
+            .sum()
+    }
+
+    /// Encode `parts` — each a packet type and its items in `plan` —
+    /// into one datagram, sized once, exactly. Each ack-eliciting
+    /// packet's record keeps what it would need to send again.
+    fn encode_datagram(
         &mut self,
         now: SimTime,
-        ptype: PacketType,
-        frames: Vec<Frame>,
-        out: &mut Vec<u8>,
-    ) {
-        let epoch = match ptype {
-            PacketType::Initial => EPOCH_INITIAL,
-            PacketType::Handshake => EPOCH_HANDSHAKE,
-            _ => EPOCH_APP,
-        };
-        let pn = self.spaces[epoch].next_pn;
-        let ack_eliciting = frames.iter().any(|f| f.is_ack_eliciting());
-        let before = out.len();
-        self.encode_packet(ptype, frames.clone(), out);
-        let size = out.len() - before;
-        sink::emit(now.as_nanos(), || Event::QuicPacketSent {
-            ptype: ptype_str(ptype),
-            pn,
-            size,
-        });
-        metrics::count(Counter::QuicPacketsSent, 1);
-        if ack_eliciting {
-            self.spaces[epoch].sent.insert(
+        parts: &[(PacketType, usize, usize)],
+        plan: &[Item],
+        token: &[u8],
+    ) -> PayloadBuf {
+        // A fresh vector of the exact size, not a pooled one: growing
+        // recycled buffers to fit left the pool holding larger ones and
+        // raised the benchmark's handshake peak RSS from about 20.5 to
+        // 28–30 MiB.
+        let exact = self.datagram_len(parts, plan, token);
+        let mut out = PayloadBuf::from(Vec::with_capacity(exact));
+        for &(ptype, start, end) in parts {
+            let items = &plan[start..end];
+            let epoch = epoch_of(ptype);
+            let pn = self.spaces[epoch].next_pn;
+            let before = out.len();
+            self.header(ptype)
+                .encode_header(self.items_len(epoch, items, token), &mut out);
+            for &item in items {
+                self.frame(epoch, item, token).encode(&mut out);
+            }
+            encode_tag(&mut out);
+            self.spaces[epoch].next_pn += 1;
+            let size = out.len() - before;
+            sink::emit(now.as_nanos(), || Event::QuicPacketSent {
+                ptype: ptype_str(ptype),
                 pn,
-                SentPacket {
-                    time: now,
-                    ack_eliciting,
-                    frames,
-                },
-            );
-            if self.pto_deadline.is_none() {
-                self.pto_deadline = Some(now + self.pto_duration());
+                size,
+            });
+            metrics::count(Counter::QuicPacketsSent, 1);
+            if items.iter().any(Item::is_ack_eliciting) {
+                let mut frames = self.spare_records.pop().unwrap_or_default();
+                frames.extend_from_slice(items);
+                self.spaces[epoch].sent.insert(
+                    pn,
+                    SentPacket {
+                        time: now,
+                        ack_eliciting: true,
+                        frames,
+                    },
+                );
+                if self.pto_deadline.is_none() {
+                    self.pto_deadline = Some(now + self.pto_duration());
+                }
             }
         }
+        debug_assert_eq!(out.len(), exact, "the datagram's planned size");
+        out
+    }
+}
+
+/// The packet-number space of a packet type.
+fn epoch_of(ptype: PacketType) -> usize {
+    match ptype {
+        PacketType::Initial => EPOCH_INITIAL,
+        PacketType::Handshake => EPOCH_HANDSHAKE,
+        _ => EPOCH_APP,
+    }
+}
+
+/// Add `id` to the ascending list of streams with output.
+fn mark_sending(sending: &mut Vec<u64>, id: u64) {
+    if let Err(at) = sending.binary_search(&id) {
+        sending.insert(at, id);
+    }
+}
+
+/// Keep an emptied sent-packet record's storage for a later packet.
+fn recycle(spare: &mut Vec<Vec<Item>>, mut frames: Vec<Item>) {
+    if frames.capacity() > 0 {
+        frames.clear();
+        spare.push(frames);
     }
 }
 
 /// Construct an address-validation token bound to a server identity and
 /// client IP.
-pub fn make_token(server_id: u64, client: SocketAddr) -> Vec<u8> {
-    let mut t = vec![0x54, 0x4F, 0x4B, 0x31]; // "TOK1"
-    t.extend_from_slice(&server_id.to_be_bytes());
-    t.extend_from_slice(&client.ip.0.to_be_bytes());
-    t.extend_from_slice(&[0u8; 16]); // modelled integrity tag
+fn make_token(server_id: u64, client: SocketAddr) -> [u8; 32] {
+    let mut t = [0u8; 32]; // the last 16 bytes: modelled integrity tag
+    t[..4].copy_from_slice(b"TOK1");
+    t[4..12].copy_from_slice(&server_id.to_be_bytes());
+    t[12..16].copy_from_slice(&client.ip.0.to_be_bytes());
     t
 }
 
@@ -1610,6 +1751,8 @@ pub struct QuicServer {
     /// Ordered by peer, so polls emit datagrams in the same order on
     /// every run.
     conns: BTreeMap<SocketAddr, QuicConnection>,
+    /// Datagrams built by the last poll, drained by the caller.
+    tx: Vec<(SocketAddr, PayloadBuf)>,
 }
 
 impl QuicServer {
@@ -1618,6 +1761,7 @@ impl QuicServer {
             local,
             cfg,
             conns: BTreeMap::new(),
+            tx: Vec::new(),
         }
     }
 
@@ -1662,17 +1806,11 @@ impl QuicServer {
         if pkt.ptype != PacketType::Initial {
             return Vec::new();
         }
-        let has_valid_token = token_valid(&pkt.token, self.cfg.tls.server_id, src);
+        let has_valid_token = token_valid(pkt.token, self.cfg.tls.server_id, src);
         if self.cfg.retry_required && !has_valid_token {
-            let mut retry = Packet::new(
-                PacketType::Retry,
-                version,
-                pkt.scid,
-                pkt.dcid,
-                0,
-                Vec::new(),
-            );
-            retry.token = make_token(self.cfg.tls.server_id, src);
+            let token = make_token(self.cfg.tls.server_id, src);
+            let mut retry = Packet::new(PacketType::Retry, version, pkt.scid, pkt.dcid, 0, &[]);
+            retry.token = &token;
             let mut out = Vec::new();
             retry.encode(&mut out);
             return vec![(src, out)];
@@ -1724,15 +1862,15 @@ impl QuicServer {
         self.conns.insert(src, conn);
     }
 
-    /// Poll every connection for outbound datagrams.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Vec<(SocketAddr, Vec<u8>)> {
-        let mut out = Vec::new();
+    /// Poll every connection for outbound datagrams; the caller drains
+    /// them.
+    pub fn poll_transmit(&mut self, now: SimTime) -> std::vec::Drain<'_, (SocketAddr, PayloadBuf)> {
         for (peer, conn) in self.conns.iter_mut() {
             for dgram in conn.poll_transmit(now) {
-                out.push((*peer, dgram));
+                self.tx.push((*peer, dgram));
             }
         }
-        out
+        self.tx.drain(..)
     }
 
     pub fn next_timeout(&self) -> Option<SimTime> {

@@ -29,7 +29,7 @@ mod packet;
 mod varint;
 
 pub use connection::{QuicConfig, QuicConnection, QuicError, QuicServer};
-pub use frame::Frame;
+pub use frame::{AckRangeIter, AckRanges, Frame, Frames};
 pub use packet::{Packet as QuicPacket, PacketType, VersionNegotiation};
 pub use varint::{read_varint, write_varint};
 

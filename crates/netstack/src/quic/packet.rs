@@ -3,7 +3,7 @@
 //! Version Negotiation packet — including its use as the stateless
 //! response to the version-0 probe the paper's scanner sends.
 
-use super::varint::{read_varint, write_varint};
+use super::varint::{read_varint, varint_len, write_varint};
 use super::PACKET_TAG_LEN;
 
 /// Connection IDs are fixed at 8 bytes in this implementation.
@@ -19,36 +19,38 @@ pub enum PacketType {
     OneRtt,
 }
 
-/// A parsed packet. Protected packet payloads carry a modelled 16-byte
-/// AEAD tag on the wire which is stripped on decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Packet {
+/// A packet whose token and payload are borrowed: a decoded packet
+/// points into the datagram it was read from. Protected packet payloads
+/// carry a modelled 16-byte AEAD tag on the wire which is stripped on
+/// decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Packet<'a> {
     pub ptype: PacketType,
     pub version: u32,
     pub dcid: [u8; CID_LEN],
     pub scid: [u8; CID_LEN],
-    /// Initial only.
-    pub token: Vec<u8>,
+    /// Initial and Retry only.
+    pub token: &'a [u8],
     pub packet_number: u64,
     /// Frame bytes (plaintext).
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-impl Packet {
+impl<'a> Packet<'a> {
     pub fn new(
         ptype: PacketType,
         version: u32,
         dcid: [u8; CID_LEN],
         scid: [u8; CID_LEN],
         packet_number: u64,
-        payload: Vec<u8>,
+        payload: &'a [u8],
     ) -> Self {
         Packet {
             ptype,
             version,
             dcid,
             scid,
-            token: Vec::new(),
+            token: &[],
             packet_number,
             payload,
         }
@@ -66,20 +68,51 @@ impl Packet {
 
     /// Size this packet will occupy on the wire.
     pub fn wire_len(&self) -> usize {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf.len()
+        self.len_with_payload(self.payload.len())
+    }
+
+    /// Size on the wire of this packet's header with a payload of
+    /// `payload_len` bytes in place of its own (a Retry has none).
+    pub(crate) fn len_with_payload(&self, payload_len: usize) -> usize {
+        let header = match self.ptype {
+            PacketType::OneRtt => 1 + CID_LEN + 4,
+            PacketType::Retry => {
+                return 1 + 4 + 2 * (1 + CID_LEN) + self.token.len() + PACKET_TAG_LEN
+            }
+            ptype => {
+                let mut n = 1 + 4 + 2 * (1 + CID_LEN) + 4;
+                if ptype == PacketType::Initial {
+                    n += varint_len(self.token.len() as u64) + self.token.len();
+                }
+                n + varint_len(Self::length_field(payload_len))
+            }
+        };
+        header + payload_len + PACKET_TAG_LEN
+    }
+
+    /// A long header's Length: packet number (4 bytes) + payload + tag.
+    fn length_field(payload_len: usize) -> u64 {
+        (4 + payload_len + PACKET_TAG_LEN) as u64
     }
 
     /// Append the encoded packet.
     pub fn encode(&self, out: &mut Vec<u8>) {
+        self.encode_header(self.payload.len(), out);
+        if self.ptype != PacketType::Retry {
+            out.extend_from_slice(self.payload);
+        }
+        encode_tag(out);
+    }
+
+    /// Append everything in front of a payload of `payload_len` bytes,
+    /// which the caller writes next and follows with [`encode_tag`]. A
+    /// Retry's header is its whole packet but the tag.
+    pub(crate) fn encode_header(&self, payload_len: usize, out: &mut Vec<u8>) {
         match self.ptype {
             PacketType::OneRtt => {
                 out.push(0x40); // short header: form=0, fixed=1
                 out.extend_from_slice(&self.dcid);
                 out.extend_from_slice(&(self.packet_number as u32).to_be_bytes());
-                out.extend_from_slice(&self.payload);
-                out.extend(std::iter::repeat_n(0u8, PACKET_TAG_LEN));
             }
             ptype => {
                 out.push(0xC0 | (Self::type_bits(ptype) << 4));
@@ -90,26 +123,22 @@ impl Packet {
                 out.extend_from_slice(&self.scid);
                 if ptype == PacketType::Initial {
                     write_varint(out, self.token.len() as u64);
-                    out.extend_from_slice(&self.token);
+                    out.extend_from_slice(self.token);
                 }
                 if ptype == PacketType::Retry {
                     // Retry: token runs to the end (plus integrity tag).
-                    out.extend_from_slice(&self.token);
-                    out.extend(std::iter::repeat_n(0u8, PACKET_TAG_LEN));
+                    out.extend_from_slice(self.token);
                     return;
                 }
-                // Length covers packet number (4 bytes) + payload + tag.
-                write_varint(out, 4 + self.payload.len() as u64 + PACKET_TAG_LEN as u64);
+                write_varint(out, Self::length_field(payload_len));
                 out.extend_from_slice(&(self.packet_number as u32).to_be_bytes());
-                out.extend_from_slice(&self.payload);
-                out.extend(std::iter::repeat_n(0u8, PACKET_TAG_LEN));
             }
         }
     }
 
     /// Parse the packet at `buf[*pos..]`, advancing `pos` past it.
     /// Short-header packets consume the rest of the datagram.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Option<Packet> {
+    pub fn decode(buf: &'a [u8], pos: &mut usize) -> Option<Packet<'a>> {
         let first = *buf.get(*pos)?;
         if first & 0x80 == 0 {
             // Short header.
@@ -126,16 +155,15 @@ impl Packet {
             if rest.len() < PACKET_TAG_LEN {
                 return None;
             }
-            let payload = rest[..rest.len() - PACKET_TAG_LEN].to_vec();
             *pos = buf.len();
             return Some(Packet {
                 ptype: PacketType::OneRtt,
                 version: 0,
                 dcid,
                 scid: [0; CID_LEN],
-                token: Vec::new(),
+                token: &[],
                 packet_number: pn,
-                payload,
+                payload: &rest[..rest.len() - PACKET_TAG_LEN],
             });
         }
         // Long header.
@@ -167,13 +195,13 @@ impl Packet {
             2 => PacketType::Handshake,
             _ => PacketType::Retry,
         };
-        let mut token = Vec::new();
+        let mut token: &[u8] = &[];
         if ptype == PacketType::Initial {
             let tlen = read_varint(buf, pos)? as usize;
             if *pos + tlen > buf.len() {
                 return None;
             }
-            token = buf[*pos..*pos + tlen].to_vec();
+            token = &buf[*pos..*pos + tlen];
             *pos += tlen;
         }
         if ptype == PacketType::Retry {
@@ -181,16 +209,15 @@ impl Packet {
             if rest.len() < PACKET_TAG_LEN {
                 return None;
             }
-            let token = rest[..rest.len() - PACKET_TAG_LEN].to_vec();
             *pos = buf.len();
             return Some(Packet {
                 ptype,
                 version,
                 dcid,
                 scid,
-                token,
+                token: &rest[..rest.len() - PACKET_TAG_LEN],
                 packet_number: 0,
-                payload: Vec::new(),
+                payload: &[],
             });
         }
         let length = read_varint(buf, pos)? as usize;
@@ -198,7 +225,7 @@ impl Packet {
             return None;
         }
         let pn = u32::from_be_bytes(buf[*pos..*pos + 4].try_into().ok()?) as u64;
-        let payload = buf[*pos + 4..*pos + length - PACKET_TAG_LEN].to_vec();
+        let payload = &buf[*pos + 4..*pos + length - PACKET_TAG_LEN];
         *pos += length;
         Some(Packet {
             ptype,
@@ -219,6 +246,12 @@ impl Packet {
         }
         Some(u32::from_be_bytes(buf[1..5].try_into().ok()?))
     }
+}
+
+/// Append the modelled AEAD tag that ends every protected packet (and
+/// the integrity tag that ends a Retry).
+pub(crate) fn encode_tag(out: &mut Vec<u8>) {
+    out.resize(out.len() + PACKET_TAG_LEN, 0);
 }
 
 /// A Version Negotiation packet (version field = 0).
@@ -299,9 +332,9 @@ mod tests {
             cid(1),
             cid(2),
             7,
-            vec![6, 0, 5, 1, 2, 3, 4, 9],
+            &[6, 0, 5, 1, 2, 3, 4, 9],
         );
-        p.token = vec![0xAA; 24];
+        p.token = &[0xAA; 24];
         let mut buf = Vec::new();
         p.encode(&mut buf);
         assert_eq!(buf.len(), p.wire_len());
@@ -314,9 +347,10 @@ mod tests {
     #[test]
     fn handshake_and_zero_rtt_roundtrip() {
         for ptype in [PacketType::Handshake, PacketType::ZeroRtt] {
-            let p = Packet::new(ptype, QUIC_V1, cid(3), cid(4), 0, vec![1; 100]);
+            let p = Packet::new(ptype, QUIC_V1, cid(3), cid(4), 0, &[1; 100]);
             let mut buf = Vec::new();
             p.encode(&mut buf);
+            assert_eq!(buf.len(), p.wire_len());
             let mut pos = 0;
             assert_eq!(Packet::decode(&buf, &mut pos).unwrap(), p);
         }
@@ -324,14 +358,7 @@ mod tests {
 
     #[test]
     fn short_header_roundtrip() {
-        let p = Packet::new(
-            PacketType::OneRtt,
-            0,
-            cid(5),
-            cid(0),
-            42,
-            b"stream".to_vec(),
-        );
+        let p = Packet::new(PacketType::OneRtt, 0, cid(5), cid(0), 42, b"stream");
         let mut buf = Vec::new();
         p.encode(&mut buf);
         let mut pos = 0;
@@ -347,17 +374,9 @@ mod tests {
         // Initial + Handshake + 1-RTT in one datagram, like a server's
         // first flight.
         let mut buf = Vec::new();
-        Packet::new(PacketType::Initial, QUIC_V1, cid(1), cid(2), 0, vec![2; 10]).encode(&mut buf);
-        Packet::new(
-            PacketType::Handshake,
-            QUIC_V1,
-            cid(1),
-            cid(2),
-            0,
-            vec![3; 20],
-        )
-        .encode(&mut buf);
-        Packet::new(PacketType::OneRtt, 0, cid(1), cid(0), 0, vec![4; 30]).encode(&mut buf);
+        Packet::new(PacketType::Initial, QUIC_V1, cid(1), cid(2), 0, &[2; 10]).encode(&mut buf);
+        Packet::new(PacketType::Handshake, QUIC_V1, cid(1), cid(2), 0, &[3; 20]).encode(&mut buf);
+        Packet::new(PacketType::OneRtt, 0, cid(1), cid(0), 0, &[4; 30]).encode(&mut buf);
         let mut pos = 0;
         let a = Packet::decode(&buf, &mut pos).unwrap();
         let b = Packet::decode(&buf, &mut pos).unwrap();
@@ -376,21 +395,22 @@ mod tests {
 
     #[test]
     fn protected_packets_carry_tag_overhead() {
-        let p = Packet::new(PacketType::OneRtt, 0, cid(1), cid(0), 0, vec![0; 10]);
+        let p = Packet::new(PacketType::OneRtt, 0, cid(1), cid(0), 0, &[0; 10]);
         // 1 first byte + 8 dcid + 4 pn + 10 payload + 16 tag.
         assert_eq!(p.wire_len(), 1 + 8 + 4 + 10 + 16);
     }
 
     #[test]
     fn retry_roundtrip() {
-        let mut p = Packet::new(PacketType::Retry, QUIC_V1, cid(1), cid(2), 0, Vec::new());
-        p.token = vec![7; 40];
+        let mut p = Packet::new(PacketType::Retry, QUIC_V1, cid(1), cid(2), 0, &[]);
+        p.token = &[7; 40];
         let mut buf = Vec::new();
         p.encode(&mut buf);
         let mut pos = 0;
         let back = Packet::decode(&buf, &mut pos).unwrap();
         assert_eq!(back.ptype, PacketType::Retry);
-        assert_eq!(back.token, vec![7; 40]);
+        assert_eq!(back.token, [7; 40]);
+        assert_eq!(buf.len(), p.wire_len());
     }
 
     #[test]
@@ -403,7 +423,7 @@ mod tests {
         let buf = vn.encode();
         assert_eq!(VersionNegotiation::decode(&buf), Some(vn));
         // A version-1 packet is not VN.
-        let p = Packet::new(PacketType::Initial, QUIC_V1, cid(1), cid(2), 0, vec![1; 30]);
+        let p = Packet::new(PacketType::Initial, QUIC_V1, cid(1), cid(2), 0, &[1; 30]);
         let mut pbuf = Vec::new();
         p.encode(&mut pbuf);
         assert_eq!(VersionNegotiation::decode(&pbuf), None);
@@ -417,12 +437,12 @@ mod tests {
             cid(1),
             cid(2),
             0,
-            vec![1; 30],
+            &[1; 30],
         );
         let mut buf = Vec::new();
         p.encode(&mut buf);
         assert_eq!(Packet::peek_long_header_version(&buf), Some(0xff00_0022));
-        let short = Packet::new(PacketType::OneRtt, 0, cid(1), cid(0), 0, vec![]);
+        let short = Packet::new(PacketType::OneRtt, 0, cid(1), cid(0), 0, &[]);
         let mut sbuf = Vec::new();
         short.encode(&mut sbuf);
         assert_eq!(Packet::peek_long_header_version(&sbuf), None);
@@ -430,7 +450,7 @@ mod tests {
 
     #[test]
     fn truncated_packets_rejected() {
-        let p = Packet::new(PacketType::Initial, QUIC_V1, cid(1), cid(2), 0, vec![1; 30]);
+        let p = Packet::new(PacketType::Initial, QUIC_V1, cid(1), cid(2), 0, &[1; 30]);
         let mut buf = Vec::new();
         p.encode(&mut buf);
         for cut in [1, 5, 10, buf.len() - 1] {

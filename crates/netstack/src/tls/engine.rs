@@ -160,6 +160,24 @@ enum ClientState {
     Failed,
 }
 
+/// Append `payload` to `out` as one handshake record, encoding the
+/// message in `scratch` (reused across messages) first.
+fn encode_handshake(
+    scratch: &mut Vec<u8>,
+    plaintext_epoch: bool,
+    payload: HandshakePayload,
+    out: &mut Vec<u8>,
+) {
+    scratch.clear();
+    HandshakeMessage::new(payload).encode(scratch);
+    let rec = if plaintext_epoch {
+        TlsRecord::PlainHandshake(scratch)
+    } else {
+        TlsRecord::encrypted_handshake(scratch)
+    };
+    rec.encode(out);
+}
+
 /// Client endpoint.
 #[derive(Debug)]
 pub struct TlsClient {
@@ -167,6 +185,8 @@ pub struct TlsClient {
     state: ClientState,
     ticket: Option<SessionTicket>,
     out: Vec<u8>,
+    /// Handshake message being encoded, reused.
+    hs_scratch: Vec<u8>,
     hs_in: HandshakeReader,
     rec_buf: Vec<u8>,
     app_rx: Vec<u8>,
@@ -191,6 +211,7 @@ impl TlsClient {
             state: ClientState::Start,
             ticket,
             out: Vec::new(),
+            hs_scratch: Vec::new(),
             hs_in: HandshakeReader::new(),
             rec_buf: Vec::new(),
             app_rx: Vec::new(),
@@ -210,14 +231,12 @@ impl TlsClient {
     }
 
     fn send_handshake(&mut self, plaintext_epoch: bool, payload: HandshakePayload) {
-        let mut body = Vec::new();
-        HandshakeMessage::new(payload).encode(&mut body);
-        let rec = if plaintext_epoch {
-            TlsRecord::PlainHandshake(&body)
-        } else {
-            TlsRecord::encrypted_handshake(&body)
-        };
-        rec.encode(&mut self.out);
+        encode_handshake(
+            &mut self.hs_scratch,
+            plaintext_epoch,
+            payload,
+            &mut self.out,
+        );
     }
 
     /// Begin the handshake: emits the ClientHello (plus 0-RTT data if
@@ -478,6 +497,8 @@ pub struct TlsServer {
     cfg: TlsConfig,
     state: ServerState,
     out: Vec<u8>,
+    /// Handshake message being encoded, reused.
+    hs_scratch: Vec<u8>,
     hs_in: HandshakeReader,
     rec_buf: Vec<u8>,
     app_rx: Vec<u8>,
@@ -501,6 +522,7 @@ impl TlsServer {
             cfg,
             state: ServerState::WaitClientHello,
             out: Vec::new(),
+            hs_scratch: Vec::new(),
             hs_in: HandshakeReader::new(),
             rec_buf: Vec::new(),
             app_rx: Vec::new(),
@@ -517,14 +539,12 @@ impl TlsServer {
     }
 
     fn send_handshake(&mut self, plaintext_epoch: bool, payload: HandshakePayload) {
-        let mut body = Vec::new();
-        HandshakeMessage::new(payload).encode(&mut body);
-        let rec = if plaintext_epoch {
-            TlsRecord::PlainHandshake(&body)
-        } else {
-            TlsRecord::encrypted_handshake(&body)
-        };
-        rec.encode(&mut self.out);
+        encode_handshake(
+            &mut self.hs_scratch,
+            plaintext_epoch,
+            payload,
+            &mut self.out,
+        );
     }
 
     /// Feed bytes received from the transport. Records are decoded in

@@ -250,22 +250,31 @@ impl HandshakeMessage {
         HandshakeMessage { payload }
     }
 
-    /// Encode: 1-byte type, 24-bit length, structured body + padding.
+    /// Append: 1-byte type, 24-bit length, structured body + padding.
+    /// The body goes straight into `out`; its length is filled in after.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut body = Vec::new();
-        self.encode_body(&mut body);
-        let pad = self.payload.size_model();
-        body.extend(std::iter::repeat_n(0u8, pad));
         out.push(self.payload.type_code());
-        let len = body.len() as u32;
-        out.extend_from_slice(&len.to_be_bytes()[1..]);
-        out.extend_from_slice(&body);
+        let len_at = out.len();
+        out.extend_from_slice(&[0; 3]);
+        self.encode_body(out);
+        out.resize(out.len() + self.payload.size_model(), 0);
+        let len = (out.len() - len_at - 3) as u32;
+        out[len_at..len_at + 3].copy_from_slice(&len.to_be_bytes()[1..]);
     }
 
     fn encode_body(&self, b: &mut Vec<u8>) {
         fn put_bytes(b: &mut Vec<u8>, s: &[u8]) {
             b.extend_from_slice(&(s.len() as u16).to_be_bytes());
             b.extend_from_slice(s);
+        }
+        /// A 16-bit length, then the ticket; the length is filled in
+        /// after.
+        fn put_ticket(b: &mut Vec<u8>, t: &SessionTicket) {
+            let len_at = b.len();
+            b.extend_from_slice(&[0; 2]);
+            t.encode(b);
+            let len = (b.len() - len_at - 2) as u16;
+            b[len_at..len_at + 2].copy_from_slice(&len.to_be_bytes());
         }
         match &self.payload {
             HandshakePayload::ClientHello {
@@ -287,8 +296,7 @@ impl HandshakeMessage {
                     None => b.push(0),
                     Some(t) => {
                         b.push(1);
-                        let enc = t.encode();
-                        put_bytes(b, &enc);
+                        put_ticket(b, t);
                     }
                 }
                 b.push(*early_data as u8);
@@ -314,10 +322,7 @@ impl HandshakeMessage {
             HandshakePayload::Certificate { chain_len } => {
                 b.extend_from_slice(&chain_len.to_be_bytes());
             }
-            HandshakePayload::NewSessionTicket { ticket } => {
-                let enc = ticket.encode();
-                put_bytes(b, &enc);
-            }
+            HandshakePayload::NewSessionTicket { ticket } => put_ticket(b, ticket),
             HandshakePayload::CertificateVerify
             | HandshakePayload::Finished
             | HandshakePayload::ServerHelloDone

@@ -36,9 +36,8 @@ impl SessionTicket {
         now < self.issued_at + self.lifetime
     }
 
-    /// Serialize (fields + opaque blob).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
+    /// Append the serialized ticket (fields + opaque blob) to `b`.
+    pub fn encode(&self, b: &mut Vec<u8>) {
         b.extend_from_slice(&self.server_id.to_be_bytes());
         b.extend_from_slice(&self.version.wire().to_be_bytes());
         b.extend_from_slice(&(self.alpn.len() as u16).to_be_bytes());
@@ -47,8 +46,7 @@ impl SessionTicket {
         b.extend_from_slice(&(self.lifetime.as_secs()).to_be_bytes());
         b.push(self.allows_early_data as u8);
         b.extend_from_slice(&self.opaque_len.to_be_bytes());
-        b.extend(std::iter::repeat_n(0u8, self.opaque_len as usize));
-        b
+        b.resize(b.len() + self.opaque_len as usize, 0);
     }
 
     pub fn decode(b: &[u8]) -> Option<SessionTicket> {
@@ -100,10 +98,16 @@ mod tests {
         }
     }
 
+    fn encoded(t: &SessionTicket) -> Vec<u8> {
+        let mut b = Vec::new();
+        t.encode(&mut b);
+        b
+    }
+
     #[test]
     fn roundtrip() {
         let t = ticket();
-        assert_eq!(SessionTicket::decode(&t.encode()), Some(t));
+        assert_eq!(SessionTicket::decode(&encoded(&t)), Some(t));
     }
 
     #[test]
@@ -119,12 +123,12 @@ mod tests {
     #[test]
     fn encoded_size_includes_opaque_blob() {
         let t = ticket();
-        assert!(t.encode().len() > 120);
+        assert!(encoded(&t).len() > 120);
     }
 
     #[test]
     fn truncated_decode_fails() {
-        let enc = ticket().encode();
+        let enc = encoded(&ticket());
         assert!(SessionTicket::decode(&enc[..enc.len() - 1]).is_none());
         assert!(SessionTicket::decode(&[]).is_none());
     }

@@ -9,7 +9,8 @@
 //! cannot be confused by reordering.
 
 use doqlab_netstack::quic::{
-    Frame, PacketType, QuicConfig, QuicConnection, QuicError, QuicPacket, QuicServer, QUIC_V1,
+    AckRanges, Frame, PacketType, QuicConfig, QuicConnection, QuicError, QuicPacket, QuicServer,
+    QUIC_V1,
 };
 use doqlab_netstack::tls::TlsConfig;
 use doqlab_simnet::{Duration, Ipv4Addr, SimRng, SimTime, SocketAddr};
@@ -51,8 +52,9 @@ fn established_client() -> QuicConnection {
         if c.is_established() && c.path_probe().is_none() {
             break;
         }
+        let local = c.local;
         for d in c.poll_transmit(now) {
-            server.handle_datagram(now, c.local, &d);
+            server.handle_datagram(now, local, &d);
         }
         for (_, d) in server.poll_transmit(now) {
             c.handle_datagram(now, &d);
@@ -138,7 +140,7 @@ fn deliver(c: &mut QuicConnection, now: SimTime, pn: &mut u64, frames: &[Frame])
     for f in frames {
         f.encode(&mut payload);
     }
-    let pkt = QuicPacket::new(PacketType::OneRtt, QUIC_V1, [0; 8], [0; 8], *pn, payload);
+    let pkt = QuicPacket::new(PacketType::OneRtt, QUIC_V1, [0; 8], [0; 8], *pn, &payload);
     *pn += 1;
     let mut buf = Vec::new();
     pkt.encode(&mut buf);
@@ -147,9 +149,10 @@ fn deliver(c: &mut QuicConnection, now: SimTime, pn: &mut u64, frames: &[Frame])
 
 /// Drain the client's outbound datagrams; ACK every 1-RTT packet (so
 /// the ordinary PTO machinery stays quiet and only the path probe
-/// timer drives retries) and return all frames seen.
-fn drain(c: &mut QuicConnection, now: SimTime, pn: &mut u64) -> Vec<Frame> {
-    let mut seen = Vec::new();
+/// timer drives retries) and return the data of every PATH_RESPONSE
+/// seen.
+fn drain(c: &mut QuicConnection, now: SimTime, pn: &mut u64) -> Vec<[u8; 8]> {
+    let mut echoes = Vec::new();
     let mut acks = Vec::new();
     for dgram in c.poll_transmit(now) {
         let mut pos = 0;
@@ -160,16 +163,19 @@ fn drain(c: &mut QuicConnection, now: SimTime, pn: &mut u64) -> Vec<Frame> {
             if pkt.ptype == PacketType::OneRtt {
                 acks.push(pkt.packet_number);
             }
-            if let Some(frames) = Frame::decode_all(&pkt.payload) {
-                seen.extend(frames);
+            for frame in Frame::parse(pkt.payload).into_iter().flatten() {
+                if let Frame::PathResponse(data) = frame {
+                    echoes.push(data);
+                }
             }
         }
     }
     if !acks.is_empty() {
-        let ranges = acks.iter().map(|&p| (p, p)).collect();
+        let ranges: Vec<(u64, u64)> = acks.iter().map(|&p| (p, p)).collect();
+        let ranges = AckRanges::new(&ranges);
         deliver(c, now, pn, &[Frame::Ack { ranges, delay: 0 }]);
     }
-    seen
+    echoes
 }
 
 proptest! {
@@ -216,11 +222,11 @@ proptest! {
                 Op::PeerChallenge(x) => {
                     let data = x.to_be_bytes();
                     deliver(&mut c, now, &mut pn, &[Frame::PathChallenge(data)]);
-                    let frames = drain(&mut c, now, &mut pn);
+                    let echoes = drain(&mut c, now, &mut pn);
                     if !spec.abandoned {
                         prop_assert!(
-                            frames.contains(&Frame::PathResponse(data)),
-                            "peer challenge not echoed; frames: {frames:?}"
+                            echoes.contains(&data),
+                            "peer challenge not echoed; PATH_RESPONSE data: {echoes:?}"
                         );
                     }
                 }

@@ -108,6 +108,172 @@ fn an_http2_response_through_tls_is_pinned() {
     );
 }
 
+/// One datagram as sent: whether it went to the server, its length and
+/// its FNV-1a.
+type DatagramPin = (bool, usize, u64);
+
+/// Run `client` against `server` over a 10 ms one-way path until the
+/// client holds the whole answer on `stream`. The server answers each
+/// peer stream once the stream is finished. Server datagrams to this
+/// client whose index in this run is listed in `lost` never arrive.
+/// Every datagram sent between the two, lost ones included, is
+/// appended to `pins`.
+fn doq_exchange(
+    client: &mut QuicConnection,
+    server: &mut QuicServer,
+    stream: u64,
+    now: &mut SimTime,
+    lost: &[usize],
+    pins: &mut Vec<DatagramPin>,
+) {
+    const ANSWER: &[u8] = b"an answer of 27 bytes......";
+    let delay = Duration::from_millis(10);
+    // (arrival, to the server, bytes)
+    let mut wire: Vec<(SimTime, bool, Vec<u8>)> = Vec::new();
+    let (mut server_sent, mut open, mut answer) = (0, Vec::new(), Vec::new());
+    for _ in 0..1_000 {
+        for d in client.poll_transmit(*now) {
+            pins.push((true, d.len(), fnv1a(&d)));
+            wire.push((*now + delay, true, d.to_vec()));
+        }
+        for (peer, d) in server.poll_transmit(*now) {
+            if peer != client.local {
+                continue; // an earlier connection's retransmissions
+            }
+            pins.push((false, d.len(), fnv1a(&d)));
+            if !lost.contains(&server_sent) {
+                wire.push((*now + delay, false, d.to_vec()));
+            }
+            server_sent += 1;
+        }
+        match (0..wire.len()).min_by_key(|&i| wire[i].0) {
+            Some(i) => {
+                let (at, to_server, d) = wire.remove(i);
+                *now = at.max(*now);
+                if to_server {
+                    assert!(server.handle_datagram(*now, client.local, &d).is_empty());
+                } else {
+                    client.handle_datagram(*now, &d);
+                }
+            }
+            None => match [client.next_timeout(), server.next_timeout()]
+                .into_iter()
+                .flatten()
+                .min()
+            {
+                Some(t) => *now = t.max(*now),
+                None => break,
+            },
+        }
+        if let Some(conn) = server.connection(client.local) {
+            open.extend(conn.take_new_peer_streams());
+            open.retain(|&s| {
+                let (_, fin) = conn.stream_recv(s);
+                if fin {
+                    conn.stream_send(s, ANSWER, true);
+                }
+                !fin
+            });
+        }
+        let (chunk, fin) = client.stream_recv(stream);
+        answer.extend(chunk);
+        if fin {
+            assert_eq!(answer, ANSWER);
+            return;
+        }
+    }
+    panic!("DoQ exchange stalled");
+}
+
+#[test]
+fn a_doq_handshake_with_a_lost_flight_and_a_0rtt_resumption_is_pinned() {
+    // A full handshake whose second server datagram (certificate
+    // CRYPTO in a Handshake packet) is lost, so its bytes go out again
+    // as a retransmission, then one query and answer. Then a resumed
+    // connection with the ticket and NEW_TOKEN from the first, whose
+    // query rides in 0-RTT. The wire bytes of every datagram must not
+    // move with how frames and packets are built and read.
+    let tls = TlsConfig {
+        server_id: 9,
+        alpn: vec![b"doq".to_vec()],
+        enable_0rtt: true,
+        ..TlsConfig::default()
+    };
+    let cfg = QuicConfig {
+        tls,
+        ..QuicConfig::default()
+    };
+    let mut server = QuicServer::new(sa(2, 853), cfg.clone());
+    let mut rng = SimRng::new(11);
+    let mut now = SimTime::ZERO;
+    let mut pins = Vec::new();
+    let query = [0x51u8; 40];
+
+    let mut first = QuicConnection::client(
+        cfg.clone(),
+        sa(1, 50_000),
+        sa(2, 853),
+        QUIC_V1,
+        None,
+        None,
+        &mut rng,
+        now,
+    );
+    let stream = first.open_bi();
+    first.stream_send(stream, &query, true);
+    doq_exchange(&mut first, &mut server, stream, &mut now, &[1], &mut pins);
+    let full = pins.len();
+    let ticket = first.take_tickets().pop().expect("a session ticket");
+    let token = first.take_new_token().expect("a NEW_TOKEN");
+
+    now += Duration::from_secs(1);
+    let mut resumed = QuicConnection::client(
+        cfg,
+        sa(1, 50_001),
+        sa(2, 853),
+        QUIC_V1,
+        Some(ticket),
+        Some(token),
+        &mut rng,
+        now,
+    );
+    let stream = resumed.open_bi();
+    resumed.stream_send(stream, &query, true);
+    doq_exchange(&mut resumed, &mut server, stream, &mut now, &[], &mut pins);
+    assert!(resumed.is_resumption());
+    assert_eq!(resumed.early_data_accepted(), Some(true));
+
+    let (full, resumed) = pins.split_at(full);
+    assert_eq!(
+        full,
+        [
+            (true, 1200, 7_816_936_220_237_592_704),
+            (false, 1200, 17_899_929_100_125_173_185),
+            (false, 1191, 8_144_409_022_914_403_129),
+            (false, 634, 6_597_097_688_110_020_670),
+            (true, 1200, 8_306_676_623_278_338_350),
+            (true, 51, 455_547_568_729_486_259),
+            (false, 1191, 8_552_408_544_578_384_423),
+            (true, 91, 9_844_777_293_522_800_087),
+            (true, 73, 4_030_602_789_436_265_627),
+            (false, 49, 17_569_067_982_942_810_459),
+            (false, 258, 904_669_720_268_799_581),
+            (false, 65, 12_633_362_291_086_988_549),
+            (true, 34, 4_034_339_259_852_671_343),
+        ]
+    );
+    assert_eq!(
+        resumed,
+        [
+            (true, 1200, 1_649_006_270_152_414_728),
+            (true, 89, 724_726_289_841_904_420),
+            (false, 1200, 13_744_198_805_936_212_259),
+            (false, 65, 12_657_075_041_891_737_278),
+            (true, 1200, 8_302_720_530_257_732_362),
+        ]
+    );
+}
+
 /// Drive two TCP sockets over a lossy in-order pipe, `a` writing
 /// `data` `piece` bytes per step (so its send buffer wraps as acks
 /// drain it) and closing with the last piece; returns what `b`

@@ -75,12 +75,12 @@ impl Shuttle {
                 let dropped = self.drop_c2s == Some(self.c2s_count);
                 self.c2s_count += 1;
                 if !dropped {
-                    self.wire.push((self.now + self.delay, false, d));
+                    self.wire.push((self.now + self.delay, false, d.into_vec()));
                 }
             }
             for (_, d) in self.server.poll_transmit(self.now) {
                 self.s2c_bytes += d.len();
-                self.wire.push((self.now + self.delay, true, d));
+                self.wire.push((self.now + self.delay, true, d.into_vec()));
             }
             self.wire.sort_by_key(|(t, _, _)| *t);
             if let Some((t, to_client, d)) = self.wire.first().cloned() {
@@ -147,7 +147,7 @@ fn full_handshake_completes_in_one_rtt() {
 #[test]
 fn client_initial_datagram_is_padded_to_1200() {
     let mut c = dial(server_cfg("doq"), QUIC_V1, None, None);
-    let dgrams = c.poll_transmit(SimTime::ZERO);
+    let dgrams: Vec<_> = c.poll_transmit(SimTime::ZERO).collect();
     assert_eq!(dgrams.len(), 1);
     assert_eq!(dgrams[0].len(), 1200);
 }
@@ -296,9 +296,9 @@ fn version_zero_probe_gets_version_negotiation_statelessly() {
             *b"scanscan",
             *b"probecid",
             0,
-            vec![0; 30],
+            &[0; 30],
         );
-        p.token = Vec::new();
+        p.token = &[];
         let mut buf = Vec::new();
         p.encode(&mut buf);
         buf
@@ -409,7 +409,7 @@ fn zero_rtt_query_arrives_with_the_first_flight() {
     let id = c.open_bi();
     c.stream_send(id, b"0rtt-query", true);
     // Only the client's first flight.
-    let dgrams = c.poll_transmit(SimTime::ZERO);
+    let dgrams: Vec<_> = c.poll_transmit(SimTime::ZERO).collect();
     let total: usize = dgrams.iter().map(|d| d.len()).sum();
     assert!(total >= 1200);
     for d in &dgrams {
@@ -652,8 +652,7 @@ fn unreachable_new_path_abandons_validation_and_closes() {
         if c.is_closed() {
             break;
         }
-        let dgrams = c.poll_transmit(now);
-        challenges += dgrams.len().min(1);
+        challenges += c.poll_transmit(now).len().min(1);
         let Some(next) = c.next_timeout() else { break };
         now = next.max(now);
     }

@@ -107,10 +107,28 @@ impl Occupancy {
         w * 64 + self.words[w].trailing_zeros() as usize
     }
 
-    fn clear(&mut self) {
-        self.summary = 0;
-        self.words = [0; WORDS];
+    /// Every occupied slot, ascending.
+    fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        bits(self.summary).flat_map(|w| bits(self.words[w]).map(move |b| w * 64 + b))
     }
+
+    fn clear(&mut self) {
+        for w in bits(self.summary) {
+            self.words[w] = 0;
+        }
+        self.summary = 0;
+    }
+}
+
+/// Indices of the set bits of `word`, ascending.
+fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
 }
 
 /// A deterministic time-ordered queue of payloads: a hierarchical
@@ -283,17 +301,16 @@ impl<T> EventQueue<T> {
     /// Drop all pending events, rewind the cursor and restart the
     /// sequence counter, keeping every allocation. Used by
     /// [`crate::Simulator::reset`] so a simulator arena can be reused
-    /// across runs without reallocating.
+    /// across runs without reallocating. Only the slots the occupancy
+    /// bitmaps mark hold entries, so only those are visited.
     pub fn clear(&mut self) {
-        if self.len > 0 {
-            for s in &mut self.slots {
-                s.clear();
+        for (level, occ) in self.occupied.iter_mut().enumerate() {
+            for slot in occ.slots() {
+                self.slots[level * SLOTS + slot].clear();
             }
-            self.overflow.clear();
-        }
-        for occ in &mut self.occupied {
             occ.clear();
         }
+        self.overflow.clear();
         self.elapsed = 0;
         self.len = 0;
         self.next_seq = 0;

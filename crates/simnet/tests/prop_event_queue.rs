@@ -47,6 +47,19 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// A deadline at one of the scales `op` pushes at, each wheel level
+/// drawn explicitly: level 0, level 1 (rare in `0..2^36`), level 2 and
+/// the overflow heap past the 2^36 ns horizon.
+fn deadline() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..64,
+        0u64..4_096,
+        4_096u64..1 << 24,
+        (1u64 << 24)..1 << 36,
+        (1u64 << 36)..1 << 39,
+    ]
+}
+
 proptest! {
     #[test]
     fn wheel_pops_in_exact_heap_order(ops in proptest::collection::vec(op(), 1..400)) {
@@ -94,21 +107,26 @@ proptest! {
 
     #[test]
     fn wheel_matches_heap_after_clear_and_reuse(
-        before in proptest::collection::vec(0u64..1 << 37, 0..50),
+        before in proptest::collection::vec(deadline(), 0..50),
+        pops in 0usize..50,
         after in proptest::collection::vec(0u64..1 << 37, 1..50),
     ) {
         // A cleared wheel must behave exactly like a fresh one — the
-        // simulator reuses queue arenas across campaign units.
+        // simulator reuses queue arenas across campaign units. Whatever
+        // is left on any level or in the overflow heap must go: the
+        // same deadlines pushed again land in the same slots as the
+        // entries a faulty clear would leave behind.
         let mut wheel = EventQueue::new();
         for (i, &t) in before.iter().enumerate() {
             wheel.push(SimTime::from_nanos(t), i as u32);
         }
-        for _ in 0..before.len() / 2 {
+        for _ in 0..pops.min(before.len()) {
             wheel.pop();
         }
         wheel.clear();
+        prop_assert!(wheel.is_empty() && wheel.peek_time().is_none());
         let mut heap = HeapEventQueue::new();
-        for (i, &t) in after.iter().enumerate() {
+        for (i, &t) in before.iter().chain(&after).enumerate() {
             wheel.push(SimTime::from_nanos(t), i as u32);
             heap.push(SimTime::from_nanos(t), i as u32);
         }

@@ -197,16 +197,7 @@ impl DnsProxy {
                 self.resolved.push((domain, ip));
             }
             // Capture freshly issued resumption material.
-            let s = c.conn.session_state();
-            if s.tls_ticket.is_some() {
-                self.session.tls_ticket = s.tls_ticket;
-            }
-            if s.quic_token.is_some() {
-                self.session.quic_token = s.quic_token;
-            }
-            if s.quic_version.is_some() {
-                self.session.quic_version = s.quic_version;
-            }
+            self.session.merge(c.conn.session_state());
         }
     }
 
