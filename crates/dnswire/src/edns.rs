@@ -26,7 +26,7 @@ pub enum EdnsOption {
 }
 
 impl EdnsOption {
-    fn code(&self) -> u16 {
+    pub(crate) fn code(&self) -> u16 {
         match self {
             EdnsOption::Cookie(_) => 10,
             EdnsOption::TcpKeepalive(_) => 11,

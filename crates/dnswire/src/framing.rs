@@ -14,6 +14,13 @@ pub fn frame(msg: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The first message of `buf`, once its length prefix and every byte
+/// it announces are there.
+pub fn unframe(buf: &[u8]) -> Option<&[u8]> {
+    let len = u16::from_be_bytes([*buf.first()?, *buf.get(1)?]) as usize;
+    buf.get(2..2 + len)
+}
+
 /// Incremental de-framer: feed arbitrary byte chunks, take out complete
 /// messages. Stream transports deliver bytes with no message alignment,
 /// so a reader must tolerate split length prefixes and coalesced
@@ -41,14 +48,7 @@ impl LengthPrefixedReader {
     /// The next complete message, if one is buffered, borrowed from the
     /// reader until the next call.
     pub fn next_message(&mut self) -> Option<&[u8]> {
-        let rest = &self.buf[self.pos..];
-        if rest.len() < 2 {
-            return None;
-        }
-        let len = u16::from_be_bytes([rest[0], rest[1]]) as usize;
-        if rest.len() < 2 + len {
-            return None;
-        }
+        let len = unframe(&self.buf[self.pos..])?.len();
         let start = self.pos + 2;
         self.pos = start + len;
         Some(&self.buf[start..self.pos])
@@ -68,6 +68,16 @@ mod tests {
     fn frame_prepends_length() {
         assert_eq!(frame(&[1, 2, 3]), vec![0, 3, 1, 2, 3]);
         assert_eq!(frame(&[]), vec![0, 0]);
+    }
+
+    #[test]
+    fn unframe_waits_for_the_whole_message() {
+        let framed = frame(b"hello");
+        assert_eq!(unframe(&framed), Some(&b"hello"[..]));
+        for cut in 0..framed.len() {
+            assert_eq!(unframe(&framed[..cut]), None, "{cut} bytes");
+        }
+        assert_eq!(unframe(&[0, 0, 9]), Some(&[][..]));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The DNS message codec: header, question, and the four record
 //! sections, plus convenience builders for queries and responses.
 
-use crate::edns::OptRecord;
+use crate::edns::{EdnsOption, OptRecord};
 use crate::name::Name;
 use crate::record::ResourceRecord;
 use crate::types::{Opcode, Rcode, RecordClass, RecordType};
@@ -174,6 +174,20 @@ impl Message {
             .iter()
             .find(|rr| rr.rtype == RecordType::Opt)
             .and_then(|rr| OptRecord::from_record(rr).ok())
+    }
+
+    /// Merge `option` into the OPT record, starting from the default
+    /// record when there is none. The record keeps its other fields (a
+    /// BADVERS `extended_rcode` included), an option with the same code
+    /// already there wins, and the OPT record ends the additional
+    /// section.
+    pub fn merge_edns_option(&mut self, option: EdnsOption) {
+        let mut opt = self.opt().unwrap_or_default();
+        if !opt.options.iter().any(|o| o.code() == option.code()) {
+            opt.options.push(option);
+        }
+        self.additionals.retain(|rr| rr.rtype != RecordType::Opt);
+        self.additionals.push(opt.to_record());
     }
 
     /// The EDNS version the sender asked for, if it sent an OPT record.
@@ -376,6 +390,43 @@ mod tests {
         assert_eq!(opt.extended_rcode, 1);
         assert_eq!(back.header.rcode, Rcode::NoError);
         assert_eq!(opt.version, 0, "we answer with the version we speak");
+    }
+
+    #[test]
+    fn merging_an_edns_option_keeps_the_opt_record_and_present_options() {
+        // No OPT yet: the default record gains the option.
+        let mut q = Message::query(4, name("example.org"), RecordType::A);
+        q.additionals.clear();
+        q.merge_edns_option(EdnsOption::TcpKeepalive(None));
+        let opt = q.opt().expect("merged");
+        assert_eq!(opt.options, vec![EdnsOption::TcpKeepalive(None)]);
+        assert_eq!(opt.udp_payload_size, OptRecord::default().udp_payload_size);
+
+        // A BADVERS response keeps its extended rcode, and the OPT
+        // record moves behind the other additionals.
+        let mut resp = Message::badvers_response_to(&q);
+        resp.additionals.push(ResourceRecord::new(
+            name("ns.example.org"),
+            60,
+            RData::A([192, 0, 2, 1]),
+        ));
+        resp.merge_edns_option(EdnsOption::TcpKeepalive(Some(300)));
+        assert_eq!(resp.additionals.len(), 2);
+        assert_eq!(resp.additionals[1].rtype, RecordType::Opt);
+        let opt = resp.opt().unwrap();
+        assert_eq!(opt.extended_rcode, 1);
+        assert_eq!(opt.options, vec![EdnsOption::TcpKeepalive(Some(300))]);
+
+        // An option with the same code is not added twice; others are.
+        resp.merge_edns_option(EdnsOption::TcpKeepalive(Some(7)));
+        resp.merge_edns_option(EdnsOption::Padding(4));
+        let opt = resp.opt().unwrap();
+        assert_eq!(
+            opt.options,
+            vec![EdnsOption::TcpKeepalive(Some(300)), EdnsOption::Padding(4)]
+        );
+        let back = Message::decode(&resp.encode()).unwrap();
+        assert_eq!(back, resp);
     }
 
     #[test]

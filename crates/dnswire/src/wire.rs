@@ -239,11 +239,6 @@ impl<'a> WireReader<'a> {
         self.pos += len;
         Ok(s)
     }
-
-    /// The full message buffer (for pointer resolution).
-    pub fn full_message(&self) -> &'a [u8] {
-        self.full
-    }
 }
 
 #[cfg(test)]

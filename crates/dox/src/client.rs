@@ -172,13 +172,6 @@ impl SessionCache {
         self.entries.get(&resolver)
     }
 
-    /// Fold every entry of another cache into this one.
-    pub fn absorb(&mut self, other: SessionCache) {
-        for (resolver, s) in other.entries {
-            self.store(resolver, s);
-        }
-    }
-
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -380,13 +373,12 @@ pub trait DnsClientConn {
     /// connectionless DoUDP.
     fn handshake_done_at(&self) -> Option<SimTime>;
 
-    /// The connection failed permanently.
-    fn failed(&self) -> bool;
-
     /// Classify the permanent failure (`None` while healthy).
-    /// Transports refine the default, which can only say "timeout".
-    fn failure(&self) -> Option<FailureKind> {
-        self.failed().then_some(FailureKind::Timeout)
+    fn failure(&self) -> Option<FailureKind>;
+
+    /// The connection failed permanently.
+    fn failed(&self) -> bool {
+        self.failure().is_some()
     }
 
     /// Resumption material gathered on this connection (tickets, QUIC

@@ -1,12 +1,11 @@
 //! DoH: DNS over HTTPS (RFC 8484) — HTTP/2 POST requests with
 //! `application/dns-message` bodies over TLS over TCP, port 443.
 
+use crate::carrier::{tls_failure, tls_metadata, tls_session};
 use crate::client::{ClientConfig, ConnMetadata, DnsClientConn, FailureKind, SessionState};
-use crate::tcp::{classify_tcp_failure, segments_to_packets};
 use doqlab_dnswire::Message;
 use doqlab_netstack::http2::{doh_request_headers, doh_response_headers, H2Connection};
-use doqlab_netstack::tcp::{TcpConfig, TcpSegment, TcpSocket};
-use doqlab_netstack::tls::{TlsClient, TlsConfig};
+use doqlab_netstack::tls::{TlsConfig, TlsStream};
 use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
 use doqlab_telemetry::{sink, Event};
@@ -14,9 +13,7 @@ use doqlab_telemetry::{sink, Event};
 /// A DoH client connection.
 #[derive(Debug)]
 pub struct DoHClient {
-    tcp: TcpSocket,
-    tls: TlsClient,
-    tls_started: bool,
+    stream: TlsStream,
     h2: H2Connection,
     authority: String,
     responses: Vec<(SimTime, Message)>,
@@ -27,7 +24,6 @@ pub struct DoHClient {
     /// Queries issued before the connection was usable.
     queued: Vec<Message>,
     outstanding: usize,
-    session_out: SessionState,
 }
 
 impl DoHClient {
@@ -44,16 +40,13 @@ impl DoHClient {
                 .as_ref()
                 .is_some_and(|t| t.allows_early_data);
         DoHClient {
-            tcp: TcpSocket::client(local, remote, 0, TcpConfig::default()),
-            tls: TlsClient::new(tls_cfg, cfg.session.tls_ticket.clone()),
-            tls_started: false,
+            stream: TlsStream::new(local, remote, tls_cfg, cfg.session.tls_ticket.clone()),
             h2: H2Connection::client(),
             early_permitted,
             authority: format!("dns-{}.resolver", remote.ip),
             responses: Vec::new(),
             queued: Vec::new(),
             outstanding: 0,
-            session_out: SessionState::default(),
         }
     }
 
@@ -76,17 +69,12 @@ impl DoHClient {
     fn pump(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         // Flush queued queries once TLS is up (HTTP/2 bytes themselves
         // ride as TLS application data, including 0-RTT).
-        if self.tls.is_connected() && !self.queued.is_empty() {
+        if self.stream.tls().is_connected() && !self.queued.is_empty() {
             for msg in std::mem::take(&mut self.queued) {
                 self.send_request(now, &msg);
             }
         }
-        // TCP -> TLS -> HTTP/2.
-        let data = self.tcp.recv();
-        if !data.is_empty() {
-            self.tls.read_wire(now, &data);
-        }
-        self.h2.read_wire(self.tls.read_app().as_slice());
+        self.h2.read_wire(self.stream.read(now).as_slice());
         for m in self.h2.take_messages() {
             let status = m
                 .header(":status")
@@ -106,36 +94,21 @@ impl DoHClient {
                 }
             }
         }
-        for ticket in self.tls.take_tickets() {
-            self.session_out.tls_ticket = Some(ticket);
-        }
-        // HTTP/2 -> TLS -> TCP.
-        let h2_out = self.h2.take_output();
-        if !h2_out.is_empty() {
-            self.tls.write_app(&h2_out);
-        }
-        // A dying socket (closed by the resilience layer, or reset) no
-        // longer accepts data; drop the TLS output rather than
-        // asserting.
-        let wire = self.tls.take_output();
-        if !wire.is_empty() && self.tcp.can_send() {
-            self.tcp.send(&wire);
-        }
-        let (local, remote) = (self.tcp.local, self.tcp.remote);
-        segments_to_packets(local, remote, self.tcp.poll(now), out);
+        self.stream.write(&self.h2.take_output());
+        self.stream.flush(now, out);
     }
 }
 
 impl DnsClientConn for DoHClient {
     fn start(&mut self, now: SimTime, _rng: &mut SimRng, out: &mut Vec<Packet>) {
-        self.tcp.open(now);
+        self.stream.open(now);
         self.pump(now, out);
     }
 
     fn query(&mut self, now: SimTime, msg: &Message) {
-        if self.tls.is_connected() {
+        if self.stream.tls().is_connected() {
             self.send_request(now, msg);
-        } else if self.early_permitted && !self.tls_started {
+        } else if self.early_permitted && !self.stream.tls_started() {
             // The H2 request bytes join the preface in the TLS engine's
             // pending buffer and ride the ClientHello as 0-RTT early
             // data; a rejection replays them after the handshake.
@@ -146,26 +119,16 @@ impl DnsClientConn for DoHClient {
     }
 
     fn on_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Vec<Packet>) {
-        if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-            self.tcp.on_segment(now, &seg);
-        }
-        if self.tcp.is_established() && !self.tls_started {
-            self.tls_started = true;
-            self.tls.start(now);
-        }
+        self.stream.on_packet(now, pkt);
         self.pump(now, out);
     }
 
     fn poll(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        if self.tcp.is_established() && !self.tls_started {
-            self.tls_started = true;
-            self.tls.start(now);
-        }
         self.pump(now, out);
     }
 
     fn next_timeout(&self) -> Option<SimTime> {
-        self.tcp.next_timeout()
+        self.stream.next_timeout()
     }
 
     fn take_responses(&mut self) -> Vec<(SimTime, Message)> {
@@ -173,39 +136,25 @@ impl DnsClientConn for DoHClient {
     }
 
     fn handshake_done_at(&self) -> Option<SimTime> {
-        self.tls.connected_at()
-    }
-
-    fn failed(&self) -> bool {
-        self.tcp.is_reset() || self.tls.error().is_some()
+        self.stream.tls().connected_at()
     }
 
     fn failure(&self) -> Option<FailureKind> {
-        if self.tls.error().is_some() {
-            return Some(FailureKind::HandshakeFail);
-        }
-        classify_tcp_failure(&self.tcp)
+        tls_failure(&self.stream)
     }
 
     fn session_state(&mut self) -> SessionState {
-        std::mem::take(&mut self.session_out)
+        tls_session(&mut self.stream)
     }
 
     fn close(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         self.h2.go_away();
-        self.tcp.close();
+        self.stream.close();
         self.pump(now, out);
     }
 
     fn metadata(&self) -> ConnMetadata {
-        ConnMetadata {
-            tls13: self
-                .tls
-                .negotiated_version()
-                .map(|v| v == doqlab_netstack::tls::TlsVersion::Tls13),
-            zero_rtt: self.tls.early_data_accepted() == Some(true),
-            ..ConnMetadata::default()
-        }
+        tls_metadata(&self.stream)
     }
 }
 

@@ -323,11 +323,6 @@ impl DnsClientHost {
         std::mem::take(&mut self.abandoned)
     }
 
-    /// Queries currently in flight (pooled mode only).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Fold the live connection's resumption material into the session
     /// cache under the resolver it came from.
     fn capture_session(&mut self) {
@@ -335,22 +330,11 @@ impl DnsClientHost {
         self.sessions.store(self.remote, s);
     }
 
-    /// The host's session cache: resumption material keyed by resolver.
-    pub fn session_cache(&self) -> &SessionCache {
-        &self.sessions
-    }
-
     /// Export the session cache (folding in whatever the live
     /// connection holds first), e.g. to seed a later host's cache.
     pub fn export_sessions(&mut self) -> SessionCache {
         self.capture_session();
         self.sessions.clone()
-    }
-
-    /// Seed the session cache from another host's export; the next
-    /// dial to a cached resolver presents the merged material.
-    pub fn import_sessions(&mut self, cache: SessionCache) {
-        self.sessions.absorb(cache);
     }
 
     /// Issue a query on the pooled connection, dialing one if none is

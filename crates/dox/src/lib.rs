@@ -10,12 +10,17 @@
 //! | [`dot`] | DoT      | 7858 | TLS over TCP, ALPN `dot`, port 853 |
 //! | [`doh`] | DoH      | 8484 | HTTP/2 over TLS over TCP, port 443 |
 //! | [`doq`] | DoQ      | 9250 | QUIC, ALPN `doq`/`doq-i*`, port 853/784/8853 |
+//! | [`doh3`] | DoH3    | 8484/9114 | HTTP/3 over QUIC, port 443 (§4 future work) |
 //!
 //! All clients implement [`client::DnsClientConn`], the sans-I/O
 //! interface the measurement harness drives; [`server::DnsServerSet`]
-//! bundles the five server endpoints for a resolver host.
+//! bundles the server endpoints for a resolver host. Each carrier is
+//! written once: DoT and DoH share the TLS-over-TCP stream of
+//! `doqlab-netstack`, DoQ and DoH3 one QUIC client shell, and every
+//! listener keeps its connections' DNS state beside them.
 
 pub mod alpn;
+mod carrier;
 pub mod client;
 pub mod doh;
 pub mod doh3;

@@ -1,12 +1,15 @@
 //! The resolver-side server set: all five DNS transports behind one
 //! IP, like the 313 verified DoX resolvers of the study.
 //!
-//! [`DnsServerSet`] owns a UDP responder, TCP and TLS listeners, an
-//! HTTP/2 endpoint and one QUIC server per DoQ port, and surfaces
-//! decoded queries as [`ServerEvent`]s. The owning host (the resolver
-//! in `doqlab-resolver`) answers through [`DnsServerSet::respond`].
-//! Feature support — which the paper probes per resolver — is all in
-//! [`ServerConfig`].
+//! [`DnsServerSet`] owns a UDP responder, a TCP listener, TLS listeners
+//! for DoT and DoH, and QUIC servers for DoQ (one per port) and DoH3,
+//! and surfaces decoded queries as [`ServerEvent`]s. Each listener and
+//! QUIC server keeps its connections' DNS state (framing reader, HTTP/2
+//! endpoint, unfinished request streams) beside the connections, so
+//! reaping a connection drops its state too. The owning host (the
+//! resolver in `doqlab-resolver`) answers through
+//! [`DnsServerSet::respond`]. Feature support — which the paper probes
+//! per resolver — is all in [`ServerConfig`].
 
 use crate::alpn::DoqAlpn;
 use crate::client::DnsTransport;
@@ -14,11 +17,12 @@ use crate::doh::doh_response_parts;
 use crate::ports;
 use doqlab_dnswire::{framing, EdnsOption, LengthPrefixedReader, Message};
 use doqlab_netstack::http2::H2Connection;
-use doqlab_netstack::quic::{QuicConfig, QuicServer};
-use doqlab_netstack::tcp::{TcpConfig, TcpListener, TcpSegment};
-use doqlab_netstack::tls::{TlsConfig, TlsServer, TlsVersion};
+use doqlab_netstack::http3::H3Message;
+use doqlab_netstack::quic::{QuicConfig, QuicConnection, QuicServer};
+use doqlab_netstack::tcp::{TcpConfig, TcpListener};
+use doqlab_netstack::tls::{TlsConfig, TlsListener, TlsVersion};
 use doqlab_simnet::{Duration, Ipv4Addr, Packet, SimTime, SocketAddr, Transport};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Per-resolver feature configuration.
 #[derive(Debug, Clone)]
@@ -125,32 +129,68 @@ pub struct ServerEvent {
     pub received_at: SimTime,
 }
 
-#[derive(Debug)]
-struct DotConn {
-    tls: TlsServer,
-    reader: LengthPrefixedReader,
+/// How DNS rides a QUIC server's request streams.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum QuicMapping {
+    Doq,
+    Doh3,
 }
 
+impl QuicMapping {
+    /// Decode a request stream holding `buf` (`fin`: the client
+    /// finished it). `None` while more bytes may complete it; once it
+    /// is complete, or finished incomplete, the query it carries, if
+    /// any.
+    fn request(self, conn: &QuicConnection, buf: &[u8], fin: bool) -> Option<Option<Message>> {
+        let decode = |wire: &[u8]| Message::decode(wire).ok();
+        match self {
+            QuicMapping::Doq if doq_alpn(conn).uses_length_prefix() => {
+                match framing::unframe(buf) {
+                    Some(wire) => Some(decode(wire)),
+                    None if fin => Some(None),
+                    None => None,
+                }
+            }
+            QuicMapping::Doq if fin => Some(decode(buf)),
+            QuicMapping::Doh3 if fin => Some(H3Message::decode(buf).and_then(|r| decode(&r.body))),
+            _ => None,
+        }
+    }
+
+    fn key(self, peer: SocketAddr, port: u16, stream: u64) -> (ConnKey, DnsTransport) {
+        match self {
+            QuicMapping::Doq => (ConnKey::Doq { peer, port, stream }, DnsTransport::DoQ),
+            QuicMapping::Doh3 => (ConnKey::Doh3 { peer, stream }, DnsTransport::DoH3),
+        }
+    }
+}
+
+/// The DoQ stream mapping a connection negotiated.
+fn doq_alpn(conn: &QuicConnection) -> DoqAlpn {
+    conn.negotiated_alpn()
+        .and_then(DoqAlpn::from_wire)
+        .unwrap_or(DoqAlpn::Rfc9250)
+}
+
+/// A QUIC server and the mapping it serves. Beside each connection it
+/// keeps the request streams still waiting for their last bytes, in
+/// stream order, with the bytes received so far.
 #[derive(Debug)]
-struct DohConn {
-    tls: TlsServer,
-    h2: H2Connection,
+struct QuicEndpoint {
+    mapping: QuicMapping,
+    server: QuicServer<BTreeMap<u64, Vec<u8>>>,
 }
 
 /// All five server endpoints behind one IP.
 #[derive(Debug)]
 pub struct DnsServerSet {
     cfg: ServerConfig,
-    tcp: TcpListener,
-    tcp_readers: HashMap<SocketAddr, LengthPrefixedReader>,
-    dot: TcpListener,
-    dot_conns: HashMap<SocketAddr, DotConn>,
-    doh: TcpListener,
-    doh_conns: HashMap<SocketAddr, DohConn>,
-    doq: Vec<(u16, QuicServer)>,
-    doh3: Option<QuicServer>,
-    /// Partially received DoH3 request streams.
-    doh3_buf: HashMap<(SocketAddr, u64), Vec<u8>>,
+    /// DoTCP, with each connection's framing reader.
+    tcp: TcpListener<LengthPrefixedReader>,
+    dot: TlsListener<LengthPrefixedReader>,
+    doh: TlsListener<H2Connection>,
+    /// DoQ on each of its ports, then DoH3.
+    quic: Vec<QuicEndpoint>,
     events: Vec<ServerEvent>,
     /// UDP responses waiting for the next poll.
     udp_out: Vec<Packet>,
@@ -164,41 +204,32 @@ impl DnsServerSet {
             enable_tfo: cfg.enable_tfo,
             ..TcpConfig::default()
         };
-        let doq = cfg
-            .doq_ports
-            .iter()
-            .map(|&port| {
-                let quic_cfg = QuicConfig {
-                    versions: cfg.quic_versions.clone(),
-                    tls: cfg.tls(cfg.doq_alpns.iter().map(|a| a.wire()).collect()),
-                    retry_required: cfg.retry_required,
-                    ..QuicConfig::default()
-                };
-                (
-                    port,
-                    QuicServer::new(SocketAddr::new(cfg.ip, port), quic_cfg),
-                )
-            })
-            .collect();
-        let doh3 = cfg.supports_doh3.then(|| {
+        let quic = |port: u16, mapping: QuicMapping, alpn: Vec<Vec<u8>>| {
             let quic_cfg = QuicConfig {
                 versions: cfg.quic_versions.clone(),
-                tls: cfg.tls(vec![b"h3".to_vec()]),
+                tls: cfg.tls(alpn),
                 retry_required: cfg.retry_required,
                 ..QuicConfig::default()
             };
-            QuicServer::new(SocketAddr::new(cfg.ip, ports::HTTPS), quic_cfg)
+            QuicEndpoint {
+                mapping,
+                server: QuicServer::with_state(SocketAddr::new(cfg.ip, port), quic_cfg),
+            }
+        };
+        let doq = cfg.doq_ports.iter().map(|&port| {
+            let alpn = cfg.doq_alpns.iter().map(|a| a.wire()).collect();
+            quic(port, QuicMapping::Doq, alpn)
         });
+        let doh3 = cfg
+            .supports_doh3
+            .then(|| quic(ports::HTTPS, QuicMapping::Doh3, vec![b"h3".to_vec()]));
+        let quic = doq.chain(doh3).collect();
+        let at = |port| SocketAddr::new(cfg.ip, port);
         DnsServerSet {
-            tcp: TcpListener::new(SocketAddr::new(cfg.ip, ports::DNS), tcp_cfg.clone()),
-            tcp_readers: HashMap::new(),
-            dot: TcpListener::new(SocketAddr::new(cfg.ip, ports::DOT), TcpConfig::default()),
-            dot_conns: HashMap::new(),
-            doh: TcpListener::new(SocketAddr::new(cfg.ip, ports::HTTPS), TcpConfig::default()),
-            doh_conns: HashMap::new(),
-            doq,
-            doh3,
-            doh3_buf: HashMap::new(),
+            tcp: TcpListener::new(at(ports::DNS), tcp_cfg),
+            dot: TlsListener::new(at(ports::DOT)),
+            doh: TlsListener::new(at(ports::HTTPS)),
+            quic,
             cfg,
             events: Vec::new(),
             udp_out: Vec::new(),
@@ -229,44 +260,60 @@ impl DnsServerSet {
                 }
             }
             (Transport::Udp, ports::HTTPS) => {
-                if let Some(server) = &mut self.doh3 {
-                    for (peer, dgram) in server.handle_datagram(now, pkt.src, &pkt.payload) {
-                        out.push(Packet::udp(
-                            SocketAddr::new(self.cfg.ip, ports::HTTPS),
-                            peer,
-                            dgram,
-                        ));
-                    }
-                }
+                self.quic_datagram(now, pkt, QuicMapping::Doh3, out);
             }
             (Transport::Udp, port) if self.cfg.doq_ports.contains(&port) => {
                 if !self.cfg.supports_doq {
                     return;
                 }
-                if let Some((_, server)) = self.doq.iter_mut().find(|(p, _)| *p == port) {
-                    for (peer, dgram) in server.handle_datagram(now, pkt.src, &pkt.payload) {
-                        out.push(Packet::udp(SocketAddr::new(self.cfg.ip, port), peer, dgram));
-                    }
-                }
+                self.quic_datagram(now, pkt, QuicMapping::Doq, out);
             }
             (Transport::Tcp, ports::DNS) if self.cfg.supports_tcp => {
-                if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-                    self.tcp.on_segment(now, pkt.src, &seg);
-                }
+                self.tcp.on_packet(now, pkt, LengthPrefixedReader::new);
             }
             (Transport::Tcp, ports::DOT) if self.cfg.supports_dot => {
-                if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-                    self.dot.on_segment(now, pkt.src, &seg);
-                }
+                let cfg = &self.cfg;
+                self.dot.on_packet(now, pkt, || {
+                    (cfg.tls(vec![b"dot".to_vec()]), LengthPrefixedReader::new())
+                });
             }
             (Transport::Tcp, ports::HTTPS) if self.cfg.supports_doh => {
-                if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-                    self.doh.on_segment(now, pkt.src, &seg);
-                }
+                let cfg = &self.cfg;
+                self.doh.on_packet(now, pkt, || {
+                    (cfg.tls(vec![b"h2".to_vec()]), H2Connection::server())
+                });
             }
             _ => {}
         }
         self.pump(now, out);
+    }
+
+    /// The QUIC server serving `mapping` on `port`.
+    fn quic_server(
+        &mut self,
+        mapping: QuicMapping,
+        port: u16,
+    ) -> Option<&mut QuicServer<BTreeMap<u64, Vec<u8>>>> {
+        self.quic
+            .iter_mut()
+            .find(|ep| ep.mapping == mapping && ep.server.local.port == port)
+            .map(|ep| &mut ep.server)
+    }
+
+    /// Hand a datagram to its QUIC server, sending any stateless reply
+    /// (Version Negotiation, Retry) at once.
+    fn quic_datagram(
+        &mut self,
+        now: SimTime,
+        pkt: &Packet,
+        mapping: QuicMapping,
+        out: &mut Vec<Packet>,
+    ) {
+        if let Some(server) = self.quic_server(mapping, pkt.dst.port) {
+            for (peer, dgram) in server.handle_datagram(now, pkt.src, &pkt.payload) {
+                out.push(Packet::udp(server.local, peer, dgram));
+            }
+        }
     }
 
     /// Run protocol machinery; flush output packets.
@@ -276,246 +323,116 @@ impl DnsServerSet {
 
     fn pump(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         out.append(&mut self.udp_out);
+        let events = &mut self.events;
+        let mut push = |(key, transport), query: Message| {
+            if !query.header.response {
+                events.push(ServerEvent {
+                    key,
+                    transport,
+                    query,
+                    received_at: now,
+                });
+            }
+        };
 
         // --- DoTCP ---
-        let mut tcp_events = Vec::new();
-        for (&peer, sock) in self.tcp.connections() {
+        for (peer, sock, reader) in self.tcp.connections() {
             let data = sock.recv();
             if data.is_empty() {
                 continue;
             }
-            let reader = self.tcp_readers.entry(peer).or_default();
             reader.push(&data);
             while let Some(wire) = reader.next_message() {
                 if let Ok(query) = Message::decode(wire) {
-                    if !query.header.response {
-                        tcp_events.push(ServerEvent {
-                            key: ConnKey::Tcp(peer),
-                            transport: DnsTransport::DoTcp,
-                            query,
-                            received_at: now,
-                        });
-                    }
+                    push((ConnKey::Tcp(peer), DnsTransport::DoTcp), query);
                 }
             }
         }
-        self.events.append(&mut tcp_events);
         // Close DoTCP connections whose response has drained.
-        self.tcp_closing
-            .retain(|peer| match self.tcp.connection(*peer) {
-                Some(sock) if sock.tx_outstanding() == 0 => {
-                    sock.close();
-                    false
-                }
-                Some(_) => true,
-                None => false,
-            });
-        for (peer, seg) in self.tcp.poll(now) {
-            out.push(Packet::tcp(
-                SocketAddr::new(self.cfg.ip, ports::DNS),
-                peer,
-                seg.encode_payload(),
-            ));
-        }
+        let tcp = &mut self.tcp;
+        self.tcp_closing.retain(|peer| match tcp.connection(*peer) {
+            Some((sock, _)) if sock.tx_outstanding() == 0 => {
+                sock.close();
+                false
+            }
+            Some(_) => true,
+            None => false,
+        });
+        self.tcp.transmit(now, out);
         // Pooled clients redial from fresh source ports, so abandoned
-        // connections accumulate forever unless reaped (after poll, so
-        // owed ACKs are already flushed).
+        // connections accumulate forever unless reaped (after the
+        // transmit, so owed ACKs are already flushed).
         self.tcp.reap_quiescent();
-        if self.tcp_readers.len() > self.tcp.len() {
-            let tcp = &self.tcp;
-            self.tcp_readers.retain(|peer, _| tcp.contains(*peer));
-        }
 
         // --- DoT ---
-        let mut dot_events = Vec::new();
-        for (&peer, sock) in self.dot.connections() {
-            let conn = self.dot_conns.entry(peer).or_insert_with(|| DotConn {
-                tls: TlsServer::new(self.cfg.tls(vec![b"dot".to_vec()])),
-                reader: LengthPrefixedReader::new(),
-            });
-            let data = sock.recv();
-            if !data.is_empty() {
-                conn.tls.read_wire(now, &data);
-            }
-            conn.reader.push(&conn.tls.read_early());
-            conn.reader.push(conn.tls.read_app().as_slice());
-            while let Some(wire) = conn.reader.next_message() {
+        self.dot.pump(now, out, |peer, session| {
+            session.read(|reader, data| reader.push(data));
+            while let Some(wire) = session.app.next_message() {
                 if let Ok(query) = Message::decode(wire) {
-                    if !query.header.response {
-                        dot_events.push(ServerEvent {
-                            key: ConnKey::Dot(peer),
-                            transport: DnsTransport::DoT,
-                            query,
-                            received_at: now,
-                        });
-                    }
+                    push((ConnKey::Dot(peer), DnsTransport::DoT), query);
                 }
             }
-            let wire = conn.tls.take_output();
-            if !wire.is_empty() {
-                sock.send(&wire);
-            }
-        }
-        self.events.append(&mut dot_events);
-        for (peer, seg) in self.dot.poll(now) {
-            out.push(Packet::tcp(
-                SocketAddr::new(self.cfg.ip, ports::DOT),
-                peer,
-                seg.encode_payload(),
-            ));
-        }
+        });
         self.dot.reap_quiescent();
-        if self.dot_conns.len() > self.dot.len() {
-            let dot = &self.dot;
-            self.dot_conns.retain(|peer, _| dot.contains(*peer));
-        }
 
         // --- DoH ---
-        let mut doh_events = Vec::new();
-        for (&peer, sock) in self.doh.connections() {
-            let conn = self.doh_conns.entry(peer).or_insert_with(|| DohConn {
-                tls: TlsServer::new(self.cfg.tls(vec![b"h2".to_vec()])),
-                h2: H2Connection::server(),
-            });
-            let data = sock.recv();
-            if !data.is_empty() {
-                conn.tls.read_wire(now, &data);
-            }
-            conn.h2.read_wire(&conn.tls.read_early());
-            conn.h2.read_wire(conn.tls.read_app().as_slice());
-            for req in conn.h2.take_messages() {
+        self.doh.pump(now, out, |peer, session| {
+            session.read(|h2, data| h2.read_wire(data));
+            for req in session.app.take_messages() {
                 if let Ok(query) = Message::decode(&req.body) {
-                    if !query.header.response {
-                        doh_events.push(ServerEvent {
-                            key: ConnKey::Doh(peer, req.stream_id),
-                            transport: DnsTransport::DoH,
-                            query,
-                            received_at: now,
-                        });
-                    }
+                    push(
+                        (ConnKey::Doh(peer, req.stream_id), DnsTransport::DoH),
+                        query,
+                    );
                 }
             }
-            let h2_out = conn.h2.take_output();
-            if !h2_out.is_empty() {
-                conn.tls.write_app(&h2_out);
-            }
-            let wire = conn.tls.take_output();
-            if !wire.is_empty() {
-                sock.send(&wire);
-            }
-        }
-        self.events.append(&mut doh_events);
-        for (peer, seg) in self.doh.poll(now) {
-            out.push(Packet::tcp(
-                SocketAddr::new(self.cfg.ip, ports::HTTPS),
-                peer,
-                seg.encode_payload(),
-            ));
-        }
+            let h2_out = session.app.take_output();
+            session.write(&h2_out);
+        });
         self.doh.reap_quiescent();
-        if self.doh_conns.len() > self.doh.len() {
-            let doh = &self.doh;
-            self.doh_conns.retain(|peer, _| doh.contains(*peer));
-        }
 
-        // --- DoQ ---
-        let mut doq_events = Vec::new();
-        for (port, server) in &mut self.doq {
-            for (&peer, conn) in server.connections() {
-                let alpn = conn
-                    .negotiated_alpn()
-                    .and_then(DoqAlpn::from_wire)
-                    .unwrap_or(DoqAlpn::Rfc9250);
-                for stream in conn.take_new_peer_streams() {
+        // --- DoQ, DoH3 ---
+        for QuicEndpoint { mapping, server } in &mut self.quic {
+            let (mapping, port) = (*mapping, server.local.port);
+            for (peer, conn, waiting) in server.connections() {
+                let mut serve = |stream, query: Option<Message>| {
+                    if let Some(query) = query {
+                        push(mapping.key(peer, port, stream), query);
+                    }
+                };
+                waiting.retain(|&stream, buf| {
                     let (data, fin) = conn.stream_recv(stream);
-                    // Queries are small: they arrive in one frame in this
-                    // simulation (one datagram covers any DNS query).
-                    let mut r = LengthPrefixedReader::new();
-                    let wire = if alpn.uses_length_prefix() {
-                        r.push(&data);
-                        r.next_message()
-                    } else if fin {
-                        Some(&data[..])
-                    } else {
-                        None
-                    };
-                    if let Some(wire) = wire {
-                        if let Ok(query) = Message::decode(wire) {
-                            if !query.header.response {
-                                doq_events.push(ServerEvent {
-                                    key: ConnKey::Doq {
-                                        peer,
-                                        port: *port,
-                                        stream,
-                                    },
-                                    transport: DnsTransport::DoQ,
-                                    query,
-                                    received_at: now,
-                                });
-                            }
+                    buf.extend_from_slice(&data);
+                    let done = mapping.request(conn, buf, fin);
+                    let waits = done.is_none();
+                    if let Some(query) = done {
+                        serve(stream, query);
+                    }
+                    waits
+                });
+                // Requests ride client-initiated bidirectional streams;
+                // HTTP/3 control and QPACK streams are left unread.
+                for stream in conn.take_new_peer_streams() {
+                    if stream % 4 != 0 {
+                        continue;
+                    }
+                    let (data, fin) = conn.stream_recv(stream);
+                    match mapping.request(conn, &data, fin) {
+                        Some(query) => serve(stream, query),
+                        None => {
+                            waiting.insert(stream, data);
                         }
                     }
                 }
             }
+            let local = server.local;
             for (peer, dgram) in server.poll_transmit(now) {
-                out.push(Packet::udp(
-                    SocketAddr::new(self.cfg.ip, *port),
-                    peer,
-                    dgram,
-                ));
+                out.push(Packet::udp(local, peer, dgram));
             }
             // Long-lived hosts see many connections per peer (pooled
             // clients redial after evictions); drained ones must not
             // accumulate.
             server.reap();
-        }
-        self.events.append(&mut doq_events);
-
-        // --- DoH3 (future work) ---
-        if let Some(server) = &mut self.doh3 {
-            let mut doh3_events = Vec::new();
-            for (&peer, conn) in server.connections() {
-                for stream in conn.take_new_peer_streams() {
-                    // Unidirectional peer streams (control/QPACK) are
-                    // consumed and ignored; requests are client bidi.
-                    self.doh3_buf.entry((peer, stream)).or_default();
-                }
-                let streams: Vec<u64> = self
-                    .doh3_buf
-                    .keys()
-                    .filter(|(p, _)| *p == peer)
-                    .map(|(_, s)| *s)
-                    .collect();
-                for stream in streams {
-                    let (data, fin) = conn.stream_recv(stream);
-                    let buf = self.doh3_buf.get_mut(&(peer, stream)).expect("listed");
-                    buf.extend_from_slice(&data);
-                    let is_request = stream % 4 == 0; // client bidi
-                    if fin && is_request {
-                        if let Some(req) = doqlab_netstack::http3::H3Message::decode(buf) {
-                            if let Ok(query) = Message::decode(&req.body) {
-                                if !query.header.response {
-                                    doh3_events.push(ServerEvent {
-                                        key: ConnKey::Doh3 { peer, stream },
-                                        transport: DnsTransport::DoH3,
-                                        query,
-                                        received_at: now,
-                                    });
-                                }
-                            }
-                        }
-                        self.doh3_buf.remove(&(peer, stream));
-                    }
-                }
-            }
-            for (peer, dgram) in server.poll_transmit(now) {
-                out.push(Packet::udp(
-                    SocketAddr::new(self.cfg.ip, ports::HTTPS),
-                    peer,
-                    dgram,
-                ));
-            }
-            self.events.append(&mut doh3_events);
         }
 
         // RFC 6891 §6.1.3: a query asking for an EDNS version we do not
@@ -557,21 +474,12 @@ impl DnsServerSet {
                 ));
             }
             ConnKey::Tcp(peer) => {
-                if let Some(sock) = self.tcp.connection(peer) {
+                if let Some((sock, _)) = self.tcp.connection(peer) {
                     let mut msg = msg.clone();
                     if self.cfg.tcp_keepalive {
                         // RFC 7828: advertise an idle timeout (in units
                         // of 100 ms) so the client holds the connection.
-                        // Merge into any OPT already on the response —
-                        // replacing it wholesale would clobber fields
-                        // like a BADVERS extended_rcode.
-                        let mut opt = msg.opt().unwrap_or_default();
-                        if opt.tcp_keepalive().is_none() {
-                            opt.options.push(EdnsOption::TcpKeepalive(Some(300)));
-                        }
-                        msg.additionals
-                            .retain(|rr| rr.rtype != doqlab_dnswire::RecordType::Opt);
-                        msg.additionals.push(opt.to_record());
+                        msg.merge_edns_option(EdnsOption::TcpKeepalive(Some(300)));
                     }
                     sock.send(&framing::frame(&msg.encode()));
                     if self.cfg.close_tcp_after_response && !self.cfg.tcp_keepalive {
@@ -580,45 +488,39 @@ impl DnsServerSet {
                 }
             }
             ConnKey::Dot(peer) => {
-                if let Some(conn) = self.dot_conns.get_mut(&peer) {
-                    conn.tls.write_app(&framing::frame(&msg.encode()));
+                if let Some(session) = self.dot.session(peer) {
+                    session.write(&framing::frame(&msg.encode()));
                 }
             }
             ConnKey::Doh(peer, stream) => {
-                if let Some(conn) = self.doh_conns.get_mut(&peer) {
+                if let Some(session) = self.doh.session(peer) {
                     let (headers, body) = doh_response_parts(msg);
                     let refs: Vec<(&str, &str)> = headers
                         .iter()
                         .map(|(n, v)| (n.as_str(), v.as_str()))
                         .collect();
-                    conn.h2.send_response(stream, &refs, &body);
+                    session.app.send_response(stream, &refs, &body);
                 }
             }
             ConnKey::Doh3 { peer, stream } => {
-                if let Some(server) = &mut self.doh3 {
-                    if let Some(conn) = server.connection(peer) {
-                        let bytes = crate::doh3::doh3_response_bytes(msg);
-                        conn.stream_send(stream, &bytes, true);
-                    }
+                let server = self.quic_server(QuicMapping::Doh3, ports::HTTPS);
+                if let Some(conn) = server.and_then(|s| s.connection(peer)) {
+                    let bytes = crate::doh3::doh3_response_bytes(msg);
+                    conn.stream_send(stream, &bytes, true);
                 }
             }
             ConnKey::Doq { peer, port, stream } => {
-                if let Some((_, server)) = self.doq.iter_mut().find(|(p, _)| *p == port) {
-                    if let Some(conn) = server.connection(peer) {
-                        let mut resp = msg.clone();
-                        resp.header.id = 0; // RFC 9250
-                        let alpn = conn
-                            .negotiated_alpn()
-                            .and_then(DoqAlpn::from_wire)
-                            .unwrap_or(DoqAlpn::Rfc9250);
-                        let wire = resp.encode();
-                        let payload = if alpn.uses_length_prefix() {
-                            framing::frame(&wire)
-                        } else {
-                            wire
-                        };
-                        conn.stream_send(stream, &payload, true);
-                    }
+                let server = self.quic_server(QuicMapping::Doq, port);
+                if let Some(conn) = server.and_then(|s| s.connection(peer)) {
+                    let mut resp = msg.clone();
+                    resp.header.id = 0; // RFC 9250
+                    let wire = resp.encode();
+                    let payload = if doq_alpn(conn).uses_length_prefix() {
+                        framing::frame(&wire)
+                    } else {
+                        wire
+                    };
+                    conn.stream_send(stream, &payload, true);
                 }
             }
         }
@@ -626,25 +528,14 @@ impl DnsServerSet {
     }
 
     pub fn next_timeout(&self) -> Option<SimTime> {
-        let mut t = self.tcp.next_timeout();
-        for cand in [self.dot.next_timeout(), self.doh.next_timeout()] {
-            t = match (t, cand) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        for (_, s) in &self.doq {
-            t = match (t, s.next_timeout()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        if let Some(s) = &self.doh3 {
-            t = match (t, s.next_timeout()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        t
+        [
+            self.tcp.next_timeout(),
+            self.dot.next_timeout(),
+            self.doh.next_timeout(),
+        ]
+        .into_iter()
+        .chain(self.quic.iter().map(|ep| ep.server.next_timeout()))
+        .flatten()
+        .min()
     }
 }

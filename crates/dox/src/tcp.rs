@@ -7,41 +7,13 @@
 //! implemented and configurable so the recommended behaviour can be
 //! measured as an ablation.
 
+use crate::carrier::classify_tcp_failure;
 use crate::client::{ClientConfig, DnsClientConn, FailureKind, SessionState};
-use doqlab_dnswire::{framing, EdnsOption, LengthPrefixedReader, Message, RecordType};
-use doqlab_netstack::tcp::{TcpConfig, TcpFailure, TcpSegment, TcpSocket};
+use doqlab_dnswire::{framing, EdnsOption, LengthPrefixedReader, Message};
+use doqlab_netstack::tcp::{TcpConfig, TcpSocket};
 use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
 use std::collections::HashSet;
-
-/// Classify a failed TCP socket for the failure taxonomy: a peer RST
-/// (or local abort) is a reset; exhausted retransmissions count as a
-/// handshake failure if the 3-way handshake never completed, and a
-/// timeout otherwise. Shared by DoTCP, DoT and DoH.
-pub(crate) fn classify_tcp_failure(tcp: &TcpSocket) -> Option<FailureKind> {
-    Some(match tcp.failure()? {
-        TcpFailure::PeerReset | TcpFailure::Aborted => FailureKind::Reset,
-        TcpFailure::RetriesExhausted => {
-            if tcp.established_at().is_none() {
-                FailureKind::HandshakeFail
-            } else {
-                FailureKind::Timeout
-            }
-        }
-    })
-}
-
-/// Convert TCP segments to simulator packets.
-pub(crate) fn segments_to_packets(
-    local: SocketAddr,
-    remote: SocketAddr,
-    segs: Vec<TcpSegment>,
-    out: &mut Vec<Packet>,
-) {
-    for seg in segs {
-        out.push(Packet::tcp(local, remote, seg.encode_payload()));
-    }
-}
 
 /// A DoTCP client connection.
 #[derive(Debug)]
@@ -114,8 +86,7 @@ impl DoTcpClient {
                 }
             }
         }
-        let (local, remote) = (self.tcp.local, self.tcp.remote);
-        segments_to_packets(local, remote, self.tcp.poll(now), out);
+        self.tcp.transmit(now, out);
     }
 }
 
@@ -132,21 +103,14 @@ impl DnsClientConn for DoTcpClient {
         let mut msg = msg.clone();
         if self.request_keepalive {
             // RFC 7828 §3.2.1: the client sends the option with no
-            // timeout, merged into the query's OPT record.
-            let mut opt = msg.opt().unwrap_or_default();
-            if opt.tcp_keepalive().is_none() {
-                opt.options.push(EdnsOption::TcpKeepalive(None));
-            }
-            msg.additionals.retain(|rr| rr.rtype != RecordType::Opt);
-            msg.additionals.push(opt.to_record());
+            // timeout.
+            msg.merge_edns_option(EdnsOption::TcpKeepalive(None));
         }
         self.tcp.send(&framing::frame(&msg.encode()));
     }
 
     fn on_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Vec<Packet>) {
-        if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-            self.tcp.on_segment(now, &seg);
-        }
+        self.tcp.on_packet(now, pkt);
         self.pump(now, out);
     }
 
@@ -164,10 +128,6 @@ impl DnsClientConn for DoTcpClient {
 
     fn handshake_done_at(&self) -> Option<SimTime> {
         self.tcp.established_at()
-    }
-
-    fn failed(&self) -> bool {
-        self.tcp.is_reset()
     }
 
     fn failure(&self) -> Option<FailureKind> {
@@ -191,7 +151,7 @@ impl DnsClientConn for DoTcpClient {
 mod tests {
     use super::*;
     use doqlab_dnswire::{Name, RecordType};
-    use doqlab_netstack::tcp::TcpListener;
+    use doqlab_netstack::tcp::{TcpListener, TcpSegment};
     use doqlab_simnet::Ipv4Addr;
 
     fn sa(h: u8, p: u16) -> SocketAddr {
@@ -210,12 +170,10 @@ mod tests {
             let to_server = std::mem::take(&mut out);
             now += doqlab_simnet::Duration::from_millis(5);
             for pkt in to_server {
-                if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-                    listener.on_segment(now, client_addr, &seg);
-                }
+                listener.on_packet(now, &pkt, || ());
             }
             // Server DNS logic: respond to any framed query.
-            if let Some(conn) = listener.connection(client_addr) {
+            if let Some((conn, _)) = listener.connection(client_addr) {
                 let data = conn.recv();
                 if !data.is_empty() {
                     let mut reader = LengthPrefixedReader::new();
@@ -226,10 +184,7 @@ mod tests {
                         // Grant keepalive when the client asked (RFC
                         // 7828): 120 units of 100 ms.
                         if q.opt().is_some_and(|o| o.tcp_keepalive().is_some()) {
-                            let mut opt = resp.opt().unwrap_or_default();
-                            opt.options.push(EdnsOption::TcpKeepalive(Some(120)));
-                            resp.additionals.retain(|rr| rr.rtype != RecordType::Opt);
-                            resp.additionals.push(opt.to_record());
+                            resp.merge_edns_option(EdnsOption::TcpKeepalive(Some(120)));
                         }
                         conn.send(&framing::frame(&resp.encode()));
                     }
@@ -237,13 +192,10 @@ mod tests {
             }
             // Deliver server -> client.
             now += doqlab_simnet::Duration::from_millis(5);
-            let mut segs = Vec::new();
-            for (_, seg) in listener.poll(now) {
-                segs.push(seg);
-            }
-            let mut done = segs.is_empty();
-            for seg in segs {
-                let pkt = Packet::tcp(sa(2, 53), client_addr, seg.encode_payload());
+            let mut to_client = Vec::new();
+            listener.transmit(now, &mut to_client);
+            let mut done = to_client.is_empty();
+            for pkt in to_client {
                 client.on_packet(now, &pkt, &mut out);
             }
             client.poll(now, &mut out);

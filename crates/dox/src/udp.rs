@@ -6,7 +6,7 @@
 //! transport-layer timeouts of TCP and QUIC. That asymmetry is
 //! reproduced here.
 
-use crate::client::{ClientConfig, DnsClientConn, SessionState};
+use crate::client::{ClientConfig, DnsClientConn, FailureKind, SessionState};
 use doqlab_dnswire::Message;
 use doqlab_simnet::{Duration, Packet, SimRng, SimTime, SocketAddr};
 use std::collections::HashMap;
@@ -138,8 +138,9 @@ impl DnsClientConn for DoUdpClient {
         self.started_at // connectionless: usable immediately
     }
 
-    fn failed(&self) -> bool {
-        self.failed
+    fn failure(&self) -> Option<FailureKind> {
+        // Unanswered retries are all a datagram transport can observe.
+        self.failed.then_some(FailureKind::Timeout)
     }
 
     fn session_state(&mut self) -> SessionState {
@@ -151,14 +152,6 @@ impl DnsClientConn for DoUdpClient {
         self.ready.clear();
         self.ready_since = None;
     }
-}
-
-/// Server side: stateless — decode, hand to the resolver logic, encode.
-/// Provided as a helper for [`crate::server::DnsServerSet`].
-pub fn decode_udp_query(pkt: &Packet) -> Option<Message> {
-    Message::decode(&pkt.payload)
-        .ok()
-        .filter(|m| !m.header.response)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 
 use crate::populations::PopulationSample;
 use crate::single_query::SingleQuerySample;
-use crate::stats::{cdf_points, median, percentile, relative_difference_pct, Cdf};
+use crate::stats::{median, percentile, relative_difference_pct, Cdf};
 use crate::sweep::SweepSample;
 use crate::webperf::WebperfSample;
 use doqlab_dox::DnsTransport;
@@ -535,12 +535,6 @@ pub fn headline(sq: &[SingleQuerySample], web: &[WebperfSample]) -> Headline {
         doq_vs_doudp_complex_page_pct: -page_stat("youtube.com", &|c| c.doudp_rel_median_pct),
         doq_vs_doh_simple_page_pct: page_stat("wikipedia.org", &|c| c.doh_rel_median_pct),
     }
-}
-
-/// Plain-text table with CDF points for plotting (used by figure
-/// binaries to emit machine-readable series).
-pub fn cdf_series(values: &[f64], points: usize) -> Vec<(f64, f64)> {
-    cdf_points(values, points)
 }
 
 /// One cell of a sweep report: a regime x transport slice of a

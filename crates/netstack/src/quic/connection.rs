@@ -1743,20 +1743,30 @@ fn token_valid(token: &[u8], server_id: u64, client: SocketAddr) -> bool {
 /// A QUIC server endpoint: demultiplexes datagrams by source address,
 /// answers unsupported versions (including the version-0 scan probe)
 /// with Version Negotiation, and optionally enforces Retry-based
-/// address validation.
+/// address validation. Beside each connection it keeps the
+/// application's state for it (`S::default()` when the connection is
+/// accepted), which follows a migrating connection and is dropped when
+/// the connection is reaped.
 #[derive(Debug)]
-pub struct QuicServer {
+pub struct QuicServer<S = ()> {
     cfg: QuicConfig,
     pub local: SocketAddr,
     /// Ordered by peer, so polls emit datagrams in the same order on
     /// every run.
-    conns: BTreeMap<SocketAddr, QuicConnection>,
+    conns: BTreeMap<SocketAddr, (QuicConnection, S)>,
     /// Datagrams built by the last poll, drained by the caller.
     tx: Vec<(SocketAddr, PayloadBuf)>,
 }
 
 impl QuicServer {
+    /// A server that keeps no application state.
     pub fn new(local: SocketAddr, cfg: QuicConfig) -> Self {
+        QuicServer::with_state(local, cfg)
+    }
+}
+
+impl<S: Default> QuicServer<S> {
+    pub fn with_state(local: SocketAddr, cfg: QuicConfig) -> Self {
         QuicServer {
             local,
             cfg,
@@ -1773,7 +1783,7 @@ impl QuicServer {
         src: SocketAddr,
         data: &[u8],
     ) -> Vec<(SocketAddr, Vec<u8>)> {
-        if let Some(conn) = self.conns.get_mut(&src) {
+        if let Some((conn, _)) = self.conns.get_mut(&src) {
             conn.handle_datagram(now, data);
             return Vec::new();
         }
@@ -1831,7 +1841,7 @@ impl QuicServer {
         );
         conn.validated = has_valid_token;
         conn.handle_datagram(now, data);
-        self.conns.insert(src, conn);
+        self.conns.insert(src, (conn, S::default()));
         Vec::new()
     }
 
@@ -1851,21 +1861,21 @@ impl QuicServer {
         let Some(old) = self
             .conns
             .iter()
-            .find(|(_, c)| c.scid == dcid && !c.is_closed())
+            .find(|(_, (c, _))| c.scid == dcid && !c.is_closed())
             .map(|(peer, _)| *peer)
         else {
             return;
         };
-        let mut conn = self.conns.remove(&old).expect("peer listed");
+        let (mut conn, state) = self.conns.remove(&old).expect("peer listed");
         conn.migrate_to(now, src);
         conn.handle_datagram(now, data);
-        self.conns.insert(src, conn);
+        self.conns.insert(src, (conn, state));
     }
 
     /// Poll every connection for outbound datagrams; the caller drains
     /// them.
     pub fn poll_transmit(&mut self, now: SimTime) -> std::vec::Drain<'_, (SocketAddr, PayloadBuf)> {
-        for (peer, conn) in self.conns.iter_mut() {
+        for (peer, (conn, _)) in self.conns.iter_mut() {
             for dgram in conn.poll_transmit(now) {
                 self.tx.push((*peer, dgram));
             }
@@ -1874,20 +1884,28 @@ impl QuicServer {
     }
 
     pub fn next_timeout(&self) -> Option<SimTime> {
-        self.conns.values().filter_map(|c| c.next_timeout()).min()
+        self.conns
+            .values()
+            .filter_map(|(c, _)| c.next_timeout())
+            .min()
     }
 
     pub fn connection(&mut self, peer: SocketAddr) -> Option<&mut QuicConnection> {
-        self.conns.get_mut(&peer)
+        self.conns.get_mut(&peer).map(|(conn, _)| conn)
     }
 
-    pub fn connections(&mut self) -> impl Iterator<Item = (&SocketAddr, &mut QuicConnection)> {
-        self.conns.iter_mut()
+    /// Every connection with its application state, in peer order.
+    pub fn connections(
+        &mut self,
+    ) -> impl Iterator<Item = (SocketAddr, &mut QuicConnection, &mut S)> {
+        self.conns
+            .iter_mut()
+            .map(|(peer, (conn, state))| (*peer, conn, state))
     }
 
-    /// Drop drained connections.
+    /// Drop drained connections, and their state with them.
     pub fn reap(&mut self) {
-        self.conns.retain(|_, c| !c.is_closed());
+        self.conns.retain(|_, (c, _)| !c.is_closed());
     }
 
     pub fn len(&self) -> usize {

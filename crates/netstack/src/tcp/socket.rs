@@ -1,8 +1,10 @@
 //! The TCP connection state machine.
 //!
 //! Sans-I/O and poll-driven: callers feed segments in with
-//! [`TcpSocket::on_segment`], drain output with [`TcpSocket::poll`], and
-//! arm timers from [`TcpSocket::next_timeout`]. Sequence bookkeeping is
+//! [`TcpSocket::on_segment`] (or whole packets with
+//! [`TcpSocket::on_packet`]), drain output with [`TcpSocket::poll`] (or
+//! as packets with [`TcpSocket::transmit`]), and arm timers from
+//! [`TcpSocket::next_timeout`]. Sequence bookkeeping is
 //! done in a 64-bit absolute space (position 0 is the SYN) and mapped to
 //! 32-bit wire numbers, which keeps wrap-around handling in one place.
 //!
@@ -16,7 +18,7 @@
 
 use super::segment::{TcpFlags, TcpOption, TcpSegment};
 use crate::congestion::CongestionController;
-use doqlab_simnet::{Duration, SimTime, SocketAddr};
+use doqlab_simnet::{Duration, Packet, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
 use doqlab_telemetry::{sink, Event};
 use std::collections::{BTreeMap, VecDeque};
@@ -341,10 +343,6 @@ impl TcpSocket {
         std::mem::take(&mut self.rx_buf)
     }
 
-    pub fn has_rx_data(&self) -> bool {
-        !self.rx_buf.is_empty()
-    }
-
     /// Bytes queued locally but not yet acknowledged by the peer.
     pub fn tx_outstanding(&self) -> usize {
         self.tx_buf.len()
@@ -396,6 +394,14 @@ impl TcpSocket {
     }
 
     // ---- segment input --------------------------------------------------
+
+    /// Process an incoming packet; one whose payload is not a TCP
+    /// segment is dropped.
+    pub fn on_packet(&mut self, now: SimTime, pkt: &Packet) {
+        if let Some(seg) = TcpSegment::decode(&pkt.payload) {
+            self.on_segment(now, &seg);
+        }
+    }
 
     /// Process an incoming segment.
     pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment) {
@@ -755,6 +761,14 @@ impl TcpSocket {
         }
     }
 
+    /// [`poll`](Self::poll), with every segment pushed onto `out` as a
+    /// packet from `local` to `remote`.
+    pub fn transmit(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+        for seg in self.poll(now) {
+            out.push(Packet::tcp(self.local, self.remote, seg.encode_payload()));
+        }
+    }
+
     /// Produce all segments that should go on the wire now. Also fires
     /// the retransmission timer when `now` has passed it.
     pub fn poll(&mut self, now: SimTime) -> Vec<TcpSegment> {
@@ -935,17 +949,19 @@ impl TcpSocket {
     }
 }
 
-/// Demultiplexes inbound segments to per-peer server sockets.
+/// Demultiplexes inbound segments to per-peer server sockets, and keeps
+/// the application's state for each connection beside its socket:
+/// reaping a socket drops its state with it.
 #[derive(Debug)]
-pub struct TcpListener {
+pub struct TcpListener<S = ()> {
     pub local: SocketAddr,
     cfg: TcpConfig,
-    /// Ordered by peer, so polls emit segments in the same order on
+    /// Ordered by peer, so transmits emit segments in the same order on
     /// every run.
-    conns: BTreeMap<SocketAddr, TcpSocket>,
+    conns: BTreeMap<SocketAddr, (TcpSocket, S)>,
 }
 
-impl TcpListener {
+impl<S> TcpListener<S> {
     pub fn new(local: SocketAddr, cfg: TcpConfig) -> Self {
         TcpListener {
             local,
@@ -954,46 +970,51 @@ impl TcpListener {
         }
     }
 
-    /// Route a segment from `peer`, creating a socket on SYN.
-    pub fn on_segment(&mut self, now: SimTime, peer: SocketAddr, seg: &TcpSegment) {
-        let sock = self.conns.entry(peer).or_insert_with(|| {
+    /// Route a packet to its sender's socket. A sender without one gets
+    /// a socket in LISTEN and the state `accept` builds.
+    pub fn on_packet(&mut self, now: SimTime, pkt: &Packet, accept: impl FnOnce() -> S) {
+        let Some(seg) = TcpSegment::decode(&pkt.payload) else {
+            return;
+        };
+        let peer = pkt.src;
+        let (sock, _) = self.conns.entry(peer).or_insert_with(|| {
             // Deterministic per-peer ISS.
             let iss = peer
                 .ip
                 .0
                 .wrapping_mul(2654435761)
                 .wrapping_add(peer.port as u32);
-            TcpSocket::server(self.local, peer, iss, self.cfg.clone())
+            (
+                TcpSocket::server(self.local, peer, iss, self.cfg.clone()),
+                accept(),
+            )
         });
-        sock.on_segment(now, seg);
+        sock.on_segment(now, &seg);
     }
 
-    /// Poll every connection; returns (peer, segment) pairs to transmit.
-    pub fn poll(&mut self, now: SimTime) -> Vec<(SocketAddr, TcpSegment)> {
-        let mut out = Vec::new();
-        for (peer, sock) in self.conns.iter_mut() {
-            for seg in sock.poll(now) {
-                out.push((*peer, seg));
-            }
+    /// Transmit every connection's segments, in peer order.
+    pub fn transmit(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+        for (sock, _) in self.conns.values_mut() {
+            sock.transmit(now, out);
         }
-        out
     }
 
     pub fn next_timeout(&self) -> Option<SimTime> {
-        self.conns.values().filter_map(|c| c.next_timeout()).min()
+        self.conns
+            .values()
+            .filter_map(|(sock, _)| sock.next_timeout())
+            .min()
     }
 
-    pub fn connection(&mut self, peer: SocketAddr) -> Option<&mut TcpSocket> {
-        self.conns.get_mut(&peer)
+    pub fn connection(&mut self, peer: SocketAddr) -> Option<(&mut TcpSocket, &mut S)> {
+        self.conns.get_mut(&peer).map(|(sock, state)| (sock, state))
     }
 
-    pub fn connections(&mut self) -> impl Iterator<Item = (&SocketAddr, &mut TcpSocket)> {
-        self.conns.iter_mut()
-    }
-
-    /// Drop fully closed connections.
-    pub fn reap(&mut self) {
-        self.conns.retain(|_, c| !c.is_closed() || c.reset_pending);
+    /// Every connection with its state, in peer order.
+    pub fn connections(&mut self) -> impl Iterator<Item = (SocketAddr, &mut TcpSocket, &mut S)> {
+        self.conns
+            .iter_mut()
+            .map(|(peer, (sock, state))| (*peer, sock, state))
     }
 
     /// Drop connections that can never speak again: fully closed ones
@@ -1002,17 +1023,13 @@ impl TcpListener {
     /// [`TcpSocket::is_quiescent_peer_closed`]). A long-lived server
     /// facing pooled clients that redial from fresh source ports would
     /// otherwise scan an ever-growing table of dead sockets on every
-    /// poll. Call after a `poll` has flushed pending ACKs; a stray
+    /// poll. Call after a `transmit` has flushed pending ACKs; a stray
     /// late segment from a reaped peer hits a fresh LISTEN socket,
     /// which ignores everything but SYN — same silence as CLOSED.
     pub fn reap_quiescent(&mut self) {
-        self.conns
-            .retain(|_, c| (!c.is_closed() || c.reset_pending) && !c.is_quiescent_peer_closed());
-    }
-
-    /// Whether a connection from `peer` is currently tracked.
-    pub fn contains(&self, peer: SocketAddr) -> bool {
-        self.conns.contains_key(&peer)
+        self.conns.retain(|_, (c, _)| {
+            (!c.is_closed() || c.reset_pending) && !c.is_quiescent_peer_closed()
+        });
     }
 
     pub fn len(&self) -> usize {
@@ -1329,17 +1346,45 @@ mod tests {
     #[test]
     fn listener_accepts_multiple_peers() {
         let mut listener = TcpListener::new(sa(9, 853), TcpConfig::default());
-        for peer_host in 1..=3u8 {
+        for peer_host in [3, 1, 2u8] {
             let peer = sa(peer_host, 1000);
             let mut c = TcpSocket::client(peer, sa(9, 853), 1, TcpConfig::default());
             c.open(SimTime::ZERO);
-            let syn = c.poll(SimTime::ZERO).remove(0);
-            listener.on_segment(SimTime::ZERO, peer, &syn);
+            let mut syn = Vec::new();
+            c.transmit(SimTime::ZERO, &mut syn);
+            listener.on_packet(SimTime::ZERO, &syn[0], || peer_host);
         }
         assert_eq!(listener.len(), 3);
-        let out = listener.poll(SimTime::ZERO);
+        let states: Vec<u8> = listener.connections().map(|(_, _, s)| *s).collect();
+        assert_eq!(states, [1, 2, 3], "each peer's state, in peer order");
+        let mut out = Vec::new();
+        listener.transmit(SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 3, "one SYN-ACK per peer");
-        assert!(out.iter().all(|(_, s)| s.flags.syn && s.flags.ack));
+        for (pkt, host) in out.iter().zip(1..) {
+            assert_eq!((pkt.src, pkt.dst), (sa(9, 853), sa(host, 1000)));
+            let seg = TcpSegment::decode(&pkt.payload).unwrap();
+            assert!(seg.flags.syn && seg.flags.ack);
+        }
+    }
+
+    #[test]
+    fn reaping_a_connection_drops_its_state() {
+        let mut listener = TcpListener::new(sa(9, 853), TcpConfig::default());
+        let peer = sa(1, 1000);
+        let mut c = TcpSocket::client(peer, sa(9, 853), 1, TcpConfig::default());
+        c.open(SimTime::ZERO);
+        let mut syn = Vec::new();
+        c.transmit(SimTime::ZERO, &mut syn);
+        listener.on_packet(SimTime::ZERO, &syn[0], || "state");
+        let (sock, state) = listener.connection(peer).expect("accepted");
+        assert_eq!(*state, "state");
+        sock.abort();
+        let mut rst = Vec::new();
+        listener.transmit(SimTime::ZERO, &mut rst);
+        assert_eq!(rst.len(), 1, "the RST leaves before the reap");
+        listener.reap_quiescent();
+        assert!(listener.is_empty());
+        assert!(listener.connection(peer).is_none());
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //! the TLS 1.3 inner content-type byte.
 //!
 //! The same handshake-message model is embedded by [`crate::quic`] in
-//! CRYPTO frames, exactly like real QUIC embeds TLS 1.3.
+//! CRYPTO frames, exactly like real QUIC embeds TLS 1.3; [`TlsStream`]
+//! and [`TlsListener`] run it over TCP.
 
 mod engine;
 mod messages;
+mod over_tcp;
 mod session;
 
 pub use engine::{TlsClient, TlsConfig, TlsError, TlsServer};
 pub use messages::{HandshakeMessage, HandshakePayload, TlsRecord, TlsVersion, RECORD_OVERHEAD};
+pub use over_tcp::{TlsListener, TlsSession, TlsStream};
 pub use session::SessionTicket;

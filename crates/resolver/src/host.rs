@@ -322,10 +322,7 @@ impl Host for ResolverHost {
 
     fn next_wakeup(&self) -> Option<SimTime> {
         let pending = self.pending.iter().map(|p| p.due).min();
-        match (pending, self.set.next_timeout()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        pending.into_iter().chain(self.set.next_timeout()).min()
     }
 
     fn as_any(&self) -> &dyn Any {

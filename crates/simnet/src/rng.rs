@@ -77,11 +77,6 @@ impl SimRng {
         result
     }
 
-    /// Next 32-bit output.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform float in `[0, 1)` with 53 bits of precision.
     pub fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -108,11 +103,6 @@ impl SimRng {
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range");
         lo + self.below(hi - lo)
-    }
-
-    /// Uniform float in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.f64() * (hi - lo)
     }
 
     /// Bernoulli trial: `true` with probability `p` (clamped to `[0,1]`).

@@ -186,10 +186,6 @@ impl Simulator {
         self.stats
     }
 
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-
     /// Pre-reserve `cap` entries in every event-wheel slot, paying the
     /// one-time cold-slot growth up front instead of scattering it over
     /// the first pass through the wheel (see

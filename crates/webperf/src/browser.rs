@@ -46,11 +46,6 @@ enum ResourceState {
     Done,
 }
 
-struct OriginConn {
-    conn: HttpsClientConn,
-    port: u16,
-}
-
 /// The browser + proxy, as one simulator host (they share a machine).
 pub struct BrowserHost {
     ip: Ipv4Addr,
@@ -61,7 +56,7 @@ pub struct BrowserHost {
     dns_inflight: HashMap<String, ()>,
     /// Ordered by domain, so polls emit packets in the same order on
     /// every run.
-    origins: BTreeMap<String, OriginConn>,
+    origins: BTreeMap<String, HttpsClientConn>,
     next_port: u16,
     nav_start: Option<SimTime>,
     fcp: Option<SimTime>,
@@ -151,14 +146,13 @@ impl BrowserHost {
                 &domain,
             );
             conn.start(now, out);
-            self.origins
-                .insert(domain.clone(), OriginConn { conn, port });
+            self.origins.insert(domain.clone(), conn);
         }
-        let origin = self.origins.get_mut(&domain).expect("just ensured");
-        origin.conn.request(id, &path);
+        let conn = self.origins.get_mut(&domain).expect("just ensured");
+        conn.request(id, &path);
         self.states[id] = ResourceState::Requested;
         let mut extra = Vec::new();
-        origin.conn.poll(now, &mut extra);
+        conn.poll(now, &mut extra);
         out.append(&mut extra);
     }
 
@@ -189,9 +183,9 @@ impl BrowserHost {
         }
         // Fetch completions.
         let mut completed = Vec::new();
-        for origin in self.origins.values_mut() {
-            completed.extend(origin.conn.take_completed());
-            if origin.conn.failed() {
+        for conn in self.origins.values_mut() {
+            completed.extend(conn.take_completed());
+            if conn.failed() {
                 self.failed = true;
             }
         }
@@ -262,8 +256,12 @@ impl Host for BrowserHost {
         let mut out = Vec::new();
         if self.proxy.owns_port(pkt.dst.port) {
             self.proxy.on_packet(ctx.now, &pkt, &mut out);
-        } else if let Some(origin) = self.origins.values_mut().find(|o| o.port == pkt.dst.port) {
-            origin.conn.on_packet(ctx.now, &pkt, &mut out);
+        } else if let Some(conn) = self
+            .origins
+            .values_mut()
+            .find(|c| c.local().port == pkt.dst.port)
+        {
+            conn.on_packet(ctx.now, &pkt, &mut out);
         }
         self.progress(ctx.now, ctx.rng, &mut out);
         for p in out {
@@ -274,8 +272,8 @@ impl Host for BrowserHost {
     fn on_wakeup(&mut self, ctx: &mut Ctx<'_>) {
         let mut out = Vec::new();
         self.proxy.poll(ctx.now, &mut out);
-        for origin in self.origins.values_mut() {
-            origin.conn.poll(ctx.now, &mut out);
+        for conn in self.origins.values_mut() {
+            conn.poll(ctx.now, &mut out);
         }
         self.progress(ctx.now, ctx.rng, &mut out);
         for p in out {
@@ -284,14 +282,11 @@ impl Host for BrowserHost {
     }
 
     fn next_wakeup(&self) -> Option<SimTime> {
-        let mut t = self.proxy.next_timeout();
-        for origin in self.origins.values() {
-            t = match (t, origin.conn.next_timeout()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        t
+        self.proxy
+            .next_timeout()
+            .into_iter()
+            .chain(self.origins.values().filter_map(|c| c.next_timeout()))
+            .min()
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -3,8 +3,7 @@
 //! resource fetches — like Chromium does.
 
 use doqlab_netstack::http2::H2Connection;
-use doqlab_netstack::tcp::{TcpConfig, TcpSegment, TcpSocket};
-use doqlab_netstack::tls::{TlsClient, TlsConfig};
+use doqlab_netstack::tls::{TlsConfig, TlsStream};
 use doqlab_simnet::{Packet, SimTime, SocketAddr};
 use std::collections::HashMap;
 
@@ -19,9 +18,7 @@ pub struct FetchDone {
 /// One origin connection.
 #[derive(Debug)]
 pub struct HttpsClientConn {
-    tcp: TcpSocket,
-    tls: TlsClient,
-    tls_started: bool,
+    stream: TlsStream,
     h2: H2Connection,
     authority: String,
     queued: Vec<(usize, String)>,
@@ -36,9 +33,7 @@ impl HttpsClientConn {
             ..TlsConfig::default()
         };
         HttpsClientConn {
-            tcp: TcpSocket::client(local, remote, 0, TcpConfig::default()),
-            tls: TlsClient::new(tls_cfg, None),
-            tls_started: false,
+            stream: TlsStream::new(local, remote, tls_cfg, None),
             h2: H2Connection::client(),
             authority: authority.to_string(),
             queued: Vec::new(),
@@ -48,17 +43,17 @@ impl HttpsClientConn {
     }
 
     pub fn local(&self) -> SocketAddr {
-        self.tcp.local
+        self.stream.tcp().local
     }
 
     pub fn start(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        self.tcp.open(now);
+        self.stream.open(now);
         self.pump(now, out);
     }
 
     /// Fetch `path` for `resource_id`; sent once the connection is up.
     pub fn request(&mut self, resource_id: usize, path: &str) {
-        if self.tls.is_connected() {
+        if self.stream.tls().is_connected() {
             self.send_get(resource_id, path);
         } else {
             self.queued.push((resource_id, path.to_string()));
@@ -80,9 +75,7 @@ impl HttpsClientConn {
     }
 
     pub fn on_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Vec<Packet>) {
-        if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-            self.tcp.on_segment(now, &seg);
-        }
+        self.stream.on_packet(now, pkt);
         self.pump(now, out);
     }
 
@@ -91,20 +84,12 @@ impl HttpsClientConn {
     }
 
     fn pump(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        if self.tcp.is_established() && !self.tls_started {
-            self.tls_started = true;
-            self.tls.start(now);
-        }
-        if self.tls.is_connected() && !self.queued.is_empty() {
+        if self.stream.tls().is_connected() && !self.queued.is_empty() {
             for (id, path) in std::mem::take(&mut self.queued) {
                 self.send_get(id, &path);
             }
         }
-        let data = self.tcp.recv();
-        if !data.is_empty() {
-            self.tls.read_wire(now, &data);
-        }
-        self.h2.read_wire(self.tls.read_app().as_slice());
+        self.h2.read_wire(self.stream.read(now).as_slice());
         for msg in self.h2.take_messages() {
             if let Some(id) = self.by_stream.remove(&msg.stream_id) {
                 self.completed.push(FetchDone {
@@ -114,21 +99,8 @@ impl HttpsClientConn {
                 });
             }
         }
-        let h2_out = self.h2.take_output();
-        if !h2_out.is_empty() {
-            self.tls.write_app(&h2_out);
-        }
-        let wire = self.tls.take_output();
-        if !wire.is_empty() {
-            self.tcp.send(&wire);
-        }
-        for seg in self.tcp.poll(now) {
-            out.push(Packet::tcp(
-                self.tcp.local,
-                self.tcp.remote,
-                seg.encode_payload(),
-            ));
-        }
+        self.stream.write(&self.h2.take_output());
+        self.stream.flush(now, out);
     }
 
     pub fn take_completed(&mut self) -> Vec<FetchDone> {
@@ -136,10 +108,10 @@ impl HttpsClientConn {
     }
 
     pub fn next_timeout(&self) -> Option<SimTime> {
-        self.tcp.next_timeout()
+        self.stream.next_timeout()
     }
 
     pub fn failed(&self) -> bool {
-        self.tcp.is_reset() || self.tls.error().is_some()
+        self.stream.failed()
     }
 }

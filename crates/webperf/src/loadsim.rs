@@ -103,12 +103,6 @@ pub fn run_page_load_in(sim: &mut Simulator, cfg: &PageLoadConfig) -> Vec<PageLo
     }
     sim.reset(cfg.seed, Box::new(path.clone()));
     for (i, (ip, sizes)) in origin_sizes.into_iter().enumerate() {
-        // Scatter edge nodes a few hundred km around the vantage point.
-        let jitter = (i as f64 * 0.7).sin() * 3.0;
-        let loc = Coord::new(cfg.vp_location.lat + jitter, cfg.vp_location.lon + jitter);
-        // The simulator owns a clone of the model; placements must go in
-        // before construction — rebuild below instead.
-        let _ = loc;
         sim.add_host(
             Box::new(OriginHost::new(ip, 0x0419 + i as u64, sizes)),
             &[ip],

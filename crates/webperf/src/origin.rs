@@ -2,8 +2,7 @@
 //! serving the resources of one or more domains from a path->size map.
 
 use doqlab_netstack::http2::H2Connection;
-use doqlab_netstack::tcp::{TcpConfig, TcpListener, TcpSegment};
-use doqlab_netstack::tls::{TlsConfig, TlsServer};
+use doqlab_netstack::tls::{TlsConfig, TlsListener};
 use doqlab_simnet::{Ctx, Duration, Host, Ipv4Addr, Packet, SimTime, SocketAddr};
 use std::any::Any;
 use std::collections::HashMap;
@@ -14,17 +13,9 @@ use std::collections::HashMap;
 /// match the paper's.
 pub const SERVER_THINK_TIME: Duration = Duration::from_millis(35);
 
-#[derive(Debug)]
-struct OriginConn {
-    tls: TlsServer,
-    h2: H2Connection,
-}
-
 /// An origin server host.
 pub struct OriginHost {
-    ip: Ipv4Addr,
-    listener: TcpListener,
-    conns: HashMap<SocketAddr, OriginConn>,
+    listener: TlsListener<H2Connection>,
     /// path -> body size.
     sizes: HashMap<String, usize>,
     tls_cfg: TlsConfig,
@@ -36,9 +27,7 @@ pub struct OriginHost {
 impl OriginHost {
     pub fn new(ip: Ipv4Addr, server_id: u64, sizes: HashMap<String, usize>) -> Self {
         OriginHost {
-            ip,
-            listener: TcpListener::new(SocketAddr::new(ip, 443), TcpConfig::default()),
-            conns: HashMap::new(),
+            listener: TlsListener::new(SocketAddr::new(ip, 443)),
             sizes,
             tls_cfg: TlsConfig {
                 server_id,
@@ -64,7 +53,7 @@ impl OriginHost {
             }
         });
         for (peer, stream, size) in due {
-            if let Some(conn) = self.conns.get_mut(&peer) {
+            self.listener.serve_now(peer, |session| {
                 let body = vec![0u8; size];
                 let len = body.len().to_string();
                 let headers = [
@@ -73,61 +62,32 @@ impl OriginHost {
                     ("content-length", len.as_str()),
                     ("cache-control", "max-age=600"),
                 ];
-                conn.h2.send_response(stream, &headers, &body);
-                if let Some(sock) = self.listener.connection(peer) {
-                    let h2_out = conn.h2.take_output();
-                    if !h2_out.is_empty() {
-                        conn.tls.write_app(&h2_out);
-                    }
-                    let wire = conn.tls.take_output();
-                    if !wire.is_empty() {
-                        sock.send(&wire);
-                    }
-                }
-            }
-        }
-        for (&peer, sock) in self.listener.connections() {
-            let conn = self.conns.entry(peer).or_insert_with(|| OriginConn {
-                tls: TlsServer::new(self.tls_cfg.clone()),
-                h2: H2Connection::server(),
+                session.app.send_response(stream, &headers, &body);
+                let h2_out = session.app.take_output();
+                session.write(&h2_out);
             });
-            let data = sock.recv();
-            if !data.is_empty() {
-                conn.tls.read_wire(now, &data);
-            }
-            conn.h2.read_wire(conn.tls.read_app().as_slice());
-            for req in conn.h2.take_messages() {
-                self.requests_served += 1;
-                let path = req.header(":path").unwrap_or("/").to_string();
-                let size = self.sizes.get(&path).copied().unwrap_or(1024);
-                self.pending
-                    .push((now + SERVER_THINK_TIME, peer, req.stream_id, size));
-            }
-            let h2_out = conn.h2.take_output();
-            if !h2_out.is_empty() {
-                conn.tls.write_app(&h2_out);
-            }
-            let wire = conn.tls.take_output();
-            if !wire.is_empty() {
-                sock.send(&wire);
-            }
         }
-        for (peer, seg) in self.listener.poll(now) {
-            out.push(Packet::tcp(
-                SocketAddr::new(self.ip, 443),
-                peer,
-                seg.encode_payload(),
-            ));
-        }
+        let (sizes, pending, served) = (&self.sizes, &mut self.pending, &mut self.requests_served);
+        self.listener.pump(now, out, |peer, session| {
+            session.read(|h2, data| h2.read_wire(data));
+            for req in session.app.take_messages() {
+                *served += 1;
+                let path = req.header(":path").unwrap_or("/");
+                let size = sizes.get(path).copied().unwrap_or(1024);
+                pending.push((now + SERVER_THINK_TIME, peer, req.stream_id, size));
+            }
+            let h2_out = session.app.take_output();
+            session.write(&h2_out);
+        });
     }
 }
 
 impl Host for OriginHost {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         if pkt.dst.port == 443 {
-            if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-                self.listener.on_segment(ctx.now, pkt.src, &seg);
-            }
+            let tls_cfg = &self.tls_cfg;
+            self.listener
+                .on_packet(ctx.now, &pkt, || (tls_cfg.clone(), H2Connection::server()));
         }
         let mut out = Vec::new();
         self.pump(ctx.now, &mut out);
@@ -146,10 +106,10 @@ impl Host for OriginHost {
 
     fn next_wakeup(&self) -> Option<SimTime> {
         let pending = self.pending.iter().map(|(t, _, _, _)| *t).min();
-        match (pending, self.listener.next_timeout()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        pending
+            .into_iter()
+            .chain(self.listener.next_timeout())
+            .min()
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -135,18 +135,9 @@ impl DnsProxy {
         let qid = self.next_qid;
         self.next_qid = self.next_qid.wrapping_add(1).max(1);
         let name = Name::parse(domain).expect("valid domain");
-        let mut query = Message::query(qid, name, RecordType::A);
-        if self.transport == DnsTransport::DoTcp && self.base_cfg.request_tcp_keepalive {
-            // Ask the resolver to hold the connection open (RFC 7828).
-            query.additionals.clear();
-            query.additionals.push(
-                doqlab_dnswire::OptRecord {
-                    options: vec![doqlab_dnswire::EdnsOption::TcpKeepalive(None)],
-                    ..doqlab_dnswire::OptRecord::default()
-                }
-                .to_record(),
-            );
-        }
+        // A DoTCP connection asks the resolver to hold it open (RFC
+        // 7828) itself when the client configuration says so.
+        let query = Message::query(qid, name, RecordType::A);
         self.pending.insert(qid, domain.to_string());
         self.queries_sent += 1;
         let i = self.pick_conn();
