@@ -62,35 +62,33 @@ impl DoH3Client {
             }
         }
         if let Some(conn) = self.quic.conn_mut() {
-            let mut done = Vec::new();
-            for (&stream, (orig_id, buf)) in self.inflight.iter_mut() {
+            let responses = &mut self.responses;
+            self.inflight.retain(|&stream, (orig_id, buf)| {
                 let (data, fin) = conn.stream_recv(stream);
                 buf.extend_from_slice(&data);
-                if fin {
-                    if let Some(h3) = H3Message::decode(buf) {
-                        let status = h3
-                            .header(":status")
-                            .and_then(|s| s.parse::<u32>().ok())
-                            .unwrap_or(0);
-                        sink::emit(now.as_nanos(), || Event::HttpResponseReceived {
-                            protocol: "h3",
-                            stream_id: stream,
-                            status,
-                        });
-                        metrics::count(Counter::HttpResponsesReceived, 1);
-                        if status == 200 {
-                            if let Ok(mut msg) = Message::decode(&h3.body) {
-                                msg.header.id = *orig_id;
-                                self.responses.push((now, msg));
-                            }
+                if !fin {
+                    return true;
+                }
+                if let Some(h3) = H3Message::decode(buf) {
+                    let status = h3
+                        .header(":status")
+                        .and_then(|s| s.parse::<u32>().ok())
+                        .unwrap_or(0);
+                    sink::emit(now.as_nanos(), || Event::HttpResponseReceived {
+                        protocol: "h3",
+                        stream_id: stream,
+                        status,
+                    });
+                    metrics::count(Counter::HttpResponsesReceived, 1);
+                    if status == 200 {
+                        if let Ok(mut msg) = Message::decode(&h3.body) {
+                            msg.header.id = *orig_id;
+                            responses.push((now, msg));
                         }
                     }
-                    done.push(stream);
                 }
-            }
-            for s in done {
-                self.inflight.remove(&s);
-            }
+                false
+            });
         }
         self.quic.flush(now, out);
     }

@@ -77,8 +77,8 @@ impl DoQClient {
         // Read responses.
         if let Some(conn) = self.quic.conn_mut() {
             let use_prefix = self.alpn.is_some_and(|a| a.uses_length_prefix());
-            let mut done = Vec::new();
-            for (&stream, (orig_id, buf)) in self.inflight.iter_mut() {
+            let responses = &mut self.responses;
+            self.inflight.retain(|&stream, (orig_id, buf)| {
                 let (data, fin) = conn.stream_recv(stream);
                 buf.extend_from_slice(&data);
                 let wire = if use_prefix {
@@ -86,16 +86,13 @@ impl DoQClient {
                 } else {
                     fin.then_some(&buf[..])
                 };
-                let Some(wire) = wire else { continue };
+                let Some(wire) = wire else { return true };
                 if let Ok(mut msg) = Message::decode(wire) {
                     msg.header.id = *orig_id;
-                    self.responses.push((now, msg));
+                    responses.push((now, msg));
                 }
-                done.push(stream);
-            }
-            for s in done {
-                self.inflight.remove(&s);
-            }
+                false
+            });
         }
         self.quic.flush(now, out);
     }
