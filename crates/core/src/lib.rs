@@ -20,6 +20,7 @@
 //! transports), [`resolver`], [`webperf`], [`measure`] and
 //! [`telemetry`] (qlog event tracing and lock-free metrics).
 
+pub mod artefacts;
 pub mod cli;
 
 pub use doqlab_dnswire as dnswire;

@@ -1,6 +1,8 @@
 //! Experiment reducers and renderers: turn campaign samples into the
 //! paper's tables and figures (structured values plus plain-text
-//! rendering; the bench binaries also dump them as JSON).
+//! tables), and [`Report`], the value every `doqlab` report is: its
+//! tables, its paper-vs-measured rows and its shape checks, rendered
+//! as text or as JSON.
 
 use crate::populations::PopulationSample;
 use crate::single_query::SingleQuerySample;
@@ -11,7 +13,131 @@ use doqlab_dox::DnsTransport;
 use doqlab_simnet::geo::Continent;
 use doqlab_telemetry::metrics::{self, Counter, Series};
 use serde::Serialize;
+use serde_json::{json, Value};
 use std::collections::{BTreeMap, HashMap};
+
+/// A report as data: a title and its sections in print order.
+#[derive(Debug, Clone)]
+pub struct Report {
+    pub title: String,
+    pub sections: Vec<Section>,
+}
+
+/// One part of a [`Report`].
+#[derive(Debug, Clone)]
+pub enum Section {
+    /// A line of text, such as a heading or a note; empty for a blank
+    /// line.
+    Line(String),
+    /// A rendered table and the reducer output it renders.
+    Table { text: String, data: Value },
+    /// A value the paper reports beside the measured one.
+    Paper {
+        label: String,
+        paper: String,
+        measured: String,
+    },
+    /// A shape check: an ordering the evaluation relies on, and whether
+    /// it holds.
+    Check { label: String, holds: bool },
+}
+
+impl Report {
+    pub fn new(title: impl Into<String>) -> Report {
+        Report {
+            title: title.into(),
+            sections: Vec::new(),
+        }
+    }
+
+    pub fn line(mut self, text: impl Into<String>) -> Report {
+        self.sections.push(Section::Line(text.into()));
+        self
+    }
+
+    /// A blank line, then `text`.
+    pub fn heading(self, text: impl Into<String>) -> Report {
+        self.line("").line(text)
+    }
+
+    /// A table: `text` renders `data`.
+    pub fn table<T: Serialize + ?Sized>(mut self, text: String, data: &T) -> Report {
+        let data = Value::from_serialize(data);
+        self.sections.push(Section::Table { text, data });
+        self
+    }
+
+    /// Paper-vs-measured rows, each `(label, paper, measured)`.
+    pub fn paper<L: Into<String>>(
+        mut self,
+        rows: impl IntoIterator<Item = (L, &'static str, String)>,
+    ) -> Report {
+        for (label, paper, measured) in rows {
+            self.sections.push(Section::Paper {
+                label: label.into(),
+                paper: paper.to_string(),
+                measured,
+            });
+        }
+        self
+    }
+
+    pub fn check(mut self, label: &str, holds: bool) -> Report {
+        self.sections.push(Section::Check {
+            label: label.to_string(),
+            holds,
+        });
+        self
+    }
+
+    /// The report as text: the title line, then one or more lines per
+    /// section.
+    pub fn render_text(&self) -> String {
+        let mut out = format!("== {} ==\n", self.title);
+        for section in &self.sections {
+            match section {
+                Section::Line(text) | Section::Table { text, .. } => out.push_str(text),
+                Section::Paper {
+                    label,
+                    paper,
+                    measured,
+                } => out.push_str(&format!(
+                    "{label:<52} paper: {paper:<18} measured: {measured}"
+                )),
+                Section::Check { label, holds } => {
+                    out.push_str(&format!("  {label:<40}-> {holds}"))
+                }
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The report as one JSON object naming `artefact`. Tables carry
+    /// their data, not their text; blank lines are left out.
+    pub fn to_json(&self, artefact: &str) -> Value {
+        let sections: Vec<Value> = self
+            .sections
+            .iter()
+            .filter_map(|section| match section {
+                Section::Line(text) if text.is_empty() => None,
+                Section::Line(text) => Some(json!({ "line": text })),
+                Section::Table { data, .. } => Some(json!({ "table": data })),
+                Section::Paper {
+                    label,
+                    paper,
+                    measured,
+                } => Some(json!({
+                    "label": label.trim_start(),
+                    "paper": paper,
+                    "measured": measured,
+                })),
+                Section::Check { label, holds } => Some(json!({ "check": label, "holds": holds })),
+            })
+            .collect();
+        json!({ "artefact": artefact, "title": self.title, "sections": sections })
+    }
+}
 
 /// Summary of one latency histogram in the telemetry section.
 #[derive(Debug, Clone, Serialize, Default)]

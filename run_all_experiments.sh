@@ -1,38 +1,25 @@
 #!/bin/sh
 # Regenerate every paper artefact into results/ (see EXPERIMENTS.md).
 # Usage: ./run_all_experiments.sh [quick|medium|paper]
+#
+# One `doqlab report` invocation runs each campaign its reports read
+# once, so the artefacts at the full scale share one invocation; the
+# Web ablations (A2, A4) run on 48 resolvers and the loss sweep (S1)
+# on 24.
 set -e
 SCALE="${1:-medium}"
 SEED=2022
 mkdir -p results
-cargo build --release -p doqlab-bench -p doqlab
+cargo build --release -p doqlab
 
-run() {
-    echo "=== $1 ($SCALE) ==="
-    ./target/release/"$1" --scale "$SCALE" --seed "$SEED" ${2:+$2}
+report() {
+    ./target/release/doqlab report "$@" --scale "$SCALE" --seed "$SEED"
 }
 
+# E0-E8, A1, and A3/F1 (the what-if sweep's `0rtt` and `doh3` regimes).
+report fig1 overview table1 fig2a fig2b fig3 fig4 headline a1 whatif |
+    tee "results/paper_$SCALE.txt"
 {
-    run fig1_discovery
-    run overview_versions
-    run table1_sizes
-    run fig2a_handshake
-    run fig2b_resolve
-} | tee "results/single_query_$SCALE.txt"
-
-{
-    run fig3_cdf
-    run fig4_doq_vs
-    run headline_claims
-} | tee "results/webperf_$SCALE.txt"
-
-{
-    run ablation_amplification
-    run ablation_dot_bug "--resolvers 48"
-    run ablation_tcp_keepalive "--resolvers 48"
-    run sweep_loss "--resolvers 24"
-    # A3 (0-RTT resolvers) and F1 (DoH3): the what-if sweep's `0rtt`
-    # and `doh3` regimes.
-    echo "=== doqlab measure whatif ($SCALE) ==="
-    ./target/release/doqlab measure whatif --scale "$SCALE" --seed "$SEED"
+    report a2 a4 --resolvers 48
+    report s1 --resolvers 24
 } | tee "results/ablations_$SCALE.txt"

@@ -1,6 +1,8 @@
 //! The `doqlab` binary end to end: it reads its flags and `DOQLAB_*`
-//! variables once, at start-up, and a flag beats its variable.
+//! variables once, at start-up, a flag beats its variable, and
+//! `--json` prints one document.
 
+use doqlab_core::telemetry::qlog::{self, Json};
 use std::process::{Command, Output};
 
 /// Run `doqlab` with every `DOQLAB_*` variable cleared, then `vars` set.
@@ -56,10 +58,41 @@ fn the_report_does_not_depend_on_the_worker_count() {
 
 #[test]
 fn bad_flags_exit_2_with_the_usage() {
-    for bad in [["--threads", "0"], ["--seed", "x"]] {
-        let out = doqlab(&[&SINGLE_QUERY[..], &bad].concat(), &[]);
-        assert_eq!(out.status.code(), Some(2), "{bad:?}");
-        assert!(out.stdout.is_empty(), "{bad:?}");
+    let bad_flags =
+        [["--threads", "0"], ["--seed", "x"]].map(|bad| [&SINGLE_QUERY[..], &bad].concat());
+    let unknown_report = vec!["report", "fig9", "--scale", "quick"];
+    for args in bad_flags.iter().chain([&unknown_report]) {
+        let out = doqlab(args, &[]);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage: doqlab"));
     }
+}
+
+#[test]
+fn a_json_report_is_one_document_naming_its_artefact() {
+    let args = [
+        "report",
+        "table1",
+        "--json",
+        "--scale",
+        "quick",
+        "--resolvers",
+        "2",
+    ];
+    let out = doqlab(&args, &[]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = qlog::parse(&String::from_utf8(out.stdout).expect("utf-8")).expect("one document");
+    let Some(Json::Arr(reports)) = doc.get("reports") else {
+        panic!("no reports in {doc:?}");
+    };
+    assert_eq!(reports.len(), 1);
+    assert_eq!(
+        reports[0].get("artefact").and_then(Json::as_str),
+        Some("table1")
+    );
 }
