@@ -69,7 +69,7 @@ pub const CAMPAIGN_REPORTS: [Artefact; 7] = [
 /// (DESIGN.md §5).
 #[rustfmt::skip]
 pub const PAPER_ARTEFACTS: [Artefact; 12] = [
-    Artefact { name: "fig1", reads: &[], view: fig1 },
+    Artefact { name: "fig1", reads: &[Discovery], view: fig1 },
     Artefact { name: "overview", reads: &[SingleQuery], view: overview },
     Artefact { name: "table1", reads: &[SingleQuery], view: table1 },
     Artefact { name: "fig2a", reads: &[SingleQuery], view: fig2a },
@@ -141,7 +141,7 @@ impl<'a> Samples<'a> {
             ..Capabilities::default()
         };
         match campaign {
-            Discovery => Box::new(study.run_discovery(&study.scan_population(200))),
+            Discovery => Box::new(study.run_discovery(&study.scan_population())),
             SingleQuery => Box::new(study.run_single_query()),
             Web => web(plain),
             WebDoh3 => web(WebperfCampaign {
@@ -265,9 +265,7 @@ fn pct(share: f64, digits: usize) -> String {
 
 /// E0: the §2 discovery funnel and Fig. 1's geography.
 fn fig1(s: &Samples) -> Report {
-    let study = s.study;
-    let extra_quic = if s.scale_name == "quick" { 50 } else { 500 };
-    let d = study.run_discovery(&study.scan_population(extra_quic));
+    let d = s.discovery();
     #[rustfmt::skip]
     let funnel = [
         ("QUIC hosts answering the version-0 probe", "(not reported)", d.quic_hosts),
@@ -278,7 +276,7 @@ fn fig1(s: &Samples) -> Report {
         ("  ... also supporting DoH", "732", d.doh_support),
         ("Verified DoX resolvers (full intersection)", "313", d.verified_dox),
     ];
-    let population = study.population();
+    let population = s.study.population();
     let continents = Continent::ALL.map(|c| {
         let paper = match c {
             Continent::Europe => "130",

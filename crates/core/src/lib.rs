@@ -84,9 +84,10 @@ impl Study {
         synthesize_dox_population(self.seed)
     }
 
-    /// The wider scan population (1,216 DoQ resolvers + QUIC hosts).
-    pub fn scan_population(&self, extra_quic: usize) -> Vec<ScannedHost> {
-        synthesize_scan_population(self.seed, extra_quic)
+    /// The §2 scan population: the 1,216 DoQ resolvers and 500 other
+    /// QUIC hosts.
+    pub fn scan_population(&self) -> Vec<ScannedHost> {
+        synthesize_scan_population(self.seed, 500)
     }
 
     /// The Tranco top-10 page profiles.
