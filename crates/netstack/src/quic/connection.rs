@@ -900,7 +900,11 @@ impl QuicConnection {
                 srtt_ns: Some(srtt.as_nanos() as u64),
             });
         }
-        if newly_acked {
+        // RFC 9002 §6.2.1: a client keeps its backoff on Initial
+        // acknowledgments. A server that has not validated the client's
+        // address may answer every probe with an ACK and nothing more,
+        // and a reset would re-send the client's Initial every PTO.
+        if newly_acked && !(self.role == Role::Client && epoch == EPOCH_INITIAL) {
             self.pto_backoff = 0;
         }
         // Packet-threshold loss detection: anything 3 packets below the

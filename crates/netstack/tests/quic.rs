@@ -43,10 +43,12 @@ struct Shuttle {
     wire: Vec<(SimTime, bool, Vec<u8>)>,
     pub c2s_bytes: usize,
     pub s2c_bytes: usize,
-    pub c2s_datagrams: Vec<usize>,
+    /// When each client->server datagram was sent.
+    pub c2s_sent: Vec<SimTime>,
     /// Drop the nth client->server datagram (0-based), once.
     drop_c2s: Option<usize>,
-    c2s_count: usize,
+    /// Drop every server->client datagram longer than this.
+    drop_s2c_over: Option<usize>,
 }
 
 impl Shuttle {
@@ -58,9 +60,9 @@ impl Shuttle {
             wire: Vec::new(),
             c2s_bytes: 0,
             s2c_bytes: 0,
-            c2s_datagrams: Vec::new(),
+            c2s_sent: Vec::new(),
             drop_c2s: None,
-            c2s_count: 0,
+            drop_s2c_over: None,
         }
     }
 
@@ -71,16 +73,16 @@ impl Shuttle {
             }
             for d in client.poll_transmit(self.now) {
                 self.c2s_bytes += d.len();
-                self.c2s_datagrams.push(d.len());
-                let dropped = self.drop_c2s == Some(self.c2s_count);
-                self.c2s_count += 1;
-                if !dropped {
+                if self.drop_c2s != Some(self.c2s_sent.len()) {
                     self.wire.push((self.now + self.delay, false, d.into_vec()));
                 }
+                self.c2s_sent.push(self.now);
             }
             for (_, d) in self.server.poll_transmit(self.now) {
                 self.s2c_bytes += d.len();
-                self.wire.push((self.now + self.delay, true, d.into_vec()));
+                if self.drop_s2c_over.is_none_or(|max| d.len() <= max) {
+                    self.wire.push((self.now + self.delay, true, d.into_vec()));
+                }
             }
             self.wire.sort_by_key(|(t, _, _)| *t);
             if let Some((t, to_client, d)) = self.wire.first().cloned() {
@@ -472,6 +474,29 @@ fn lost_client_initial_recovered_by_pto_at_one_second() {
     // PTO fires at ~1 s, then a normal 1-RTT handshake.
     assert!(t >= SimTime::from_millis(1000), "established at {t}");
     assert!(t <= SimTime::from_millis(1100), "established at {t}");
+}
+
+#[test]
+fn a_client_probing_an_amplification_blocked_server_backs_off() {
+    // The server's handshake flight never arrives; only its ACK-only
+    // Initials do. The server has not validated the client's address,
+    // so those acknowledgments show no progress and must not reset the
+    // client's PTO backoff (RFC 9002 §6.2.1): the client's probes space
+    // out instead of repeating every PTO.
+    let mut sh = Shuttle::new(QuicServer::new(server_addr(), server_cfg("doq")));
+    sh.drop_s2c_over = Some(100);
+    let mut c = dial(server_cfg("doq"), QUIC_V1, None, None);
+    sh.run(&mut c, SimTime::from_secs(5));
+    assert!(!c.is_established());
+    // The first PTO fires at the initial 1 s and sends two datagrams;
+    // the later probes are armed from the RTT the server's ACKs gave.
+    let sent = &sh.c2s_sent[2..];
+    let gaps: Vec<Duration> = sent.windows(2).map(|w| w[1] - w[0]).collect();
+    assert!(gaps.len() >= 3, "probe gaps {gaps:?}");
+    assert!(
+        gaps.windows(2).all(|w| w[1] >= w[0] * 3 / 2),
+        "probe gaps {gaps:?}"
+    );
 }
 
 #[test]
