@@ -12,8 +12,8 @@ use doqlab_dox::{Capabilities, DnsTransport};
 use doqlab_measure::discovery::DiscoveryReport;
 use doqlab_measure::report::{self, Fig4Cell, Report, SweepRow};
 use doqlab_measure::single_query::UnitOptions;
+use doqlab_measure::SweepSample;
 use doqlab_measure::{impairments, median, mobility, percentile, whatif, Cdf, Regime};
-use doqlab_measure::{PopulationSample, SingleQuerySample, SweepSample};
 use doqlab_measure::{WebperfCampaign, WebperfSample};
 use doqlab_simnet::geo::Continent;
 use doqlab_simnet::{GilbertElliott, ImpairmentSchedule};
@@ -176,22 +176,9 @@ impl<'a> Samples<'a> {
         self.get(Discovery)
     }
 
-    pub fn single_query(&self) -> &[SingleQuerySample] {
-        self.get::<Vec<_>>(SingleQuery)
-    }
-
-    /// The samples of [`Campaign::Web`] or one of its variants.
-    pub fn web(&self, campaign: Campaign) -> &[WebperfSample] {
-        self.get::<Vec<_>>(campaign)
-    }
-
-    /// The samples of a sweep campaign.
-    pub fn sweep(&self, campaign: Campaign) -> &[SweepSample] {
-        self.get::<Vec<_>>(campaign)
-    }
-
-    pub fn populations(&self) -> &[PopulationSample] {
-        self.get::<Vec<_>>(Populations)
+    /// The samples `campaign` produced.
+    pub fn samples<T: 'static>(&self, campaign: Campaign) -> &[T] {
+        self.get::<Vec<T>>(campaign)
     }
 }
 
@@ -206,16 +193,16 @@ fn discovery_report(s: &Samples) -> Report {
 }
 
 fn single_query_report(s: &Samples) -> Report {
-    let t = report::table1(s.single_query());
-    let f = report::fig2(s.single_query());
+    let t = report::table1(s.samples(SingleQuery));
+    let f = report::fig2(s.samples(SingleQuery));
     Report::new("single query (§3.1)")
         .table(report::render_table1(&t), &t)
         .table(report::render_fig2(&f), &f)
 }
 
 fn webperf_report(s: &Samples) -> Report {
-    let diffs = report::relative_to_baseline(s.web(Web), DnsTransport::DoUdp);
-    let cells = report::fig4(s.web(Web));
+    let diffs = report::relative_to_baseline(s.samples(Web), DnsTransport::DoUdp);
+    let cells = report::fig4(s.samples(Web));
     Report::new("web performance (§3.2)")
         .table(report::render_fig3(&diffs, "FCP"), &diffs.fcp)
         .table(report::render_fig3(&diffs, "PLT"), &diffs.plt)
@@ -229,7 +216,7 @@ fn sweep_report(
     title: &str,
     render: fn(&[SweepRow]) -> String,
 ) -> Report {
-    let rows = report::sweep_rows(s.sweep(sweep));
+    let rows = report::sweep_rows(s.samples(sweep));
     Report::new(title).table(render(&rows), &rows)
 }
 
@@ -247,13 +234,13 @@ fn mobility_report(s: &Samples) -> Report {
 /// units paired with their DoH3 twins.
 fn whatif_report(s: &Samples) -> Report {
     let title = "what-if (counterfactual capability sweep)";
-    let web = report::whatif_web_rows(s.web(Web), s.web(WebDoh3));
+    let web = report::whatif_web_rows(s.samples(Web), s.samples(WebDoh3));
     sweep_report(s, Whatif, title, report::render_whatif)
         .table(report::render_whatif_web(&web), &web)
 }
 
 fn populations_report(s: &Samples) -> Report {
-    let rows = report::population_rows(s.populations());
+    let rows = report::population_rows(s.samples(Populations));
     Report::new("population scale (Zipf workloads, shared caches)")
         .table(report::render_populations(&rows), &rows)
 }
@@ -315,7 +302,7 @@ fn fig1(s: &Samples) -> Report {
 
 /// E1: the §3 overview of protocol versions and features.
 fn overview(s: &Samples) -> Report {
-    let o = report::overview(s.single_query());
+    let o = report::overview(s.samples(SingleQuery));
     let shares = |shares: &BTreeMap<String, f64>, rows: &[(&str, &'static str)]| -> Vec<_> {
         let share = |name: &str| pct(shares.get(name).copied().unwrap_or(0.0), 1);
         rows.iter()
@@ -364,7 +351,7 @@ const PAPER_TABLE1: [(&str, [f64; 5]); 5] = [
 
 /// E2: Table 1, measured and as the paper reports it.
 fn table1(s: &Samples) -> Report {
-    let t = report::table1(s.single_query());
+    let t = report::table1(s.samples(SingleQuery));
     let mut paper = vec![format!(
         "{:<28}{}",
         "",
@@ -407,7 +394,7 @@ fn table1(s: &Samples) -> Report {
 /// model; the ratios must hold (2 RTT against 1 RTT at a ~185 ms median
 /// RTT).
 fn fig2a(s: &Samples) -> Report {
-    let f = report::fig2(s.single_query());
+    let f = report::fig2(s.samples(SingleQuery));
     let total = &f.handshake_ms["Total"];
     let ratio = |a: &str, b: &str| format!("{:.2}", total[a] / total[b]);
     #[rustfmt::skip]
@@ -425,7 +412,7 @@ fn fig2a(s: &Samples) -> Report {
 /// E4: Fig. 2b, resolve times: similar across protocols (cached
 /// answers), tracking vantage-point-to-resolver distance.
 fn fig2b(s: &Samples) -> Report {
-    let f = report::fig2(s.single_query());
+    let f = report::fig2(s.samples(SingleQuery));
     let row = |row: &str| -> Vec<f64> { f.resolve_ms[row].values().copied().collect() };
     let row_median = |name: &str| median(&row(name)).unwrap_or(f64::NAN);
     let total = row("Total");
@@ -451,7 +438,7 @@ fn fig2b(s: &Samples) -> Report {
 
 /// E5/E6: Fig. 3, the CDFs of relative FCP and PLT against DoUDP.
 fn fig3(s: &Samples) -> Report {
-    let diffs = report::relative_to_baseline(s.web(Web), DnsTransport::DoUdp);
+    let diffs = report::relative_to_baseline(s.samples(Web), DnsTransport::DoUdp);
     let at = |table: &BTreeMap<String, Vec<f64>>, proto: &str, x: f64| {
         table
             .get(proto)
@@ -479,7 +466,7 @@ fn fig3(s: &Samples) -> Report {
 /// profit most from DoQ's 1-RTT set-up; complex pages amortize the
 /// encryption cost.
 fn fig4(s: &Samples) -> Report {
-    let cells = report::fig4(s.web(Web));
+    let cells = report::fig4(s.samples(Web));
     let page_median = |page: &str, f: fn(&Fig4Cell) -> f64| {
         let v: Vec<f64> = cells.iter().filter(|c| c.page == page).map(f).collect();
         median(&v).unwrap_or(f64::NAN)
@@ -504,7 +491,7 @@ fn fig4(s: &Samples) -> Report {
 
 /// E8: the abstract's and §5's headline claims.
 fn headline(s: &Samples) -> Report {
-    let h = report::headline(s.single_query(), s.web(Web));
+    let h = report::headline(s.samples(SingleQuery), s.samples(Web));
     #[rustfmt::skip]
     let claims = [
         ("Single query: DoQ improves on DoT by", "~33%", h.doq_vs_dot_single_query_pct),
@@ -529,7 +516,7 @@ fn headline(s: &Samples) -> Report {
 fn a1(s: &Samples) -> Report {
     let doq_handshakes = |regime: &str| -> Vec<Option<f64>> {
         let doq = s
-            .sweep(Whatif)
+            .samples::<SweepSample>(Whatif)
             .iter()
             .filter(|u| u.sample.transport == DnsTransport::DoQ);
         doq.filter(|u| u.regime_name == regime)
@@ -587,8 +574,8 @@ fn load_stats(samples: &[WebperfSample], transport: DnsTransport) -> (f64, f64, 
 /// next query, a full TCP+TLS handshake in ~60% of page loads, which
 /// made DoT look worse than DoH. The paper upstreamed a fix.
 fn a2(s: &Samples) -> Report {
-    let (on_plt, on_conns, on_share) = load_stats(s.web(Web), DnsTransport::DoT);
-    let (off_plt, off_conns, off_share) = load_stats(s.web(WebDotFixed), DnsTransport::DoT);
+    let (on_plt, on_conns, on_share) = load_stats(s.samples(Web), DnsTransport::DoT);
+    let (off_plt, off_conns, off_share) = load_stats(s.samples(WebDotFixed), DnsTransport::DoT);
     #[rustfmt::skip]
     let rows = [
         ("Multi-query page loads with extra DoT connections (bug ON)", "~60%", pct(on_share, 0)),
@@ -608,8 +595,8 @@ fn a2(s: &Samples) -> Report {
 /// every DoTCP query pays the full 2 RTT; this re-runs the Web campaign
 /// with both switched on, on the same unit seeds.
 fn a4(s: &Samples) -> Report {
-    let (plt, conns, _) = load_stats(s.web(Web), DnsTransport::DoTcp);
-    let (rfc_plt, rfc_conns, _) = load_stats(s.web(WebRfc9210), DnsTransport::DoTcp);
+    let (plt, conns, _) = load_stats(s.samples(Web), DnsTransport::DoTcp);
+    let (rfc_plt, rfc_conns, _) = load_stats(s.samples(WebRfc9210), DnsTransport::DoTcp);
     #[rustfmt::skip]
     let rows = [
         ("Median DoTCP connections per load (observed behaviour)", "= #queries", format!("{conns:.1}")),
@@ -665,7 +652,7 @@ fn s1(s: &Samples) -> Report {
     let row = |regime: usize, loss: f64| {
         let totals = |t: DnsTransport| -> Vec<f64> {
             let units = s
-                .sweep(Loss)
+                .samples::<SweepSample>(Loss)
                 .iter()
                 .filter(|u| u.regime == regime && u.sample.transport == t);
             units
