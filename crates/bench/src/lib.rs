@@ -2,8 +2,7 @@
 //!
 //! | binary | purpose |
 //! |---|---|
-//! | `campaign_throughput` | E13: engine throughput (units/s, events/s) -> `BENCH_10.json` |
-//! | `bench_gate` | CI gate: a fresh throughput report against the latest `BENCH_*.json` |
+//! | `campaign_throughput` | E13: engine throughput (units/s, events/s); `--check` gates each campaign's events and allocations against `campaign_counts.json` |
 //! | `validate_qlog` | CI check of a `doqlab trace` qlog file |
 //!
 //! The paper's artefacts and our ablations are `doqlab report <name>`
