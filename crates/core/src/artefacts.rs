@@ -12,14 +12,14 @@ use doqlab_dox::{Capabilities, DnsTransport};
 use doqlab_measure::discovery::DiscoveryReport;
 use doqlab_measure::report::{self, Fig4Cell, Report, SweepRow};
 use doqlab_measure::single_query::UnitOptions;
-use doqlab_measure::SweepSample;
 use doqlab_measure::{impairments, median, mobility, percentile, whatif, Cdf, Regime};
-use doqlab_measure::{WebperfCampaign, WebperfSample};
+use doqlab_measure::{SweepSample, WebperfCampaign, WebperfSample};
 use doqlab_simnet::geo::Continent;
 use doqlab_simnet::{GilbertElliott, ImpairmentSchedule};
 use serde::Serialize;
 use std::any::Any;
 use std::collections::BTreeMap;
+use Campaign::*;
 
 /// A campaign some artefact reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,8 +50,6 @@ pub struct Artefact {
     pub reads: &'static [Campaign],
     pub view: fn(&Samples) -> Report,
 }
-
-use Campaign::*;
 
 /// The campaign reports, in the order `doqlab all` prints them.
 #[rustfmt::skip]
@@ -99,6 +97,8 @@ pub struct Samples<'a> {
     /// The mobility sweep's regimes (the standard sweep at its default
     /// rebind offset and failover stagger unless set).
     pub mobility: Vec<Regime>,
+    /// What each campaign run so far produced: a `DiscoveryReport` or a
+    /// `Vec` of its samples.
     runs: Vec<(Campaign, Box<dyn Any>)>,
 }
 
@@ -612,10 +612,10 @@ fn a4(s: &Samples) -> Report {
 /// S1's path-loss rates.
 const LOSS_RATES: [f64; 5] = [0.0, 0.002, 0.01, 0.03, 0.06];
 
-/// S1's sweep: one regime per rate `p` of [`LOSS_RATES`], losing each
+/// S1's sweep: one regime per rate `p` of 0, 0.2, 1, 3 and 6%, losing each
 /// measured-phase packet with probability `p` (a Gilbert–Elliott chain
-/// that loses `p` in both states). The regimes share the single-query
-/// unit seeds.
+/// that loses `p` in both states) besides the path model's own loss.
+/// The regimes share the single-query unit seeds.
 pub fn loss_sweep() -> Vec<Regime> {
     let lossy = |p| ImpairmentSchedule::new().with_burst(GilbertElliott::new(0.0, 0.0, p, p));
     LOSS_RATES
@@ -632,10 +632,10 @@ pub fn loss_sweep() -> Vec<Regime> {
 }
 
 /// One row of S1: first packet to answer, DoUDP against DoQ, at one
-/// loss rate.
+/// loss rate added to the path's own.
 #[derive(Debug, Serialize)]
 struct LossRow {
-    loss_pct: f64,
+    added_loss_pct: f64,
     udp_p50_ms: f64,
     udp_p99_ms: f64,
     udp_over_2s_pct: f64,
@@ -666,7 +666,7 @@ fn s1(s: &Samples) -> Report {
             100.0 * v.iter().filter(|x| **x > 2000.0).count() as f64 / v.len().max(1) as f64
         };
         LossRow {
-            loss_pct: loss * 100.0,
+            added_loss_pct: loss * 100.0,
             udp_p50_ms: p50(&udp),
             udp_p99_ms: p99(&udp),
             udp_over_2s_pct: slow(&udp),
@@ -681,7 +681,7 @@ fn s1(s: &Samples) -> Report {
         .map(|(i, &loss)| row(i, loss))
         .collect();
     let mut text = [
-        "loss", "UDP p50", "UDP p99", "UDP>2s", "DoQ p50", "DoQ p99", "DoQ>2s",
+        "+loss", "UDP p50", "UDP p99", "UDP>2s", "DoQ p50", "DoQ p99", "DoQ>2s",
     ]
     .iter()
     .zip([7, 12, 12, 10, 12, 12, 10])
@@ -690,7 +690,7 @@ fn s1(s: &Samples) -> Report {
     for r in &rows {
         text.push_str(&format!(
             "\n{:>6.1}%{:>10.0}ms{:>10.0}ms{:>9.1}%{:>10.0}ms{:>10.0}ms{:>9.1}%",
-            r.loss_pct,
+            r.added_loss_pct,
             r.udp_p50_ms,
             r.udp_p99_ms,
             r.udp_over_2s_pct,
@@ -703,9 +703,10 @@ fn s1(s: &Samples) -> Report {
         .line("")
         .table(text, &rows)
         .heading(
-            "Reading guide: at the median DoUDP always wins (1 RTT vs 2). In the tail,\n\
-             rising loss flips the comparison: a lost DoUDP packet costs the full 5 s\n\
-             application retry, a lost QUIC packet a ~1 s PTO — the paper's explanation\n\
-             for the ~10% of page loads where encrypted DNS beat DoUDP.",
+            "Reading guide: +loss adds to each path's own 0.2% loss, on the measured phase.\n\
+             At the median DoUDP always wins (1 RTT vs 2). In the tail, rising loss flips\n\
+             the comparison: a lost DoUDP packet costs the full 5 s application retry, a\n\
+             lost QUIC packet a ~1 s PTO — the paper's explanation for the ~10% of page\n\
+             loads where encrypted DNS beat DoUDP.",
         )
 }

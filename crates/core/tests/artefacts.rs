@@ -1,13 +1,14 @@
 //! The artefact table end to end: one invocation runs each campaign its
-//! reports read once.
+//! reports read once, and the shape checks the reports print hold.
 
 use doqlab_core::artefacts::{Samples, PAPER_ARTEFACTS};
+use doqlab_core::measure::report::Section;
 use doqlab_core::measure::Scale;
 use doqlab_core::telemetry::metrics::{self, Counter};
 use doqlab_core::Study;
 
 #[test]
-fn rendering_every_paper_artefact_runs_each_campaign_once() {
+fn rendering_every_paper_artefact_runs_each_campaign_once_and_its_checks_hold() {
     let study = Study {
         scale: Scale {
             resolvers: Some(2),
@@ -25,7 +26,11 @@ fn rendering_every_paper_artefact_runs_each_campaign_once() {
     let entries: Vec<_> = PAPER_ARTEFACTS.iter().collect();
     let mut names = Vec::new();
     Samples::new(&study, "quick").render(&entries, |artefact, report| {
-        assert!(!report.render_text().is_empty());
+        for section in &report.sections {
+            if let Section::Check { label, holds } = section {
+                assert!(holds, "{}: {label}", artefact.name);
+            }
+        }
         names.push(artefact.name);
     });
     assert_eq!(names, PAPER_ARTEFACTS.map(|a| a.name));

@@ -1225,6 +1225,30 @@ mod tests {
         assert!(rendered.contains("Handshake time"));
     }
 
+    #[test]
+    fn a_report_renders_as_text_and_as_one_json_object() {
+        let r = Report::new("E9: example")
+            .heading("Rows:")
+            .paper([("  a", "~1%", "2.0%".to_string())])
+            .check("x < y", true)
+            .table("t".to_string(), &[1u8, 2]);
+        // Paper rows keep the experiment binaries' `compare` layout.
+        let row = format!("{:<52} paper: {:<18} measured: {}", "  a", "~1%", "2.0%");
+        assert_eq!(
+            r.render_text(),
+            format!(
+                "== E9: example ==\n\nRows:\n{row}\n  x < y{:35}-> true\nt\n",
+                ""
+            )
+        );
+        assert_eq!(
+            serde_json::to_string(&r.to_json("e9")).unwrap(),
+            r#"{"artefact":"e9","title":"E9: example","sections":[{"line":"Rows:"},"#.to_string()
+                + r#"{"label":"a","paper":"~1%","measured":"2.0%"},"#
+                + r#"{"check":"x < y","holds":true},{"table":[1,2]}]}"#
+        );
+    }
+
     fn web(t: DnsTransport, vp: usize, resolver: usize, page: usize, plt: f64) -> WebperfSample {
         WebperfSample {
             vp,
