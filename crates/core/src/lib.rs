@@ -14,6 +14,10 @@
 //! println!("{}", doqlab_core::measure::report::render_table1(&table1));
 //! ```
 //!
+//! [`artefacts`] lists every report the `doqlab` CLI prints (the
+//! campaign reports and the paper's artefacts), each with the
+//! campaigns it reads and its view over their samples.
+//!
 //! The subsystem crates are re-exported for direct access:
 //! [`simnet`] (the discrete-event simulator), [`dnswire`] (the DNS
 //! codec), [`netstack`] (TCP/TLS/QUIC/HTTP2), [`dox`] (the five DNS

@@ -35,7 +35,9 @@
 //!     the paper could not measure.
 //!
 //! [`stats`] holds the estimators (median, percentiles, CDFs) and
-//! [`report`] renders tables that mirror the paper's layout. Campaign
+//! [`report`] the reducers and renderers of tables that mirror the
+//! paper's layout, and [`report::Report`], the value every `doqlab`
+//! report is, rendered as text or JSON. Campaign
 //! size is controlled by [`Scale`]; `Scale::paper()` matches the
 //! study's sample counts, `Scale::quick()` is for tests and examples.
 

@@ -5,7 +5,9 @@
 //! combination (the paper runs four loads per combination and repeats
 //! every 48 hours). Relative differences against DoUDP (Fig. 3) and
 //! against DoQ (Fig. 4) are computed per `[vantage point : resolver]`
-//! pair by the experiment drivers.
+//! pair by the reducers in [`crate::report`]
+//! ([`relative_to_baseline`](crate::report::relative_to_baseline),
+//! [`fig4`](crate::report::fig4)).
 
 use crate::engine;
 use crate::vantage::vantage_points;
