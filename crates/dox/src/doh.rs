@@ -4,7 +4,7 @@
 use crate::carrier::{tls_failure, tls_metadata, tls_session};
 use crate::client::{ClientConfig, ConnMetadata, DnsClientConn, FailureKind, SessionState};
 use doqlab_dnswire::Message;
-use doqlab_netstack::http2::{doh_request_headers, doh_response_headers, H2Connection};
+use doqlab_netstack::http2::{doh_request_fields, Decimal, H2Connection};
 use doqlab_netstack::tls::{TlsConfig, TlsStream};
 use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
@@ -52,12 +52,9 @@ impl DoHClient {
 
     fn send_request(&mut self, now: SimTime, msg: &Message) {
         let body = msg.encode();
-        let headers = doh_request_headers(&self.authority, body.len());
-        let header_refs: Vec<(&str, &str)> = headers
-            .iter()
-            .map(|(n, v)| (n.as_str(), v.as_str()))
-            .collect();
-        let stream_id = self.h2.send_request(&header_refs, &body);
+        let length = Decimal::new(body.len());
+        let headers = doh_request_fields(&self.authority, length.as_str());
+        let stream_id = self.h2.send_request(&headers, &body);
         sink::emit(now.as_nanos(), || Event::HttpRequestSent {
             protocol: "h2",
             stream_id: stream_id as u64,
@@ -156,10 +153,4 @@ impl DnsClientConn for DoHClient {
     fn metadata(&self) -> ConnMetadata {
         tls_metadata(&self.stream)
     }
-}
-
-/// Build the HTTP/2 response for a DoH query (server side helper).
-pub fn doh_response_parts(msg: &Message) -> (Vec<(String, String)>, Vec<u8>) {
-    let body = msg.encode();
-    (doh_response_headers(body.len()), body)
 }

@@ -13,10 +13,9 @@
 
 use crate::alpn::DoqAlpn;
 use crate::client::DnsTransport;
-use crate::doh::doh_response_parts;
 use crate::ports;
 use doqlab_dnswire::{framing, EdnsOption, LengthPrefixedReader, Message};
-use doqlab_netstack::http2::H2Connection;
+use doqlab_netstack::http2::{doh_response_fields, Decimal, H2Connection};
 use doqlab_netstack::http3::H3Message;
 use doqlab_netstack::quic::{QuicConfig, QuicConnection, QuicServer};
 use doqlab_netstack::tcp::{TcpConfig, TcpListener};
@@ -338,10 +337,10 @@ impl DnsServerSet {
         // --- DoTCP ---
         for (peer, sock, reader) in self.tcp.connections() {
             let data = sock.recv();
-            if data.is_empty() {
+            if data.as_slice().is_empty() {
                 continue;
             }
-            reader.push(&data);
+            reader.push(data.as_slice());
             while let Some(wire) = reader.next_message() {
                 if let Ok(query) = Message::decode(wire) {
                     push((ConnKey::Tcp(peer), DnsTransport::DoTcp), query);
@@ -494,12 +493,10 @@ impl DnsServerSet {
             }
             ConnKey::Doh(peer, stream) => {
                 if let Some(session) = self.doh.session(peer) {
-                    let (headers, body) = doh_response_parts(msg);
-                    let refs: Vec<(&str, &str)> = headers
-                        .iter()
-                        .map(|(n, v)| (n.as_str(), v.as_str()))
-                        .collect();
-                    session.app.send_response(stream, &refs, &body);
+                    let body = msg.encode();
+                    let length = Decimal::new(body.len());
+                    let headers = doh_response_fields(length.as_str());
+                    session.app.send_response(stream, &headers, &body);
                 }
             }
             ConnKey::Doh3 { peer, stream } => {

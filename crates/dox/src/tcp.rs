@@ -41,7 +41,7 @@ impl DoTcpClient {
             // A cookie from an earlier connection to this resolver lets
             // the first query ride the SYN (RFC 7413).
             if let Some(cookie) = &cfg.session.tfo_cookie {
-                tcp.set_tfo_cookie(cookie.clone());
+                tcp.set_tfo_cookie(cookie);
             }
         }
         DoTcpClient {
@@ -62,27 +62,26 @@ impl DoTcpClient {
     }
 
     fn pump(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        let data = self.tcp.recv();
-        if !data.is_empty() {
-            self.reader.push(&data);
-            while let Some(wire) = self.reader.next_message() {
-                if let Ok(msg) = Message::decode(wire) {
-                    if msg.header.response && self.pending.remove(&msg.header.id) {
-                        if self.keepalive.is_none() {
-                            let granted = msg.opt().and_then(|o| match o.tcp_keepalive() {
-                                Some(EdnsOption::TcpKeepalive(Some(t))) => Some(*t),
-                                _ => None,
-                            });
-                            if let Some(t) = granted {
-                                // The resolver honors RFC 7828: keep the
-                                // connection instead of redialing per
-                                // query. Counted once per connection.
-                                self.keepalive = Some(t);
-                                metrics::count(Counter::KeepaliveHonored, 1);
-                            }
+        // Every complete message is drained below, so pushing nothing
+        // finds nothing new.
+        self.reader.push(self.tcp.recv().as_slice());
+        while let Some(wire) = self.reader.next_message() {
+            if let Ok(msg) = Message::decode(wire) {
+                if msg.header.response && self.pending.remove(&msg.header.id) {
+                    if self.keepalive.is_none() {
+                        let granted = msg.opt().and_then(|o| match o.tcp_keepalive() {
+                            Some(EdnsOption::TcpKeepalive(Some(t))) => Some(*t),
+                            _ => None,
+                        });
+                        if let Some(t) = granted {
+                            // The resolver honors RFC 7828: keep the
+                            // connection instead of redialing per
+                            // query. Counted once per connection.
+                            self.keepalive = Some(t);
+                            metrics::count(Counter::KeepaliveHonored, 1);
                         }
-                        self.responses.push((now, msg));
                     }
+                    self.responses.push((now, msg));
                 }
             }
         }
@@ -174,7 +173,7 @@ mod tests {
             }
             // Server DNS logic: respond to any framed query.
             if let Some((conn, _)) = listener.connection(client_addr) {
-                let data = conn.recv();
+                let data = conn.recv().collect::<Vec<_>>();
                 if !data.is_empty() {
                     let mut reader = LengthPrefixedReader::new();
                     reader.push(&data);

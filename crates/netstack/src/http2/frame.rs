@@ -139,6 +139,21 @@ impl<'a> H2Frame<'a> {
         out.extend_from_slice(self.payload);
     }
 
+    /// Append a HEADERS frame whose block `write_block` appends straight
+    /// after the frame header; the header's length is set afterwards.
+    pub(crate) fn encode_headers(
+        out: &mut Vec<u8>,
+        stream_id: u32,
+        end_stream: bool,
+        write_block: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let start = out.len();
+        H2Frame::headers(stream_id, &[], end_stream).encode(out);
+        write_block(out);
+        let len = (out.len() - start - Self::HEADER_LEN) as u32;
+        out[start..start + 3].copy_from_slice(&len.to_be_bytes()[1..]);
+    }
+
     /// Parse one frame from the front of `buf`, borrowing its payload;
     /// `None` if incomplete.
     pub fn decode(buf: &'a [u8]) -> Option<(H2Frame<'a>, usize)> {
@@ -186,6 +201,15 @@ mod tests {
             assert_eq!(used, wire.len());
             assert_eq!(back, frame);
         }
+    }
+
+    #[test]
+    fn a_block_written_in_place_matches_a_borrowed_one() {
+        let mut in_place = Vec::new();
+        H2Frame::encode_headers(&mut in_place, 5, true, |out| {
+            out.extend_from_slice(&[7; 300])
+        });
+        assert_eq!(in_place, wire(H2Frame::headers(5, &[7; 300], true)));
     }
 
     #[test]

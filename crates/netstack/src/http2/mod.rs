@@ -15,7 +15,7 @@ mod frame;
 mod hpack;
 
 pub use frame::{H2Frame, H2FrameType};
-pub use hpack::{HpackDecoder, HpackEncoder};
+pub use hpack::{HeaderList, HpackDecoder, HpackEncoder};
 
 use std::collections::HashMap;
 
@@ -25,20 +25,21 @@ pub const PREFACE: &[u8] = b"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n";
 /// Largest DATA payload per frame: the default SETTINGS_MAX_FRAME_SIZE.
 const MAX_FRAME_SIZE: usize = 16_384;
 
+/// Most body bytes reserved up front from a `content-length`; a larger
+/// body grows past it as DATA arrives.
+const MAX_BODY_RESERVE: usize = 1 << 20;
+
 /// One HTTP message (request or response) assembled from frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct H2Message {
     pub stream_id: u32,
-    pub headers: Vec<(String, String)>,
+    pub headers: HeaderList,
     pub body: Vec<u8>,
 }
 
 impl H2Message {
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        self.headers.get(name)
     }
 }
 
@@ -50,7 +51,7 @@ enum Role {
 
 #[derive(Debug, Default)]
 struct StreamAssembly {
-    headers: Vec<(String, String)>,
+    headers: HeaderList,
     body: Vec<u8>,
     headers_done: bool,
 }
@@ -116,12 +117,19 @@ impl H2Connection {
         self.send_message(stream_id, headers, body);
     }
 
+    /// Encode the message's frames straight into `out`, sized once: the
+    /// header block is written in place after its frame header.
     fn send_message(&mut self, id: u32, headers: &[(&str, &str)], body: &[u8]) {
-        let block = self.encoder.encode(headers);
         let data_frames = body.len().div_ceil(MAX_FRAME_SIZE);
-        self.out
-            .reserve(H2Frame::HEADER_LEN * (1 + data_frames) + block.len() + body.len());
-        H2Frame::headers(id, &block, body.is_empty()).encode(&mut self.out);
+        self.out.reserve(
+            H2Frame::HEADER_LEN * (1 + data_frames)
+                + HpackEncoder::max_block_len(headers)
+                + body.len(),
+        );
+        let encoder = &mut self.encoder;
+        H2Frame::encode_headers(&mut self.out, id, body.is_empty(), |out| {
+            encoder.encode_into(headers, out)
+        });
         for (i, chunk) in body.chunks(MAX_FRAME_SIZE).enumerate() {
             H2Frame::data(id, chunk, i + 1 == data_frames).encode(&mut self.out);
         }
@@ -163,6 +171,11 @@ impl H2Connection {
                 let end = frame.flags_end_stream();
                 if let Some(headers) = self.decoder.decode(frame.payload) {
                     let entry = self.assembling.entry(frame.stream_id).or_default();
+                    // Size the body once from its declared length.
+                    let declared = headers.get("content-length").and_then(|v| v.parse().ok());
+                    if let Some(len) = declared {
+                        entry.body.reserve_exact(MAX_BODY_RESERVE.min(len));
+                    }
                     entry.headers = headers;
                     entry.headers_done = true;
                 } else {
@@ -199,9 +212,10 @@ impl H2Connection {
         }
     }
 
-    /// Completed requests (server) or responses (client).
-    pub fn take_messages(&mut self) -> Vec<H2Message> {
-        std::mem::take(&mut self.complete)
+    /// Drain the completed requests (server) or responses (client); the
+    /// queue keeps its capacity.
+    pub fn take_messages(&mut self) -> std::vec::Drain<'_, H2Message> {
+        self.complete.drain(..)
     }
 
     /// Bytes to hand to the transport.
@@ -219,27 +233,85 @@ impl H2Connection {
     }
 }
 
-/// The standard DoH request headers (RFC 8484 §4.1, POST style).
-pub fn doh_request_headers(authority: &str, body_len: usize) -> Vec<(String, String)> {
-    vec![
-        (":method".into(), "POST".into()),
-        (":scheme".into(), "https".into()),
-        (":authority".into(), authority.into()),
-        (":path".into(), "/dns-query".into()),
-        ("accept".into(), "application/dns-message".into()),
-        ("content-type".into(), "application/dns-message".into()),
-        ("content-length".into(), body_len.to_string()),
+/// The media type of a DoH body (RFC 8484 §6).
+const DNS_MESSAGE: &str = "application/dns-message";
+
+/// The DoH request header fields (RFC 8484 §4.1, POST style) for a body
+/// whose length is `content_length` in decimal; DoH and DoH3 both send
+/// these.
+pub fn doh_request_fields<'a>(
+    authority: &'a str,
+    content_length: &'a str,
+) -> [(&'a str, &'a str); 7] {
+    [
+        (":method", "POST"),
+        (":scheme", "https"),
+        (":authority", authority),
+        (":path", "/dns-query"),
+        ("accept", DNS_MESSAGE),
+        ("content-type", DNS_MESSAGE),
+        ("content-length", content_length),
     ]
 }
 
-/// The standard DoH response headers.
-pub fn doh_response_headers(body_len: usize) -> Vec<(String, String)> {
-    vec![
-        (":status".into(), "200".into()),
-        ("content-type".into(), "application/dns-message".into()),
-        ("content-length".into(), body_len.to_string()),
-        ("cache-control".into(), "max-age=300".into()),
+/// The DoH response header fields for a body whose length is
+/// `content_length` in decimal.
+pub fn doh_response_fields(content_length: &str) -> [(&str, &str); 4] {
+    [
+        (":status", "200"),
+        ("content-type", DNS_MESSAGE),
+        ("content-length", content_length),
+        ("cache-control", "max-age=300"),
     ]
+}
+
+/// Header fields as owned pairs.
+pub(crate) fn owned(fields: &[(&str, &str)]) -> Vec<(String, String)> {
+    fields
+        .iter()
+        .map(|(n, v)| (n.to_string(), v.to_string()))
+        .collect()
+}
+
+/// [`doh_request_fields`], owned.
+pub fn doh_request_headers(authority: &str, body_len: usize) -> Vec<(String, String)> {
+    owned(&doh_request_fields(
+        authority,
+        Decimal::new(body_len).as_str(),
+    ))
+}
+
+/// [`doh_response_fields`], owned.
+pub fn doh_response_headers(body_len: usize) -> Vec<(String, String)> {
+    owned(&doh_response_fields(Decimal::new(body_len).as_str()))
+}
+
+/// A number in decimal, formatted on the stack: a `content-length`
+/// value without a `String`.
+#[derive(Debug, Clone, Copy)]
+pub struct Decimal {
+    digits: [u8; 20],
+    start: usize,
+}
+
+impl Decimal {
+    pub fn new(n: usize) -> Self {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        let mut rest = n as u64;
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                return Decimal { digits, start };
+            }
+        }
+    }
+
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.digits[self.start..]).expect("ASCII digits")
+    }
 }
 
 #[cfg(test)]
@@ -273,7 +345,7 @@ mod tests {
         let id = c.send_request(&hdrs(&req_headers), b"query");
         assert_eq!(id, 1);
         shuttle(&mut c, &mut s);
-        let reqs = s.take_messages();
+        let reqs: Vec<_> = s.take_messages().collect();
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].stream_id, 1);
         assert_eq!(reqs[0].body, b"query");
@@ -287,7 +359,7 @@ mod tests {
         let resp_headers = doh_response_headers(6);
         s.send_response(1, &hdrs(&resp_headers), b"answer");
         shuttle(&mut c, &mut s);
-        let resps = c.take_messages();
+        let resps: Vec<_> = c.take_messages().collect();
         assert_eq!(resps.len(), 1);
         assert_eq!(resps[0].body, b"answer");
         assert_eq!(resps[0].header(":status"), Some("200"));
@@ -302,7 +374,7 @@ mod tests {
         let b = c.send_request(&hdrs(&h), b"b");
         assert_eq!((a, b), (1, 3));
         shuttle(&mut c, &mut s);
-        let reqs = s.take_messages();
+        let reqs: Vec<_> = s.take_messages().collect();
         assert_eq!(reqs.len(), 2);
     }
 
@@ -327,7 +399,7 @@ mod tests {
         let h = vec![(":method".to_string(), "GET".to_string())];
         c.send_request(&hdrs(&h), b"");
         shuttle(&mut c, &mut s);
-        let reqs = s.take_messages();
+        let reqs: Vec<_> = s.take_messages().collect();
         assert_eq!(reqs.len(), 1);
         assert!(reqs[0].body.is_empty());
     }
@@ -340,7 +412,7 @@ mod tests {
         let h = doh_request_headers("dns.example", body.len());
         c.send_request(&hdrs(&h), &body);
         shuttle(&mut c, &mut s);
-        let reqs = s.take_messages();
+        let reqs: Vec<_> = s.take_messages().collect();
         assert_eq!(reqs[0].body, body);
     }
 
@@ -362,7 +434,7 @@ mod tests {
         for b in c.take_output() {
             s.read_wire(&[b]);
         }
-        let reqs = s.take_messages();
+        let reqs: Vec<_> = s.take_messages().collect();
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].body, b"abc");
     }

@@ -15,6 +15,7 @@
 //! This module is transport-agnostic over "streams": the DoH3 client
 //! and server glue it to [`crate::quic::QuicConnection`] streams.
 
+use crate::http2::{self, doh_request_fields, Decimal};
 use crate::quic::{read_varint, write_varint};
 
 /// HTTP/3 frame types (RFC 9114 §7.2).
@@ -218,18 +219,12 @@ impl H3Message {
     }
 }
 
-/// Standard DoH3 request headers (RFC 8484 over HTTP/3).
+/// Standard DoH3 request headers (RFC 8484 over HTTP/3): the fields DoH
+/// sends.
 pub fn doh3_request(authority: &str, body: Vec<u8>) -> H3Message {
+    let length = Decimal::new(body.len());
     H3Message {
-        headers: vec![
-            (":method".into(), "POST".into()),
-            (":scheme".into(), "https".into()),
-            (":authority".into(), authority.into()),
-            (":path".into(), "/dns-query".into()),
-            ("accept".into(), "application/dns-message".into()),
-            ("content-type".into(), "application/dns-message".into()),
-            ("content-length".into(), body.len().to_string()),
-        ],
+        headers: http2::owned(&doh_request_fields(authority, length.as_str())),
         body,
     }
 }

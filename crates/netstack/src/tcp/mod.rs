@@ -4,5 +4,5 @@
 mod segment;
 mod socket;
 
-pub use segment::{TcpFlags, TcpOption, TcpSegment};
+pub use segment::{TcpFlags, TcpOptions, TcpSegment, TfoCookie, Timestamps};
 pub use socket::{TcpConfig, TcpFailure, TcpListener, TcpSocket, TcpState};

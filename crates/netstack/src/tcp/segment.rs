@@ -3,8 +3,6 @@
 //! Table 1 measures (a SYN with MSS + SACK-permitted + timestamps +
 //! window scale is 40 bytes; a data/ACK segment with timestamps is 32).
 
-use doqlab_simnet::PayloadBuf;
-
 /// TCP header flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TcpFlags {
@@ -71,78 +69,149 @@ impl TcpFlags {
     }
 }
 
-/// TCP options. Only the kinds that affect size or behaviour in this
-/// workspace are given structure; SACK blocks are not modelled (loss
-/// recovery uses duplicate-ACK counting).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TcpOption {
-    /// Kind 2, 4 bytes.
-    Mss(u16),
-    /// Kind 4, 2 bytes ("SACK permitted").
-    SackPermitted,
-    /// Kind 8, 10 bytes.
-    Timestamps { value: u32, echo: u32 },
-    /// Kind 3, 3 bytes.
-    WindowScale(u8),
-    /// Kind 34 (TCP Fast Open, RFC 7413). An empty cookie is a request.
-    FastOpenCookie(Vec<u8>),
+/// A TCP Fast Open cookie (RFC 7413 §4.1.1), kept inline: at most 16
+/// bytes. An empty cookie is a client's request for one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TfoCookie {
+    len: u8,
+    bytes: [u8; TfoCookie::MAX_LEN],
 }
 
-impl TcpOption {
+impl TfoCookie {
+    /// The longest cookie RFC 7413 allows.
+    pub const MAX_LEN: usize = 16;
+
+    /// `bytes` as a cookie; `None` when longer than [`Self::MAX_LEN`].
+    pub fn new(bytes: &[u8]) -> Option<TfoCookie> {
+        let mut cookie = TfoCookie::default();
+        cookie.bytes.get_mut(..bytes.len())?.copy_from_slice(bytes);
+        cookie.len = bytes.len() as u8;
+        Some(cookie)
+    }
+
+    pub fn as_slice(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// The timestamps option (kind 8): the sender's clock and the echo of
+/// the peer's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Timestamps {
+    pub value: u32,
+    pub echo: u32,
+}
+
+/// A segment's options, kept inline. Only the kinds that affect size or
+/// behaviour in this workspace are modelled (SACK blocks are not: loss
+/// recovery uses duplicate-ACK counting); each kind appears at most
+/// once and is encoded in field order. Decoding keeps the first valid
+/// occurrence of a kind and skips unknown kinds, malformed lengths of
+/// known ones and cookies longer than [`TfoCookie::MAX_LEN`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TcpOptions {
+    /// Kind 2, 4 bytes.
+    pub mss: Option<u16>,
+    /// Kind 4, 2 bytes.
+    pub sack_permitted: bool,
+    /// Kind 8, 10 bytes.
+    pub timestamps: Option<Timestamps>,
+    /// Kind 3, 3 bytes.
+    pub window_scale: Option<u8>,
+    /// Kind 34 (TCP Fast Open, RFC 7413), 2 bytes plus the cookie.
+    pub fast_open: Option<TfoCookie>,
+}
+
+impl TcpOptions {
+    /// Encoded length before NOP padding.
     fn encoded_len(&self) -> usize {
-        match self {
-            TcpOption::Mss(_) => 4,
-            TcpOption::SackPermitted => 2,
-            TcpOption::Timestamps { .. } => 10,
-            TcpOption::WindowScale(_) => 3,
-            TcpOption::FastOpenCookie(c) => 2 + c.len(),
-        }
+        self.mss.map_or(0, |_| 4)
+            + if self.sack_permitted { 2 } else { 0 }
+            + self.timestamps.map_or(0, |_| 10)
+            + self.window_scale.map_or(0, |_| 3)
+            + self.fast_open.map_or(0, |c| 2 + c.as_slice().len())
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            TcpOption::Mss(v) => {
-                out.extend_from_slice(&[2, 4]);
-                out.extend_from_slice(&v.to_be_bytes());
+        if let Some(mss) = self.mss {
+            out.extend_from_slice(&[2, 4]);
+            out.extend_from_slice(&mss.to_be_bytes());
+        }
+        if self.sack_permitted {
+            out.extend_from_slice(&[4, 2]);
+        }
+        if let Some(ts) = self.timestamps {
+            out.extend_from_slice(&[8, 10]);
+            out.extend_from_slice(&ts.value.to_be_bytes());
+            out.extend_from_slice(&ts.echo.to_be_bytes());
+        }
+        if let Some(shift) = self.window_scale {
+            out.extend_from_slice(&[3, 3, shift]);
+        }
+        if let Some(cookie) = self.fast_open {
+            let cookie = cookie.as_slice();
+            out.extend_from_slice(&[34, 2 + cookie.len() as u8]);
+            out.extend_from_slice(cookie);
+        }
+    }
+
+    /// Record option `kind` with `body` unless an earlier one of its
+    /// kind was kept.
+    fn decode_one(&mut self, kind: u8, body: &[u8]) {
+        match (kind, body) {
+            (2, &[a, b]) => {
+                self.mss.get_or_insert(u16::from_be_bytes([a, b]));
             }
-            TcpOption::SackPermitted => out.extend_from_slice(&[4, 2]),
-            TcpOption::Timestamps { value, echo } => {
-                out.extend_from_slice(&[8, 10]);
-                out.extend_from_slice(&value.to_be_bytes());
-                out.extend_from_slice(&echo.to_be_bytes());
+            (4, []) => self.sack_permitted = true,
+            (8, &[v0, v1, v2, v3, e0, e1, e2, e3]) => {
+                self.timestamps.get_or_insert(Timestamps {
+                    value: u32::from_be_bytes([v0, v1, v2, v3]),
+                    echo: u32::from_be_bytes([e0, e1, e2, e3]),
+                });
             }
-            TcpOption::WindowScale(s) => out.extend_from_slice(&[3, 3, *s]),
-            TcpOption::FastOpenCookie(c) => {
-                out.push(34);
-                out.push(2 + c.len() as u8);
-                out.extend_from_slice(c);
+            (3, &[shift]) => {
+                self.window_scale.get_or_insert(shift);
             }
+            (34, cookie) if self.fast_open.is_none() => self.fast_open = TfoCookie::new(cookie),
+            _ => {} // unknown options are skipped
         }
     }
 }
 
-/// A TCP segment. `encode` produces the full header + options + payload
-/// so that `Packet::ip_payload_len` is exactly the segment size.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TcpSegment {
+/// A TCP segment, its payload borrowed: decoded in place from a received
+/// packet, or encoded straight into one. `encode` produces the full
+/// header + options + payload so that `Packet::ip_payload_len` is
+/// exactly the segment size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TcpSegment<'a> {
     pub src_port: u16,
     pub dst_port: u16,
     pub seq: u32,
     pub ack: u32,
     pub flags: TcpFlags,
     pub window: u16,
-    pub options: Vec<TcpOption>,
-    pub payload: Vec<u8>,
+    pub options: TcpOptions,
+    pub payload: &'a [u8],
 }
 
 /// Base TCP header length.
 pub const TCP_HEADER_LEN: usize = 20;
 
-impl TcpSegment {
+impl<'a> TcpSegment<'a> {
     /// Sequence space consumed: payload bytes, plus one for SYN and one
     /// for FIN.
     pub fn seq_len(&self) -> u32 {
         self.payload.len() as u32 + self.flags.syn as u32 + self.flags.fin as u32
+    }
+
+    /// Header length: the base header plus the options, padded to a
+    /// 4-byte boundary with NOPs.
+    pub fn header_len(&self) -> usize {
+        TCP_HEADER_LEN + ((self.options.encoded_len() + 3) & !3)
     }
 
     pub fn encode(&self) -> Vec<u8> {
@@ -151,39 +220,34 @@ impl TcpSegment {
         out
     }
 
-    /// Encode into a pooled packet payload — the zero-allocation send
-    /// path once the per-thread buffer pool is warm.
-    pub fn encode_payload(&self) -> PayloadBuf {
-        let mut out = PayloadBuf::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Append the wire encoding to `out` (cleared first).
+    /// Write the wire encoding to `out` (cleared first).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
-        let opt_len: usize = self.options.iter().map(|o| o.encoded_len()).sum();
-        // Options are padded to a 4-byte boundary with NOPs.
-        let padded = (opt_len + 3) & !3;
-        let data_offset_words = (TCP_HEADER_LEN + padded) / 4;
-        out.reserve(TCP_HEADER_LEN + padded + self.payload.len());
+        out.reserve(self.header_len() + self.payload.len());
+        self.encode_header(out);
+        out.extend_from_slice(self.payload);
+    }
+
+    /// Append the header and the options, without the payload: a sender
+    /// writes the payload after it from wherever the bytes live.
+    pub(crate) fn encode_header(&self, out: &mut Vec<u8>) {
+        let header_len = self.header_len();
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
         out.extend_from_slice(&self.seq.to_be_bytes());
         out.extend_from_slice(&self.ack.to_be_bytes());
-        out.push((data_offset_words as u8) << 4);
+        out.push(((header_len / 4) as u8) << 4);
         out.push(self.flags.to_bits());
         out.extend_from_slice(&self.window.to_be_bytes());
         out.extend_from_slice(&[0, 0]); // checksum (not modelled)
         out.extend_from_slice(&[0, 0]); // urgent pointer
-        for opt in &self.options {
-            opt.encode(out);
-        }
-        out.extend(std::iter::repeat_n(1u8, padded - opt_len)); // NOP padding
-        out.extend_from_slice(&self.payload);
+        self.options.encode(out);
+        let padding = header_len - TCP_HEADER_LEN - self.options.encoded_len();
+        out.extend_from_slice(&[1, 1, 1][..padding]); // NOP padding
     }
 
-    pub fn decode(buf: &[u8]) -> Option<TcpSegment> {
+    /// Parse a segment, borrowing its payload from `buf`.
+    pub fn decode(buf: &'a [u8]) -> Option<TcpSegment<'a>> {
         if buf.len() < TCP_HEADER_LEN {
             return None;
         }
@@ -197,7 +261,7 @@ impl TcpSegment {
         }
         let flags = TcpFlags::from_bits(buf[13]);
         let window = u16::from_be_bytes([buf[14], buf[15]]);
-        let mut options = Vec::new();
+        let mut options = TcpOptions::default();
         let mut i = TCP_HEADER_LEN;
         while i < header_len {
             match buf[i] {
@@ -211,20 +275,7 @@ impl TcpSegment {
                     if len < 2 || i + len > header_len {
                         return None;
                     }
-                    let body = &buf[i + 2..i + len];
-                    match kind {
-                        2 if body.len() == 2 => {
-                            options.push(TcpOption::Mss(u16::from_be_bytes([body[0], body[1]])));
-                        }
-                        4 if body.is_empty() => options.push(TcpOption::SackPermitted),
-                        8 if body.len() == 8 => options.push(TcpOption::Timestamps {
-                            value: u32::from_be_bytes([body[0], body[1], body[2], body[3]]),
-                            echo: u32::from_be_bytes([body[4], body[5], body[6], body[7]]),
-                        }),
-                        3 if body.len() == 1 => options.push(TcpOption::WindowScale(body[0])),
-                        34 => options.push(TcpOption::FastOpenCookie(body.to_vec())),
-                        _ => {} // unknown options are skipped
-                    }
+                    options.decode_one(kind, &buf[i + 2..i + len]);
                     i += len;
                 }
             }
@@ -237,7 +288,7 @@ impl TcpSegment {
             flags,
             window,
             options,
-            payload: buf[header_len..].to_vec(),
+            payload: &buf[header_len..],
         })
     }
 }
@@ -246,7 +297,17 @@ impl TcpSegment {
 mod tests {
     use super::*;
 
-    fn syn() -> TcpSegment {
+    fn syn_options() -> TcpOptions {
+        TcpOptions {
+            mss: Some(1460),
+            sack_permitted: true,
+            timestamps: Some(Timestamps { value: 1, echo: 0 }),
+            window_scale: Some(7),
+            fast_open: None,
+        }
+    }
+
+    fn syn() -> TcpSegment<'static> {
         TcpSegment {
             src_port: 40000,
             dst_port: 853,
@@ -254,13 +315,15 @@ mod tests {
             ack: 0,
             flags: TcpFlags::SYN,
             window: 65535,
-            options: vec![
-                TcpOption::Mss(1460),
-                TcpOption::SackPermitted,
-                TcpOption::Timestamps { value: 1, echo: 0 },
-                TcpOption::WindowScale(7),
-            ],
-            payload: vec![],
+            options: syn_options(),
+            payload: &[],
+        }
+    }
+
+    fn timestamps(value: u32, echo: u32) -> TcpOptions {
+        TcpOptions {
+            timestamps: Some(Timestamps { value, echo }),
+            ..TcpOptions::default()
         }
     }
 
@@ -268,6 +331,7 @@ mod tests {
     fn syn_is_40_bytes() {
         // 20 header + 4+2+10+3=19 options padded to 20.
         assert_eq!(syn().encode().len(), 40);
+        assert_eq!(syn().header_len(), 40);
     }
 
     #[test]
@@ -279,8 +343,8 @@ mod tests {
             ack: 6,
             flags: TcpFlags::ACK,
             window: 65535,
-            options: vec![TcpOption::Timestamps { value: 9, echo: 8 }],
-            payload: vec![0; 100],
+            options: timestamps(9, 8),
+            payload: &[0; 100],
         };
         assert_eq!(seg.encode().len(), 132);
     }
@@ -288,8 +352,8 @@ mod tests {
     #[test]
     fn roundtrip() {
         let seg = syn();
-        let decoded = TcpSegment::decode(&seg.encode()).unwrap();
-        assert_eq!(decoded, seg);
+        let wire = seg.encode();
+        assert_eq!(TcpSegment::decode(&wire).unwrap(), seg);
     }
 
     #[test]
@@ -306,10 +370,11 @@ mod tests {
                 ..TcpFlags::default()
             },
             window: 1024,
-            options: vec![TcpOption::Timestamps { value: 3, echo: 4 }],
-            payload: b"data".to_vec(),
+            options: timestamps(3, 4),
+            payload: b"data",
         };
-        assert_eq!(TcpSegment::decode(&seg.encode()).unwrap(), seg);
+        let wire = seg.encode();
+        assert_eq!(TcpSegment::decode(&wire).unwrap(), seg);
     }
 
     #[test]
@@ -321,12 +386,36 @@ mod tests {
             ack: 0,
             flags: TcpFlags::SYN,
             window: 65535,
-            options: vec![TcpOption::FastOpenCookie(vec![1, 2, 3, 4, 5, 6, 7, 8])],
-            payload: b"early".to_vec(),
+            options: TcpOptions {
+                fast_open: TfoCookie::new(&[1, 2, 3, 4, 5, 6, 7, 8]),
+                ..TcpOptions::default()
+            },
+            payload: b"early",
         };
-        let back = TcpSegment::decode(&seg.encode()).unwrap();
+        let wire = seg.encode();
+        let back = TcpSegment::decode(&wire).unwrap();
         assert_eq!(back.options, seg.options);
         assert_eq!(back.payload, seg.payload);
+    }
+
+    #[test]
+    fn cookies_hold_at_most_sixteen_bytes() {
+        assert_eq!(TfoCookie::new(&[7; 16]).unwrap().as_slice(), &[7; 16]);
+        assert!(TfoCookie::new(&[7; 17]).is_none());
+        assert!(TfoCookie::default().is_empty());
+    }
+
+    #[test]
+    fn the_header_is_written_apart_from_the_payload() {
+        let seg = TcpSegment {
+            payload: b"abc",
+            ..syn()
+        };
+        let mut wire = Vec::new();
+        seg.encode_header(&mut wire);
+        assert_eq!(wire.len(), seg.header_len());
+        wire.extend_from_slice(b"abc");
+        assert_eq!(wire, seg.encode());
     }
 
     #[test]
@@ -334,7 +423,7 @@ mod tests {
         let mut seg = syn();
         assert_eq!(seg.seq_len(), 1);
         seg.flags = TcpFlags::ACK;
-        seg.payload = vec![0; 10];
+        seg.payload = &[0; 10];
         assert_eq!(seg.seq_len(), 10);
         seg.flags = TcpFlags::FIN_ACK;
         assert_eq!(seg.seq_len(), 11);
@@ -361,14 +450,14 @@ mod tests {
             ack: 0,
             flags: TcpFlags::ACK,
             window: 100,
-            options: vec![],
-            payload: vec![],
+            options: TcpOptions::default(),
+            payload: &[],
         }
         .encode();
         raw[12] = 0x60; // 24-byte header
         raw.extend_from_slice(&[99, 4, 0, 0]);
         let seg = TcpSegment::decode(&raw).unwrap();
-        assert!(seg.options.is_empty());
+        assert_eq!(seg.options, TcpOptions::default());
         assert!(seg.payload.is_empty());
     }
 }

@@ -16,12 +16,13 @@
 //! TCP Fast Open. Not modelled: SACK scoreboards, urgent data, silly
 //! window avoidance (transfers here are far too small to hit it).
 
-use super::segment::{TcpFlags, TcpOption, TcpSegment};
+use super::segment::{TcpFlags, TcpOptions, TcpSegment, TfoCookie, Timestamps};
 use crate::congestion::CongestionController;
-use doqlab_simnet::{Duration, Packet, SimTime, SocketAddr};
+use doqlab_simnet::{Duration, Packet, PayloadBuf, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
 use doqlab_telemetry::{sink, Event};
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 /// Connection parameters.
 #[derive(Debug, Clone)]
@@ -182,7 +183,7 @@ pub struct TcpSocket {
     /// Sticky failure cause (reset by peer, retries exhausted, aborted).
     failure: Option<TcpFailure>,
     /// Client-side cached TFO cookie (present = may send data on SYN).
-    tfo_cookie: Option<Vec<u8>>,
+    tfo_cookie: Option<TfoCookie>,
     /// Server: data accepted from a TFO SYN, delivered on accept.
     ts_echo: u32,
 }
@@ -245,13 +246,14 @@ impl TcpSocket {
     }
 
     /// Provide a cached Fast Open cookie before `open` (client only).
-    pub fn set_tfo_cookie(&mut self, cookie: Vec<u8>) {
-        self.tfo_cookie = Some(cookie);
+    /// A cookie longer than [`TfoCookie::MAX_LEN`] is not kept.
+    pub fn set_tfo_cookie(&mut self, cookie: &[u8]) {
+        self.tfo_cookie = TfoCookie::new(cookie);
     }
 
     /// Cookie learned from the server during this connection, if any.
     pub fn tfo_cookie(&self) -> Option<&[u8]> {
-        self.tfo_cookie.as_deref()
+        self.tfo_cookie.as_ref().map(TfoCookie::as_slice)
     }
 
     /// Begin the active open. Data already queued via [`TcpSocket::send`]
@@ -338,9 +340,10 @@ impl TcpSocket {
         self.tx_written += data.len() as u64;
     }
 
-    /// Take all readable bytes.
-    pub fn recv(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.rx_buf)
+    /// Drain all readable bytes (`as_slice` reads them in place); the
+    /// receive buffer keeps its capacity.
+    pub fn recv(&mut self) -> std::vec::Drain<'_, u8> {
+        self.rx_buf.drain(..)
     }
 
     /// Bytes queued locally but not yet acknowledged by the peer.
@@ -404,7 +407,7 @@ impl TcpSocket {
     }
 
     /// Process an incoming segment.
-    pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment) {
+    pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment<'_>) {
         if seg.flags.rst {
             if self.state != TcpState::Closed {
                 self.failure = Some(TcpFailure::PeerReset);
@@ -413,12 +416,8 @@ impl TcpSocket {
             }
             return;
         }
-        if let Some(TcpOption::Timestamps { value, .. }) = seg
-            .options
-            .iter()
-            .find(|o| matches!(o, TcpOption::Timestamps { .. }))
-        {
-            self.ts_echo = *value;
+        if let Some(ts) = seg.options.timestamps {
+            self.ts_echo = ts.value;
         }
         match self.state {
             TcpState::Closed => { /* drop; RST generation not needed */ }
@@ -428,7 +427,7 @@ impl TcpSocket {
         }
     }
 
-    fn on_listen_syn(&mut self, now: SimTime, seg: &TcpSegment) {
+    fn on_listen_syn(&mut self, now: SimTime, seg: &TcpSegment<'_>) {
         if !seg.flags.syn || seg.flags.ack {
             return;
         }
@@ -440,25 +439,22 @@ impl TcpSocket {
         self.need_syn = true; // SYN-ACK
                               // TCP Fast Open (server side): accept SYN data when the client
                               // presented a cookie and we support TFO.
-        if self.cfg.enable_tfo && !seg.payload.is_empty() {
-            let has_cookie = seg
-                .options
-                .iter()
-                .any(|o| matches!(o, TcpOption::FastOpenCookie(c) if !c.is_empty()));
-            if has_cookie {
-                self.rx_buf.extend_from_slice(&seg.payload);
-                self.rcv_nxt += seg.payload.len() as u64;
-                let data_len = seg.payload.len();
-                sink::emit(now.as_nanos(), || Event::TcpFastOpen {
-                    side: "server",
-                    data_len,
-                });
-                metrics::count(Counter::TcpFastOpenServer, 1);
-            }
+        if self.cfg.enable_tfo
+            && !seg.payload.is_empty()
+            && seg.options.fast_open.is_some_and(|c| !c.is_empty())
+        {
+            self.rx_buf.extend_from_slice(seg.payload);
+            self.rcv_nxt += seg.payload.len() as u64;
+            let data_len = seg.payload.len();
+            sink::emit(now.as_nanos(), || Event::TcpFastOpen {
+                side: "server",
+                data_len,
+            });
+            metrics::count(Counter::TcpFastOpenServer, 1);
         }
     }
 
-    fn on_syn_sent(&mut self, now: SimTime, seg: &TcpSegment) {
+    fn on_syn_sent(&mut self, now: SimTime, seg: &TcpSegment<'_>) {
         if !seg.flags.syn || !seg.flags.ack {
             return;
         }
@@ -471,14 +467,8 @@ impl TcpSocket {
         self.apply_peer_mss(seg);
         self.advance_snd_una(now, ack_abs);
         // Server may hand us a Fast Open cookie for next time.
-        if let Some(TcpOption::FastOpenCookie(c)) = seg
-            .options
-            .iter()
-            .find(|o| matches!(o, TcpOption::FastOpenCookie(_)))
-        {
-            if !c.is_empty() {
-                self.tfo_cookie = Some(c.clone());
-            }
+        if let Some(cookie) = seg.options.fast_open.filter(|c| !c.is_empty()) {
+            self.tfo_cookie = Some(cookie);
         }
         self.state = TcpState::Established;
         self.established_at = Some(now);
@@ -489,11 +479,11 @@ impl TcpSocket {
         // SYN-ACK payload (TFO server response data) is regular stream
         // data starting at position 1.
         if !seg.payload.is_empty() {
-            self.accept_payload(1, &seg.payload);
+            self.accept_payload(1, seg.payload);
         }
     }
 
-    fn on_synchronized(&mut self, now: SimTime, seg: &TcpSegment) {
+    fn on_synchronized(&mut self, now: SimTime, seg: &TcpSegment<'_>) {
         // Handshake completion for a passive opener.
         if self.state == TcpState::SynReceived && seg.flags.ack {
             let ack_abs = self.abs_from_wire_ack(seg.ack);
@@ -510,7 +500,7 @@ impl TcpSocket {
         }
         if !seg.payload.is_empty() {
             let pos = self.peer_abs(seg.seq);
-            self.accept_payload(pos, &seg.payload);
+            self.accept_payload(pos, seg.payload);
             self.pending_acks += 1;
         }
         if seg.flags.fin {
@@ -521,14 +511,13 @@ impl TcpSocket {
         self.maybe_consume_peer_fin();
     }
 
-    fn apply_peer_mss(&mut self, seg: &TcpSegment) {
-        if let Some(TcpOption::Mss(m)) = seg.options.iter().find(|o| matches!(o, TcpOption::Mss(_)))
-        {
-            self.cfg.mss = self.cfg.mss.min(*m as usize);
+    fn apply_peer_mss(&mut self, seg: &TcpSegment<'_>) {
+        if let Some(mss) = seg.options.mss {
+            self.cfg.mss = self.cfg.mss.min(mss as usize);
         }
     }
 
-    fn process_ack(&mut self, now: SimTime, seg: &TcpSegment) {
+    fn process_ack(&mut self, now: SimTime, seg: &TcpSegment<'_>) {
         let ack_abs = self.abs_from_wire_ack(seg.ack);
         self.peer_window = seg.window as u64;
         if ack_abs > self.snd_max {
@@ -708,43 +697,27 @@ impl TcpSocket {
         t
     }
 
-    /// `n` bytes of `tx_buf` from `start`, copied as at most two slices
-    /// (the ring buffer's halves).
-    fn tx_payload(&self, start: usize, n: usize) -> Vec<u8> {
-        let (front, back) = self.tx_buf.as_slices();
-        let end = start + n;
-        let mut payload = Vec::with_capacity(n);
-        if start < front.len() {
-            payload.extend_from_slice(&front[start..end.min(front.len())]);
-        }
-        if end > front.len() {
-            payload.extend_from_slice(&back[start.saturating_sub(front.len())..end - front.len()]);
-        }
-        payload
-    }
-
-    fn make_segment(
-        &self,
-        flags: TcpFlags,
-        abs_seq: u64,
-        payload: Vec<u8>,
-        now: SimTime,
-    ) -> TcpSegment {
-        let mut options = Vec::new();
-        if flags.syn {
-            options.push(TcpOption::Mss(self.cfg.mss as u16));
-            options.push(TcpOption::SackPermitted);
-            options.push(TcpOption::Timestamps {
-                value: (now.as_nanos() / 1_000_000) as u32,
-                echo: self.ts_echo,
-            });
-            options.push(TcpOption::WindowScale(7));
+    /// A segment from this socket carrying no payload yet: the SYN
+    /// options on SYN and SYN-ACK, timestamps on every other segment.
+    fn make_segment(&self, flags: TcpFlags, abs_seq: u64, now: SimTime) -> TcpSegment<'static> {
+        let timestamps = Some(Timestamps {
+            value: (now.as_nanos() / 1_000_000) as u32,
+            echo: self.ts_echo,
+        });
+        let options = if flags.syn {
+            TcpOptions {
+                mss: Some(self.cfg.mss as u16),
+                sack_permitted: true,
+                timestamps,
+                window_scale: Some(7),
+                fast_open: None,
+            }
         } else {
-            options.push(TcpOption::Timestamps {
-                value: (now.as_nanos() / 1_000_000) as u32,
-                echo: self.ts_echo,
-            });
-        }
+            TcpOptions {
+                timestamps,
+                ..TcpOptions::default()
+            }
+        };
         TcpSegment {
             src_port: self.local.port,
             dst_port: self.remote.port,
@@ -757,29 +730,58 @@ impl TcpSocket {
             flags,
             window: 65535,
             options,
-            payload,
+            payload: &[],
         }
     }
 
-    /// [`poll`](Self::poll), with every segment pushed onto `out` as a
-    /// packet from `local` to `remote`.
+    /// Every segment that should go on the wire now, encoded straight
+    /// into pooled packets from `local` to `remote`: the header, then
+    /// the payload's bytes from the send buffer.
     pub fn transmit(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        for seg in self.poll(now) {
-            out.push(Packet::tcp(self.local, self.remote, seg.encode_payload()));
-        }
+        let (local, remote) = (self.local, self.remote);
+        self.output(now, |seg, tx_buf, data| {
+            let (front, back) = ring_slices(tx_buf, data);
+            let mut payload = PayloadBuf::new();
+            payload.reserve(seg.header_len() + front.len() + back.len());
+            seg.encode_header(&mut payload);
+            payload.extend_from_slice(front);
+            payload.extend_from_slice(back);
+            out.push(Packet::tcp(local, remote, payload));
+        });
     }
 
-    /// Produce all segments that should go on the wire now. Also fires
-    /// the retransmission timer when `now` has passed it.
-    pub fn poll(&mut self, now: SimTime) -> Vec<TcpSegment> {
-        let mut out = Vec::new();
+    /// [`transmit`](Self::transmit)'s segments, their payloads borrowed
+    /// from the send buffer.
+    pub fn poll(&mut self, now: SimTime) -> Vec<TcpSegment<'_>> {
+        let mut planned = Vec::new();
+        self.output(now, |seg, _, data| planned.push((seg, data)));
+        let tx_buf: &[u8] = self.tx_buf.make_contiguous();
+        planned
+            .into_iter()
+            .map(|(seg, data)| TcpSegment {
+                payload: &tx_buf[data],
+                ..seg
+            })
+            .collect()
+    }
+
+    /// Hand `emit` every segment that should go on the wire now, each
+    /// as its header and the range of the send buffer its payload
+    /// occupies. Also fires the retransmission timer when `now` has
+    /// passed it.
+    fn output(
+        &mut self,
+        now: SimTime,
+        mut emit: impl FnMut(TcpSegment<'static>, &VecDeque<u8>, Range<usize>),
+    ) {
+        let mut sent = false;
         if self.reset_pending && self.state == TcpState::Closed {
             // One RST, then silence.
             self.reset_pending = false;
-            let mut seg = self.make_segment(TcpFlags::RST, self.snd_nxt, Vec::new(), now);
+            let mut seg = self.make_segment(TcpFlags::RST, self.snd_nxt, now);
             seg.ack = 0;
-            out.push(seg);
-            return out;
+            emit(seg, &self.tx_buf, 0..0);
+            return;
         }
         // TIME_WAIT deadline may still need arming or firing.
         if self.state == TcpState::TimeWait {
@@ -800,7 +802,7 @@ impl TcpSocket {
                     self.failure = Some(TcpFailure::RetriesExhausted);
                     self.state = TcpState::Closed;
                     self.retransmit_at = None;
-                    return out;
+                    return;
                 }
                 let inflight = (self.snd_nxt - self.snd_una) as usize;
                 self.cc.on_rto(inflight);
@@ -829,14 +831,14 @@ impl TcpSocket {
                 },
             };
             if flags.syn {
-                let mut payload = Vec::new();
+                let mut data = 0..0;
                 let mut seg_flags = flags;
                 // Client-side TFO: put queued data on the SYN.
                 if self.state == TcpState::SynSent && self.cfg.enable_tfo {
                     if let Some(cookie) = &self.tfo_cookie {
                         if !cookie.is_empty() && !self.tx_buf.is_empty() {
                             let n = self.tx_buf.len().min(self.cfg.mss);
-                            payload = self.tx_payload(0, n);
+                            data = 0..n;
                             seg_flags.psh = true;
                             sink::emit(now.as_nanos(), || Event::TcpFastOpen {
                                 side: "client",
@@ -847,18 +849,17 @@ impl TcpSocket {
                         }
                     }
                 }
-                let data_len = payload.len() as u64;
-                let mut seg = self.make_segment(seg_flags, 0, payload, now);
+                let data_len = data.len() as u64;
+                let mut seg = self.make_segment(seg_flags, 0, now);
                 if self.cfg.enable_tfo && self.state == TcpState::SynSent {
                     // Send cookie if cached, else request one.
-                    seg.options.push(TcpOption::FastOpenCookie(
-                        self.tfo_cookie.clone().unwrap_or_default(),
-                    ));
+                    seg.options.fast_open = Some(self.tfo_cookie.unwrap_or_default());
                 } else if self.cfg.enable_tfo && self.state == TcpState::SynReceived {
                     // Issue a cookie to the client.
-                    seg.options.push(TcpOption::FastOpenCookie(vec![0xC0; 8]));
+                    seg.options.fast_open = TfoCookie::new(&[0xC0; 8]);
                 }
-                out.push(seg);
+                emit(seg, &self.tx_buf, data);
+                sent = true;
                 // SYN consumed position 0; any TFO payload follows it.
                 self.snd_nxt = self.snd_nxt.max(1 + data_len);
                 self.snd_max = self.snd_max.max(self.snd_nxt);
@@ -900,12 +901,12 @@ impl TcpSocket {
                 if n == 0 {
                     break;
                 }
-                let payload = self.tx_payload(start, n);
                 let last = start + n == self.tx_buf.len();
                 let mut flags = TcpFlags::ACK;
                 flags.psh = last;
-                let seg = self.make_segment(flags, self.snd_nxt, payload, now);
-                out.push(seg);
+                let seg = self.make_segment(flags, self.snd_nxt, now);
+                emit(seg, &self.tx_buf, start..start + n);
+                sent = true;
                 if self.rtt_sample.is_none() {
                     self.rtt_sample = Some((self.snd_nxt + n as u64, now));
                 }
@@ -924,7 +925,12 @@ impl TcpSocket {
             {
                 let fin = self.snd_nxt;
                 self.fin_pos = Some(fin);
-                out.push(self.make_segment(TcpFlags::FIN_ACK, fin, Vec::new(), now));
+                emit(
+                    self.make_segment(TcpFlags::FIN_ACK, fin, now),
+                    &self.tx_buf,
+                    0..0,
+                );
+                sent = true;
                 self.snd_nxt += 1;
                 self.snd_max = self.snd_max.max(self.snd_nxt);
                 self.pending_acks = 0;
@@ -934,9 +940,10 @@ impl TcpSocket {
         // ACK-eliciting segment received, so duplicate ACKs reach the
         // peer and trigger its fast retransmit.
         if self.pending_acks > 0 && (self.is_established() || self.state == TcpState::TimeWait) {
-            if out.is_empty() {
+            if !sent {
                 for _ in 0..self.pending_acks {
-                    out.push(self.make_segment(TcpFlags::ACK, self.snd_nxt, Vec::new(), now));
+                    let ack = self.make_segment(TcpFlags::ACK, self.snd_nxt, now);
+                    emit(ack, &self.tx_buf, 0..0);
                 }
             }
             self.pending_acks = 0;
@@ -945,7 +952,22 @@ impl TcpSocket {
         if self.snd_nxt > self.snd_una && self.retransmit_at.is_none() {
             self.retransmit_at = Some(now + self.rto.current());
         }
-        out
+    }
+}
+
+/// The bytes of `range` in `buf`, as at most two slices (the ring
+/// buffer's halves).
+fn ring_slices(buf: &VecDeque<u8>, range: Range<usize>) -> (&[u8], &[u8]) {
+    let (front, back) = buf.as_slices();
+    if range.end <= front.len() {
+        (&front[range], &[])
+    } else if range.start >= front.len() {
+        (
+            &[],
+            &back[range.start - front.len()..range.end - front.len()],
+        )
+    } else {
+        (&front[range.start..], &back[..range.end - front.len()])
     }
 }
 
@@ -1057,8 +1079,8 @@ mod tests {
         b: TcpSocket,
         now: SimTime,
         delay: Duration,
-        /// (deliver_at, to_a, segment)
-        wire: Vec<(SimTime, bool, TcpSegment)>,
+        /// (deliver_at, to_a, encoded segment)
+        wire: Vec<(SimTime, bool, Vec<u8>)>,
         a_sent: usize,
         b_sent: usize,
     }
@@ -1083,17 +1105,18 @@ mod tests {
             for _ in 0..10_000 {
                 for seg in self.a.poll(self.now) {
                     self.a_sent += 1;
-                    self.wire.push((self.now + self.delay, false, seg));
+                    self.wire.push((self.now + self.delay, false, seg.encode()));
                 }
                 for seg in self.b.poll(self.now) {
                     self.b_sent += 1;
-                    self.wire.push((self.now + self.delay, true, seg));
+                    self.wire.push((self.now + self.delay, true, seg.encode()));
                 }
                 // Deliver everything due, else jump to the next event.
                 self.wire.sort_by_key(|(t, _, _)| *t);
-                if let Some((t, to_a, seg)) = self.wire.first().cloned() {
+                if let Some((t, to_a, wire)) = self.wire.first().cloned() {
                     self.wire.remove(0);
                     self.now = t;
+                    let seg = TcpSegment::decode(&wire).expect("a segment the socket encoded");
                     if to_a {
                         self.a.on_segment(self.now, &seg);
                     } else {
@@ -1150,10 +1173,10 @@ mod tests {
         h.a.open(SimTime::ZERO);
         h.a.send(b"ping blob");
         h.settle();
-        assert_eq!(h.b.recv(), b"ping blob");
+        assert_eq!(h.b.recv().as_slice(), b"ping blob");
         h.b.send(b"pong");
         h.settle();
-        assert_eq!(h.a.recv(), b"pong");
+        assert_eq!(h.a.recv().as_slice(), b"pong");
     }
 
     #[test]
@@ -1163,7 +1186,7 @@ mod tests {
         let data: Vec<u8> = (0..100_000u32).map(|i| i as u8).collect();
         h.a.send(&data);
         h.settle();
-        assert_eq!(h.b.recv(), data);
+        assert_eq!(h.b.recv().as_slice(), data);
     }
 
     #[test]
@@ -1175,7 +1198,7 @@ mod tests {
         h.b.send(b"r");
         h.b.close();
         h.settle();
-        assert_eq!(h.a.recv(), b"r");
+        assert_eq!(h.a.recv().as_slice(), b"r");
         assert!(h.a.peer_closed());
         h.a.close();
         h.settle();
@@ -1231,7 +1254,7 @@ mod tests {
         let t = h.a.next_timeout().unwrap();
         h.now = t;
         h.settle();
-        assert_eq!(h.b.recv(), b"hello");
+        assert_eq!(h.b.recv().as_slice(), b"hello");
     }
 
     #[test]
@@ -1246,7 +1269,7 @@ mod tests {
         for seg in segs.iter().rev() {
             h.b.on_segment(h.now, seg);
         }
-        assert_eq!(h.b.recv(), vec![b'x'; 3000]);
+        assert_eq!(h.b.recv().as_slice(), vec![b'x'; 3000]);
     }
 
     #[test]
@@ -1258,7 +1281,7 @@ mod tests {
         let segs = h.a.poll(h.now);
         h.b.on_segment(h.now, &segs[0]);
         h.b.on_segment(h.now, &segs[0]);
-        assert_eq!(h.b.recv(), b"abc");
+        assert_eq!(h.b.recv().as_slice(), b"abc");
     }
 
     #[test]
@@ -1283,7 +1306,7 @@ mod tests {
         let resent = h.a.poll(h.now);
         assert!(!resent.is_empty(), "fast retransmit should resend");
         h.settle();
-        assert_eq!(h.b.recv(), data);
+        assert_eq!(h.b.recv().as_slice(), data);
     }
 
     #[test]
@@ -1297,10 +1320,7 @@ mod tests {
         a.open(SimTime::ZERO);
         let syn = a.poll(SimTime::ZERO).remove(0);
         // First SYN carries an empty cookie request and no data.
-        assert!(syn
-            .options
-            .iter()
-            .any(|o| matches!(o, TcpOption::FastOpenCookie(c) if c.is_empty())));
+        assert!(syn.options.fast_open.is_some_and(|c| c.is_empty()));
         assert!(syn.payload.is_empty());
         b.on_segment(SimTime::ZERO, &syn);
         let synack = b.poll(SimTime::ZERO).remove(0);
@@ -1315,7 +1335,7 @@ mod tests {
             ..TcpConfig::default()
         };
         let mut a = TcpSocket::client(sa(1, 1), sa(2, 2), 5, cfg.clone());
-        a.set_tfo_cookie(vec![0xC0; 8]);
+        a.set_tfo_cookie(&[0xC0; 8]);
         a.send(b"early-query");
         a.open(SimTime::ZERO);
         let syn = a.poll(SimTime::ZERO).remove(0);
@@ -1324,7 +1344,7 @@ mod tests {
         b.on_segment(SimTime::ZERO, &syn);
         // Server delivers the data immediately, before the handshake
         // completes — that is the whole point of TFO.
-        assert_eq!(b.recv(), b"early-query");
+        assert_eq!(b.recv().as_slice(), b"early-query");
     }
 
     #[test]
@@ -1334,13 +1354,16 @@ mod tests {
             ..TcpConfig::default()
         };
         let mut a = TcpSocket::client(sa(1, 1), sa(2, 2), 5, client_cfg);
-        a.set_tfo_cookie(vec![0xC0; 8]);
+        a.set_tfo_cookie(&[0xC0; 8]);
         a.send(b"early");
         a.open(SimTime::ZERO);
         let syn = a.poll(SimTime::ZERO).remove(0);
         let mut b = TcpSocket::server(sa(2, 2), sa(1, 1), 9, TcpConfig::default());
         b.on_segment(SimTime::ZERO, &syn);
-        assert!(b.recv().is_empty(), "no-TFO server drops SYN data");
+        assert!(
+            b.recv().as_slice().is_empty(),
+            "no-TFO server drops SYN data"
+        );
     }
 
     #[test]

@@ -58,8 +58,8 @@ impl TlsStream {
             self.tls.start(now);
         }
         let data = self.tcp.recv();
-        if !data.is_empty() {
-            self.tls.read_wire(now, &data);
+        if !data.as_slice().is_empty() {
+            self.tls.read_wire(now, data.as_slice());
         }
         self.tls.read_app()
     }
@@ -189,9 +189,10 @@ impl<A> TlsListener<A> {
     ) {
         for (peer, sock, session) in self.tcp.connections() {
             let data = sock.recv();
-            if !data.is_empty() {
-                session.tls.read_wire(now, &data);
+            if !data.as_slice().is_empty() {
+                session.tls.read_wire(now, data.as_slice());
             }
+            drop(data);
             serve(peer, session);
             session.flush_into(sock);
         }

@@ -90,7 +90,7 @@ fn an_http2_response_through_tls_is_pinned() {
     let response = s.take_output();
     c.read_wire(SimTime::ZERO, &response);
     hc.read_wire(c.read_app().as_slice());
-    let responses = hc.take_messages();
+    let responses: Vec<_> = hc.take_messages().collect();
     assert_eq!(responses.len(), 1);
     assert_eq!(responses[0].body, body);
 
@@ -402,13 +402,13 @@ proptest! {
         let post = [(":method", "POST"), (":path", "/dns-query")];
         let stream = c.send_request(&post, &request);
         deliver_in_pieces(&c.take_output(), &sizes, |piece| s.read_wire(piece));
-        let got = s.take_messages();
+        let got: Vec<_> = s.take_messages().collect();
         prop_assert_eq!(got.len(), 1);
         prop_assert_eq!(&got[0].body, &request);
 
         s.send_response(stream, &[(":status", "200")], &response);
         deliver_in_pieces(&s.take_output(), &sizes, |piece| c.read_wire(piece));
-        let got = c.take_messages();
+        let got: Vec<_> = c.take_messages().collect();
         prop_assert_eq!(got.len(), 1);
         prop_assert_eq!(&got[0].body, &response);
     }

@@ -1,7 +1,7 @@
 //! Simulated origin web servers: HTTP/2 over TLS over TCP on port 443,
 //! serving the resources of one or more domains from a path->size map.
 
-use doqlab_netstack::http2::H2Connection;
+use doqlab_netstack::http2::{Decimal, H2Connection};
 use doqlab_netstack::tls::{TlsConfig, TlsListener};
 use doqlab_simnet::{Ctx, Duration, Host, Ipv4Addr, Packet, SimTime, SocketAddr};
 use std::any::Any;
@@ -22,6 +22,9 @@ pub struct OriginHost {
     pub requests_served: u64,
     /// Responses waiting out the think time: (due, peer, stream, size).
     pending: Vec<(SimTime, SocketAddr, u32, usize)>,
+    /// Zeros as long as the largest body served so far: every body is a
+    /// prefix of it.
+    zeros: Vec<u8>,
 }
 
 impl OriginHost {
@@ -38,35 +41,35 @@ impl OriginHost {
             },
             requests_served: 0,
             pending: Vec::new(),
+            zeros: Vec::new(),
         }
     }
 
     fn pump(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        // Release responses whose think time elapsed.
-        let mut due = Vec::new();
-        self.pending.retain(|(t, peer, stream, size)| {
-            if *t <= now {
-                due.push((*peer, *stream, *size));
-                false
-            } else {
-                true
+        // Release responses whose think time elapsed, in arrival order.
+        let (listener, zeros) = (&mut self.listener, &mut self.zeros);
+        self.pending.retain(|&(due, peer, stream, size)| {
+            if due > now {
+                return true;
             }
-        });
-        for (peer, stream, size) in due {
-            self.listener.serve_now(peer, |session| {
-                let body = vec![0u8; size];
-                let len = body.len().to_string();
+            if zeros.len() < size {
+                zeros.resize(size, 0);
+            }
+            let body = &zeros[..size];
+            listener.serve_now(peer, |session| {
+                let length = Decimal::new(size);
                 let headers = [
                     (":status", "200"),
                     ("content-type", "text/html"),
-                    ("content-length", len.as_str()),
+                    ("content-length", length.as_str()),
                     ("cache-control", "max-age=600"),
                 ];
-                session.app.send_response(stream, &headers, &body);
+                session.app.send_response(stream, &headers, body);
                 let h2_out = session.app.take_output();
                 session.write(&h2_out);
             });
-        }
+            false
+        });
         let (sizes, pending, served) = (&self.sizes, &mut self.pending, &mut self.requests_served);
         self.listener.pump(now, out, |peer, session| {
             session.read(|h2, data| h2.read_wire(data));
