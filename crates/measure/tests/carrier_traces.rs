@@ -7,9 +7,10 @@
 //! dropped. Together the units cover UDP, TCP, TLS over TCP (DoT, DoH
 //! and the browser's HTTPS connections) and QUIC (DoQ and DoH3), on
 //! clean paths, under loss, reordering, duplication and outages, across
-//! an address rebind with a failover race, and on pooled connections
-//! that are evicted, redialed and reaped by the server. A change to the
-//! order of any endpoint's reads, writes or flushes moves a pin.
+//! an address rebind with a failover race or a reconnect, and on pooled
+//! connections that are evicted, redialed and reaped by the server. A
+//! change to the order of any endpoint's reads, writes or flushes moves
+//! a pin.
 
 use doqlab_dox::{Capabilities, DnsTransport, FailureKind};
 use doqlab_measure::populations::{cohort_resolver, run_population_unit, POPULATION_TRANSPORTS};
@@ -199,6 +200,17 @@ fn impaired_and_mobile_units_are_pinned() {
         let (n, h) = pin(&sim);
         observed.push((format!("rebind-failover vp{vp} DoQ"), n, h));
     }
+    // The rebind strands the DoT connection; the host redials once from
+    // the new address and the re-issued query is answered.
+    let idx = regime(&mobile.regimes, "rebind-reconnect");
+    let mut sim = traced();
+    let sample = run_sweep_unit(&mut sim, &mobile, 0, &pop[0], idx, DnsTransport::DoT, 0);
+    assert_eq!(sample.rebinds_applied, 1, "the rebind lands");
+    assert_eq!(sample.reconnects, 1, "one redial");
+    assert!(sample.sample.resolve_ms.is_some(), "the redial answers");
+    assert_eq!(sample.failure, None);
+    let (n, h) = pin(&sim);
+    observed.push(("rebind-reconnect vp0 DoT".to_string(), n, h));
 
     check(
         &observed,
@@ -211,6 +223,7 @@ fn impaired_and_mobile_units_are_pinned() {
             ("chaos vp0 DoQ rep4", 32, 0x2e1beba2e3edc0e8),
             ("rebind-failover vp1 DoQ", 53, 0xaa4c2b77f54c259b),
             ("rebind-failover vp2 DoQ", 52, 0xfd09a976eb758d84),
+            ("rebind-reconnect vp0 DoT", 47, 0xa627633ad80584c9),
         ],
     );
 }
@@ -230,6 +243,14 @@ fn page_loads_are_pinned() {
         let mut sim = traced();
         let sample = run_webperf_unit(&mut sim, &campaign, 0, &pop[0], pi, &pages[pi], t, 0);
         assert!(!sample.failed, "{t} loads the page");
+        // Over DoT a query arriving while another is in flight opens a
+        // second connection (the dnsproxy bug); over DoTCP every query
+        // opens its own.
+        match t {
+            DnsTransport::DoT => assert_eq!(sample.proxy_connections, 2, "{t}"),
+            DnsTransport::DoTcp => assert_eq!(sample.proxy_connections, 4, "{t}"),
+            _ => assert_eq!(sample.proxy_connections, 1, "{t}"),
+        }
         let (n, h) = pin(&sim);
         observed.push((format!("webperf {t}"), n, h));
     }

@@ -307,6 +307,8 @@ mod tests {
         evictions: u32,
         reconnects: u32,
         hist: Vec<(u32, u64)>,
+        /// Distinct source ports the stub sent from.
+        source_ports: usize,
     }
 
     fn run_population(
@@ -315,16 +317,33 @@ mod tests {
         cache_enabled: bool,
         seed: u64,
     ) -> RunOutcome {
+        run_against(
+            transport,
+            spec,
+            cache_enabled,
+            seed,
+            ServerConfig::default(),
+        )
+    }
+
+    fn run_against(
+        transport: DnsTransport,
+        spec: WorkloadSpec,
+        cache_enabled: bool,
+        seed: u64,
+        server: ServerConfig,
+    ) -> RunOutcome {
         let resolver_ip = Ipv4Addr::new(192, 0, 2, 1);
         let stub_ip = Ipv4Addr::new(10, 0, 0, 1);
         let mut sim = Simulator::new(
             seed,
             Box::new(FixedPathModel::new(Duration::from_millis(10))),
         );
+        sim.enable_trace();
         let resolver = ResolverHost::new(
             ServerConfig {
                 ip: resolver_ip,
-                ..ServerConfig::default()
+                ..server
             },
             RecursionModel::default(),
         );
@@ -347,6 +366,16 @@ mod tests {
         let sid = sim.add_host(Box::new(stub), &[stub_ip]);
         sim.with_host::<StubResolverHost, _>(sid, |s, ctx| s.prime(ctx));
         sim.run_until(SimTime::ZERO + window + Duration::from_secs(60));
+        let mut ports: Vec<u16> = sim
+            .trace()
+            .expect("tracing enabled")
+            .records()
+            .iter()
+            .filter(|r| r.src.ip == stub_ip)
+            .map(|r| r.src.port)
+            .collect();
+        ports.sort_unstable();
+        ports.dedup();
         let stub = sim.host::<StubResolverHost>(sid);
         RunOutcome {
             stats: stub.stats(),
@@ -356,6 +385,7 @@ mod tests {
             evictions: stub.upstream().pool_evictions(),
             reconnects: stub.upstream().reconnects(),
             hist: stub.resolve_hist(),
+            source_ports: ports.len(),
         }
     }
 
@@ -406,6 +436,51 @@ mod tests {
         let out = run_population(DnsTransport::DoUdp, busy_spec(), true, 42);
         assert!(out.evictions >= 1, "no idle eviction: {out:?}");
         assert_eq!(out.reconnects, 0, "eviction counted as reconnect");
+    }
+
+    #[test]
+    fn a_refused_transport_exhausts_the_pool_and_fails_every_client() {
+        // The resolver drops every packet of the stub's transport. Each
+        // query flow dials, redials twice (two reconnects, each from a
+        // fresh source port), then abandons its queries and fails their
+        // clients; the next query starts a new flow with a fresh budget.
+        let spec = WorkloadSpec {
+            clients: 4,
+            queries_per_client: 5.0,
+            window: Duration::from_secs(120),
+            ..busy_spec()
+        };
+        let refused = [
+            (
+                DnsTransport::DoT,
+                ServerConfig {
+                    supports_dot: false,
+                    ..ServerConfig::default()
+                },
+            ),
+            (
+                DnsTransport::DoQ,
+                ServerConfig {
+                    supports_doq: false,
+                    ..ServerConfig::default()
+                },
+            ),
+            (
+                DnsTransport::DoH,
+                ServerConfig {
+                    supports_doh: false,
+                    ..ServerConfig::default()
+                },
+            ),
+        ];
+        for (transport, server) in refused {
+            let out = run_against(transport, spec.clone(), true, 42, server);
+            assert_eq!(out.reconnects, 14, "{transport}: {out:?}");
+            assert_eq!(out.source_ports, 21, "{transport}: {out:?}");
+            assert_eq!(out.evictions, 0, "{transport}: {out:?}");
+            assert_eq!(out.stats.upstream_answered, 0, "{transport}: {out:?}");
+            assert_eq!(out.stats.failed, out.stats.queries, "{transport}: {out:?}");
+        }
     }
 
     #[test]
