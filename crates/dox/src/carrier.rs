@@ -3,7 +3,7 @@
 //! resumption capture of a [`TlsStream`], and the QUIC client shell
 //! DoQ and DoH3 embed.
 
-use crate::client::{ClientConfig, ConnMetadata, FailureKind, SessionState};
+use crate::client::{ClientConfig, ConnMetadata, FailureKind, SessionState, ATTEMPT_0RTT};
 use doqlab_netstack::quic::{QuicConfig, QuicConnection, QuicError, QUIC_V1};
 use doqlab_netstack::tcp::{TcpFailure, TcpSocket};
 use doqlab_netstack::tls::{TlsConfig, TlsStream, TlsVersion};
@@ -103,10 +103,10 @@ impl QuicShell {
     ) -> Self {
         let tls = TlsConfig {
             alpn,
-            enable_0rtt: cfg.enable_0rtt,
+            enable_0rtt: ATTEMPT_0RTT,
             ..TlsConfig::default()
         };
-        let early_permitted = cfg.enable_0rtt
+        let early_permitted = ATTEMPT_0RTT
             && cfg
                 .session
                 .tls_ticket

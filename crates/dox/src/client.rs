@@ -145,49 +145,18 @@ impl SessionState {
     }
 }
 
-/// Client-side session cache keyed by resolver address: every
-/// resumption artifact a stub gathers — TLS session tickets, QUIC
-/// address-validation tokens and negotiated versions, TFO cookies — is
-/// stored under the resolver that issued it and presented on the next
-/// dial to that resolver. Captures merge field-wise (see
-/// [`SessionState::merge`]), so a ticket from one connection and a TFO
-/// cookie from another combine instead of clobbering each other.
-#[derive(Debug, Clone, Default)]
-pub struct SessionCache {
-    entries: std::collections::HashMap<SocketAddr, SessionState>,
-}
+/// Clients attempt TLS 1.3 / QUIC 0-RTT whenever their ticket permits
+/// it; whether early data happens is the resolver's choice
+/// ([`ServerConfig::enable_0rtt`]).
+pub const ATTEMPT_0RTT: bool = true;
 
-impl SessionCache {
-    /// Fold a capture into the resolver's entry. Empty captures are
-    /// ignored; non-empty fields of later captures win.
-    pub fn store(&mut self, resolver: SocketAddr, s: SessionState) {
-        if s.is_empty() {
-            return;
-        }
-        self.entries.entry(resolver).or_default().merge(s);
-    }
-
-    /// The accumulated resumption material for a resolver, if any.
-    pub fn get(&self, resolver: SocketAddr) -> Option<&SessionState> {
-        self.entries.get(&resolver)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-/// Per-connection client configuration.
+/// The configuration of one client connection. How a host uses its
+/// connections (reuse, deadline, redials, failover) is its
+/// [`UpstreamPolicy`](crate::UpstreamPolicy).
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Resumption material from a previous connection.
     pub session: SessionState,
-    /// Attempt TLS 1.3 / QUIC 0-RTT when the ticket permits it.
-    pub enable_0rtt: bool,
     /// DoUDP application-layer retry timeout (Chromium/resolv.conf
     /// default: 5 s).
     pub udp_retry_timeout: std::time::Duration,
@@ -196,51 +165,16 @@ pub struct ClientConfig {
     pub enable_tfo: bool,
     /// Ask the resolver to hold DoTCP connections open (RFC 7828).
     pub request_tcp_keepalive: bool,
-    /// Overall per-query deadline, enforced by `DnsClientHost`: if no
-    /// response arrived when it expires the query is abandoned with
-    /// [`FailureKind::DeadlineExceeded`]. `None` disables the deadline
-    /// (the historical behavior).
-    pub query_deadline: Option<std::time::Duration>,
-    /// How many times `DnsClientHost` may tear down a failed connection
-    /// and dial a fresh one (re-issuing the pending queries, reusing any
-    /// session ticket gathered so far). `0` disables reconnection.
-    pub reconnect_max: u32,
-    /// Backoff before the first reconnect attempt; doubles per attempt.
-    pub reconnect_backoff: std::time::Duration,
-    /// Connection pooling (`None` disables it — the historical
-    /// single-query behavior). With `Some(idle)`, `DnsClientHost` keeps
-    /// the connection open across queries, amortizing the TLS/QUIC
-    /// handshake, and closes it once it has sat idle — no query in
-    /// flight — for `idle`. The next query after an eviction dials a
-    /// fresh connection carrying any captured session ticket. Pool
-    /// evictions are bookkept separately from failure reconnects.
-    pub pool_idle_timeout: Option<std::time::Duration>,
-    /// Pooled mode only: a freshly dialed connection must complete its
-    /// handshake within this budget or it is torn down and redialed
-    /// (counting against `reconnect_max` like any other failure). Guards
-    /// against handshakes that retry forever without a terminal error.
-    pub pool_handshake_timeout: std::time::Duration,
-    /// Cross-transport failover ladder raced by `DnsClientHost`
-    /// (non-pooled mode only; `None` — the default — disables racing
-    /// and leaves the historical single-transport behavior untouched).
-    pub failover: Option<FailoverPolicy>,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
             session: SessionState::default(),
-            enable_0rtt: true,
             udp_retry_timeout: std::time::Duration::from_secs(5),
             udp_max_retries: 2,
             enable_tfo: false,
             request_tcp_keepalive: false,
-            query_deadline: None,
-            reconnect_max: 0,
-            reconnect_backoff: std::time::Duration::from_millis(250),
-            pool_idle_timeout: None,
-            pool_handshake_timeout: std::time::Duration::from_secs(4),
-            failover: None,
         }
     }
 }
@@ -252,7 +186,7 @@ impl Default for ClientConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Capabilities {
     /// TLS 1.3 / QUIC 0-RTT: the resolver issues early-data tickets and
-    /// accepts early data (clients attempt it by default).
+    /// accepts early data (clients always attempt it, [`ATTEMPT_0RTT`]).
     pub zero_rtt: bool,
     /// TCP Fast Open (RFC 7413): the resolver issues cookies and clients
     /// request them.
@@ -304,7 +238,7 @@ impl Capabilities {
 /// Cross-transport failover: a happy-eyeballs-style racing ladder.
 ///
 /// When a query has gone unanswered on the primary transport for
-/// `stagger`, [`DnsClientHost`](crate::DnsClientHost) dials the first
+/// `stagger`, the [`Upstream`](crate::Upstream) dials the first
 /// ladder rung on a fresh source port and re-issues the query there;
 /// after `2 * stagger` the second rung, and so on. A rung is also
 /// dialed immediately once the primary and every earlier rung have

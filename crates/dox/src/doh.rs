@@ -2,7 +2,9 @@
 //! `application/dns-message` bodies over TLS over TCP, port 443.
 
 use crate::carrier::{tls_failure, tls_metadata, tls_session};
-use crate::client::{ClientConfig, ConnMetadata, DnsClientConn, FailureKind, SessionState};
+use crate::client::{
+    ClientConfig, ConnMetadata, DnsClientConn, FailureKind, SessionState, ATTEMPT_0RTT,
+};
 use doqlab_dnswire::Message;
 use doqlab_netstack::http2::{doh_request_fields, Decimal, H2Connection};
 use doqlab_netstack::tls::{TlsConfig, TlsStream};
@@ -30,10 +32,10 @@ impl DoHClient {
     pub fn new(local: SocketAddr, remote: SocketAddr, cfg: &ClientConfig) -> Self {
         let tls_cfg = TlsConfig {
             alpn: vec![b"h2".to_vec()],
-            enable_0rtt: cfg.enable_0rtt,
+            enable_0rtt: ATTEMPT_0RTT,
             ..TlsConfig::default()
         };
-        let early_permitted = cfg.enable_0rtt
+        let early_permitted = ATTEMPT_0RTT
             && cfg
                 .session
                 .tls_ticket

@@ -2,7 +2,9 @@
 //! `dot`, with the RFC 1035 2-byte message framing inside the tunnel.
 
 use crate::carrier::{tls_failure, tls_metadata, tls_session};
-use crate::client::{ClientConfig, ConnMetadata, DnsClientConn, FailureKind, SessionState};
+use crate::client::{
+    ClientConfig, ConnMetadata, DnsClientConn, FailureKind, SessionState, ATTEMPT_0RTT,
+};
 use doqlab_dnswire::{framing, LengthPrefixedReader, Message};
 use doqlab_netstack::tls::{TlsConfig, TlsStream};
 use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
@@ -21,7 +23,7 @@ impl DoTClient {
     pub fn new(local: SocketAddr, remote: SocketAddr, cfg: &ClientConfig) -> Self {
         let tls_cfg = TlsConfig {
             alpn: vec![b"dot".to_vec()],
-            enable_0rtt: cfg.enable_0rtt,
+            enable_0rtt: ATTEMPT_0RTT,
             ..TlsConfig::default()
         };
         DoTClient {

@@ -13,8 +13,10 @@
 //! | [`doh3`] | DoH3    | 8484/9114 | HTTP/3 over QUIC, port 443 (§4 future work) |
 //!
 //! All clients implement [`client::DnsClientConn`], the sans-I/O
-//! interface the measurement harness drives; [`server::DnsServerSet`]
-//! bundles the server endpoints for a resolver host. Each carrier is
+//! interface [`upstream::Upstream`] drives for every client of the study
+//! (the measured client, a stub's pool, the page-load proxy);
+//! [`server::DnsServerSet`] bundles the server endpoints for a resolver
+//! host. Each carrier is
 //! written once: DoT and DoH share the TLS-over-TCP stream of
 //! `doqlab-netstack`, DoQ and DoH3 one QUIC client shell, and every
 //! listener keeps its connections' DNS state beside them.
@@ -26,18 +28,18 @@ pub mod doh;
 pub mod doh3;
 pub mod doq;
 pub mod dot;
-pub mod host;
 pub mod server;
 pub mod tcp;
 pub mod udp;
+pub mod upstream;
 
 pub use alpn::DoqAlpn;
 pub use client::{
     Capabilities, ClientConfig, ConnMetadata, DnsClientConn, DnsTransport, FailoverPolicy,
-    FailureKind, SessionCache, SessionState,
+    FailureKind, SessionState, ATTEMPT_0RTT,
 };
-pub use host::{make_client, DnsClientHost};
 pub use server::{DnsServerSet, ServerConfig, ServerEvent};
+pub use upstream::{Reuse, Upstream, UpstreamPolicy};
 
 /// Well-known ports.
 pub mod ports {

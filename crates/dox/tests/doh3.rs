@@ -76,22 +76,28 @@ fn run_query(
     sim.add_host(Box::new(resolver), &[resolver_ip()]);
     let local = SocketAddr::new(client_ip(), 40_000);
     let remote = SocketAddr::new(resolver_ip(), transport.port());
-    let client = DnsClientHost::new(transport, local, remote, &client_cfg);
+    let client = Upstream::new(
+        transport,
+        local,
+        remote,
+        client_cfg,
+        UpstreamPolicy::default(),
+    );
     let cid = sim.add_host(Box::new(client), &[client_ip()]);
     let q = Message::query(0x0D0A, Name::parse("google.com").unwrap(), RecordType::A);
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &q));
+    sim.with_host::<Upstream, _>(cid, |c, ctx| c.start_with_query(ctx, &q));
     sim.run_until(SimTime::from_secs(10));
     let total_bytes = {
         let t = sim.trace().unwrap();
         t.total_bytes(local, remote) + t.total_bytes(remote, local)
     };
-    let client = sim.host_mut::<DnsClientHost>(cid);
+    let client = sim.host_mut::<Upstream>(cid);
     assert!(!client.responses.is_empty(), "{transport}: no response");
     let (at, msg) = client.responses[0].clone();
     assert_eq!(msg.header.id, 0x0D0A);
     assert_eq!(msg.answers.len(), 1);
     let hs = client.handshake_time().map(|d| d.as_secs_f64() * 1000.0);
-    let session = client.session_state();
+    let session = client.take_session();
     (hs, at.as_millis_f64(), session, total_bytes)
 }
 
@@ -152,7 +158,6 @@ fn doh3_resumption_and_0rtt() {
     assert!(session.tls_ticket.as_ref().unwrap().allows_early_data);
     let cfg = ClientConfig {
         session,
-        enable_0rtt: true,
         ..ClientConfig::default()
     };
     let (_, at, _, _) = run_query(DnsTransport::DoH3, server, cfg);
@@ -168,17 +173,18 @@ fn default_resolvers_do_not_speak_doh3() {
         set: DnsServerSet::new(ServerConfig::default()),
     };
     sim.add_host(Box::new(resolver), &[resolver_ip()]);
-    let client = DnsClientHost::new(
+    let client = Upstream::new(
         DnsTransport::DoH3,
         SocketAddr::new(client_ip(), 40_000),
         SocketAddr::new(resolver_ip(), 443),
-        &ClientConfig::default(),
+        ClientConfig::default(),
+        UpstreamPolicy::default(),
     );
     let cid = sim.add_host(Box::new(client), &[client_ip()]);
     let q = Message::query(1, Name::parse("x.y").unwrap(), RecordType::A);
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &q));
+    sim.with_host::<Upstream, _>(cid, |c, ctx| c.start_with_query(ctx, &q));
     sim.run_until(SimTime::from_secs(40));
-    assert!(sim.host::<DnsClientHost>(cid).responses.is_empty());
+    assert!(sim.host::<Upstream>(cid).responses.is_empty());
 }
 
 #[test]

@@ -97,17 +97,23 @@ fn run_query(
     let (mut sim, _resolver_id, _) = build_sim(server_cfg);
     let local = SocketAddr::new(client_ip(), 40_000);
     let remote = SocketAddr::new(resolver_ip(), transport.port());
-    let client = DnsClientHost::new(transport, local, remote, &client_cfg);
+    let client = Upstream::new(
+        transport,
+        local,
+        remote,
+        client_cfg,
+        UpstreamPolicy::default(),
+    );
     let cid = sim.add_host(Box::new(client), &[client_ip()]);
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &query()));
+    sim.with_host::<Upstream, _>(cid, |c, ctx| c.start_with_query(ctx, &query()));
     sim.run_until(SimTime::from_secs(20));
-    let client = sim.host_mut::<DnsClientHost>(cid);
+    let client = sim.host_mut::<Upstream>(cid);
     assert!(!client.responses.is_empty(), "{transport}: no response");
     let (at, msg) = client.responses[0].clone();
     assert_eq!(msg.header.id, 0x1234, "{transport}: id mismatch");
     assert_eq!(msg.answers.len(), 1);
     let hs = client.handshake_time().map(|d| d.as_secs_f64() * 1000.0);
-    let session = client.session_state();
+    let session = client.take_session();
     (hs, at.as_millis_f64(), session)
 }
 
@@ -246,7 +252,6 @@ fn doq_zero_rtt_resolves_in_one_rtt_total() {
     assert!(session.tls_ticket.as_ref().unwrap().allows_early_data);
     let cfg = ClientConfig {
         session,
-        enable_0rtt: true,
         ..ClientConfig::default()
     };
     let (_, at, _) = run_query(DnsTransport::DoQ, server, cfg);
@@ -272,7 +277,6 @@ fn dot_and_doh_zero_rtt_resolve_one_rtt_sooner() {
         );
         let cfg = ClientConfig {
             session,
-            enable_0rtt: true,
             ..ClientConfig::default()
         };
         let (_, at, _) = run_query(transport, server.clone(), cfg);
@@ -302,7 +306,6 @@ fn zero_rtt_reject_replays_and_never_fails() {
         assert!(session.tls_ticket.as_ref().unwrap().allows_early_data);
         let cfg = ClientConfig {
             session,
-            enable_0rtt: true,
             ..ClientConfig::default()
         };
         // run_query asserts a valid response arrived.
@@ -332,7 +335,6 @@ fn tls12_tickets_never_advertise_early_data() {
     // And the resumed connection still answers at 1.2 timing.
     let cfg = ClientConfig {
         session,
-        enable_0rtt: true,
         ..ClientConfig::default()
     };
     let (_, at, _) = run_query(DnsTransport::DoT, server, cfg);
@@ -407,11 +409,17 @@ fn edns_version_above_zero_gets_badvers_not_an_answer() {
         let (mut sim, _r, _) = build_sim(ServerConfig::default());
         let local = SocketAddr::new(client_ip(), 40_000);
         let remote = SocketAddr::new(resolver_ip(), transport.port());
-        let client = DnsClientHost::new(transport, local, remote, &ClientConfig::default());
+        let client = Upstream::new(
+            transport,
+            local,
+            remote,
+            ClientConfig::default(),
+            UpstreamPolicy::default(),
+        );
         let cid = sim.add_host(Box::new(client), &[client_ip()]);
-        sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &v1_query()));
+        sim.with_host::<Upstream, _>(cid, |c, ctx| c.start_with_query(ctx, &v1_query()));
         sim.run_until(SimTime::from_secs(20));
-        let client = sim.host_mut::<DnsClientHost>(cid);
+        let client = sim.host_mut::<Upstream>(cid);
         assert!(!client.responses.is_empty(), "{transport}: no BADVERS");
         let (_, msg) = client.responses[0].clone();
         assert!(msg.answers.is_empty(), "{transport}: answered a v1 query");
@@ -443,11 +451,17 @@ fn badvers_survives_the_keepalive_opt_merge_on_dotcp() {
     let (mut sim, _r, _) = build_sim(server);
     let local = SocketAddr::new(client_ip(), 40_000);
     let remote = SocketAddr::new(resolver_ip(), DnsTransport::DoTcp.port());
-    let client = DnsClientHost::new(DnsTransport::DoTcp, local, remote, &ClientConfig::default());
+    let client = Upstream::new(
+        DnsTransport::DoTcp,
+        local,
+        remote,
+        ClientConfig::default(),
+        UpstreamPolicy::default(),
+    );
     let cid = sim.add_host(Box::new(client), &[client_ip()]);
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &v1_query()));
+    sim.with_host::<Upstream, _>(cid, |c, ctx| c.start_with_query(ctx, &v1_query()));
     sim.run_until(SimTime::from_secs(20));
-    let client = sim.host_mut::<DnsClientHost>(cid);
+    let client = sim.host_mut::<Upstream>(cid);
     assert!(!client.responses.is_empty());
     let (_, msg) = client.responses[0].clone();
     let opt = msg.opt().unwrap();
@@ -464,13 +478,19 @@ fn unsupported_protocol_gets_no_answer() {
     let (mut sim, _r, _) = build_sim(server);
     let local = SocketAddr::new(client_ip(), 40_000);
     let remote = SocketAddr::new(resolver_ip(), 53);
-    let client = DnsClientHost::new(DnsTransport::DoUdp, local, remote, &ClientConfig::default());
+    let client = Upstream::new(
+        DnsTransport::DoUdp,
+        local,
+        remote,
+        ClientConfig::default(),
+        UpstreamPolicy::default(),
+    );
     let cid = sim.add_host(Box::new(client), &[client_ip()]);
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &query()));
+    sim.with_host::<Upstream, _>(cid, |c, ctx| c.start_with_query(ctx, &query()));
     sim.run_until(SimTime::from_secs(30));
-    let client = sim.host_mut::<DnsClientHost>(cid);
+    let client = sim.host_mut::<Upstream>(cid);
     assert!(client.responses.is_empty());
-    assert!(client.conn.failed(), "retries exhausted");
+    assert!(client.failure().is_some(), "retries exhausted");
 }
 
 #[test]
@@ -495,12 +515,18 @@ fn table1_size_shape_holds_per_transport() {
         let (mut sim, _r, _) = build_sim(ServerConfig::default());
         let local = SocketAddr::new(client_ip(), 40_000);
         let remote = SocketAddr::new(resolver_ip(), transport.port());
-        let client = DnsClientHost::new(transport, local, remote, &ClientConfig::default());
+        let client = Upstream::new(
+            transport,
+            local,
+            remote,
+            ClientConfig::default(),
+            UpstreamPolicy::default(),
+        );
         let cid = sim.add_host(Box::new(client), &[client_ip()]);
-        sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &query()));
+        sim.with_host::<Upstream, _>(cid, |c, ctx| c.start_with_query(ctx, &query()));
         sim.run_until(SimTime::from_secs(2));
         assert!(
-            !sim.host::<DnsClientHost>(cid).responses.is_empty(),
+            !sim.host::<Upstream>(cid).responses.is_empty(),
             "{transport}"
         );
         let trace = sim.trace().unwrap();

@@ -82,7 +82,7 @@ fn query() -> Message {
 fn setup(
     transport: DnsTransport,
     server_cfg: ServerConfig,
-    client_cfg: &ClientConfig,
+    policy: UpstreamPolicy,
 ) -> (Simulator, HostId) {
     let mut sim = Simulator::new(
         7,
@@ -94,9 +94,9 @@ fn setup(
     sim.add_host(Box::new(resolver), &[resolver_ip()]);
     let local = SocketAddr::new(wifi_ip(), 40_000);
     let remote = SocketAddr::new(resolver_ip(), transport.port());
-    let client = DnsClientHost::new(transport, local, remote, client_cfg);
+    let client = Upstream::new(transport, local, remote, ClientConfig::default(), policy);
     let cid = sim.add_host(Box::new(client), &[wifi_ip()]);
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &query()));
+    sim.with_host::<Upstream, _>(cid, |c, ctx| c.start_with_query(ctx, &query()));
     (sim, cid)
 }
 
@@ -104,7 +104,7 @@ fn setup(
 /// then the endpoint itself.
 fn rebind(sim: &mut Simulator, cid: HostId, profile: PathProfile) {
     sim.rebind_host(cid, wifi_ip(), cellular_ip(), profile);
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.rebind_local(ctx, cellular_ip()));
+    sim.with_host::<Upstream, _>(cid, |c, ctx| c.rebind_local(ctx, cellular_ip()));
 }
 
 #[test]
@@ -112,7 +112,7 @@ fn doq_survives_mid_query_rebind() {
     let (mut sim, cid) = setup(
         DnsTransport::DoQ,
         ServerConfig::default(),
-        &ClientConfig::default(),
+        UpstreamPolicy::default(),
     );
     // Handshake completes at 50 ms, query goes out, answer lands at
     // 100 ms. Rebind at 60 ms: the answer is already in flight to the
@@ -120,7 +120,7 @@ fn doq_survives_mid_query_rebind() {
     sim.run_until(SimTime::from_millis(60));
     rebind(&mut sim, cid, PathProfile::default());
     sim.run_until(SimTime::from_secs(10));
-    let c = sim.host_mut::<DnsClientHost>(cid);
+    let c = sim.host_mut::<Upstream>(cid);
     assert!(
         !c.responses.is_empty(),
         "DoQ must migrate and recover the lost answer"
@@ -135,7 +135,7 @@ fn doq_survives_rebind_onto_slower_path() {
     let (mut sim, cid) = setup(
         DnsTransport::DoQ,
         ServerConfig::default(),
-        &ClientConfig::default(),
+        UpstreamPolicy::default(),
     );
     sim.run_until(SimTime::from_millis(60));
     rebind(
@@ -147,7 +147,7 @@ fn doq_survives_rebind_onto_slower_path() {
         },
     );
     sim.run_until(SimTime::from_secs(10));
-    let c = sim.host_mut::<DnsClientHost>(cid);
+    let c = sim.host_mut::<Upstream>(cid);
     assert!(!c.responses.is_empty(), "survives onto the cellular path");
     assert!(c.failure().is_none());
 }
@@ -155,11 +155,11 @@ fn doq_survives_rebind_onto_slower_path() {
 #[test]
 fn doudp_and_dot_are_stranded_by_rebind() {
     for transport in [DnsTransport::DoUdp, DnsTransport::DoT] {
-        let cfg = ClientConfig {
+        let policy = UpstreamPolicy {
             query_deadline: Some(Duration::from_secs(8)),
-            ..ClientConfig::default()
+            ..UpstreamPolicy::default()
         };
-        let (mut sim, cid) = setup(transport, ServerConfig::default(), &cfg);
+        let (mut sim, cid) = setup(transport, ServerConfig::default(), policy);
         // For DoT the handshake is done at 100 ms and the answer lands
         // at 150 ms; rebind at 110 ms catches it in flight. For DoUDP
         // the answer would land at 50 ms, so rebind at 40 ms.
@@ -171,7 +171,7 @@ fn doudp_and_dot_are_stranded_by_rebind() {
         sim.run_until(SimTime::from_millis(at));
         rebind(&mut sim, cid, PathProfile::default());
         sim.run_until(SimTime::from_secs(20));
-        let c = sim.host_mut::<DnsClientHost>(cid);
+        let c = sim.host_mut::<Upstream>(cid);
         assert!(
             c.responses.is_empty(),
             "{transport}: socket is stranded on the wifi address"
@@ -184,18 +184,18 @@ fn doudp_and_dot_are_stranded_by_rebind() {
 fn failover_ladder_rescues_a_stranded_primary() {
     // DoT primary, stranded by the rebind; the ladder's DoUDP rung
     // dials from the *new* address at the stagger and wins.
-    let cfg = ClientConfig {
+    let policy = UpstreamPolicy {
         failover: Some(FailoverPolicy {
             ladder: vec![DnsTransport::DoUdp],
             stagger: std::time::Duration::from_millis(300),
         }),
-        ..ClientConfig::default()
+        ..UpstreamPolicy::default()
     };
-    let (mut sim, cid) = setup(DnsTransport::DoT, ServerConfig::default(), &cfg);
+    let (mut sim, cid) = setup(DnsTransport::DoT, ServerConfig::default(), policy);
     sim.run_until(SimTime::from_millis(110));
     rebind(&mut sim, cid, PathProfile::default());
     sim.run_until(SimTime::from_secs(20));
-    let c = sim.host_mut::<DnsClientHost>(cid);
+    let c = sim.host_mut::<Upstream>(cid);
     assert!(!c.responses.is_empty(), "the fallback rung must answer");
     assert_eq!(c.winner(), Some(DnsTransport::DoUdp));
     assert_eq!(c.rungs_dialed(), 1);
@@ -211,15 +211,15 @@ fn failover_ladder_rescues_a_stranded_primary() {
 
 #[test]
 fn failover_stays_quiet_when_the_primary_wins() {
-    let cfg = ClientConfig {
+    let policy = UpstreamPolicy {
         failover: Some(FailoverPolicy::doq_ladder(
             std::time::Duration::from_millis(500),
         )),
-        ..ClientConfig::default()
+        ..UpstreamPolicy::default()
     };
-    let (mut sim, cid) = setup(DnsTransport::DoQ, ServerConfig::default(), &cfg);
+    let (mut sim, cid) = setup(DnsTransport::DoQ, ServerConfig::default(), policy);
     sim.run_until(SimTime::from_secs(5));
-    let c = sim.host_mut::<DnsClientHost>(cid);
+    let c = sim.host_mut::<Upstream>(cid);
     assert!(!c.responses.is_empty());
     assert_eq!(c.winner(), Some(DnsTransport::DoQ));
     assert_eq!(c.rungs_dialed(), 0, "no rung dialed before the stagger");
@@ -234,15 +234,15 @@ fn failover_races_past_an_unsupported_primary() {
         supports_doq: false,
         ..ServerConfig::default()
     };
-    let cfg = ClientConfig {
+    let policy = UpstreamPolicy {
         failover: Some(FailoverPolicy::doq_ladder(
             std::time::Duration::from_millis(250),
         )),
-        ..ClientConfig::default()
+        ..UpstreamPolicy::default()
     };
-    let (mut sim, cid) = setup(DnsTransport::DoQ, server, &cfg);
+    let (mut sim, cid) = setup(DnsTransport::DoQ, server, policy);
     sim.run_until(SimTime::from_secs(20));
-    let c = sim.host_mut::<DnsClientHost>(cid);
+    let c = sim.host_mut::<Upstream>(cid);
     assert!(!c.responses.is_empty(), "a fallback rung must answer");
     assert_eq!(c.winner(), Some(DnsTransport::DoT));
     assert!(c.wasted_bytes() > 0, "the DoQ attempt's bytes are waste");
@@ -263,16 +263,16 @@ fn exhausted_ladder_reports_the_primary_failure() {
         supports_doq: false,
         ..ServerConfig::default()
     };
-    let cfg = ClientConfig {
+    let policy = UpstreamPolicy {
         failover: Some(FailoverPolicy::doq_ladder(
             std::time::Duration::from_millis(250),
         )),
         query_deadline: Some(Duration::from_secs(30)),
-        ..ClientConfig::default()
+        ..UpstreamPolicy::default()
     };
-    let (mut sim, cid) = setup(DnsTransport::DoQ, server, &cfg);
+    let (mut sim, cid) = setup(DnsTransport::DoQ, server, policy);
     sim.run_until(SimTime::from_secs(120));
-    let c = sim.host_mut::<DnsClientHost>(cid);
+    let c = sim.host_mut::<Upstream>(cid);
     assert!(c.responses.is_empty());
     assert!(c.failure().is_some(), "the race must reach a verdict");
     assert_eq!(c.winner(), None);

@@ -14,7 +14,7 @@
 
 use crate::engine;
 use doqlab_dnswire::{Message, Name, RecordType};
-use doqlab_dox::{ClientConfig, DnsClientHost, DnsTransport};
+use doqlab_dox::{ClientConfig, DnsTransport, Upstream, UpstreamPolicy};
 use doqlab_netstack::quic::{PacketType, QuicPacket, VersionNegotiation};
 use doqlab_resolver::{RecursionModel, ResolverHost, ScannedHost};
 use doqlab_simnet::path::FixedPathModel;
@@ -144,19 +144,20 @@ fn protocol_probe(
 ) -> bool {
     let ip = reset_probe_sim(sim, host, server_id);
     let scanner_ip = Ipv4Addr::new(10, 200, 0, 1);
-    let client = DnsClientHost::new(
+    let client = Upstream::new(
         transport,
         SocketAddr::new(scanner_ip, 61_001),
         SocketAddr::new(ip, port),
-        &ClientConfig::default(),
+        ClientConfig::default(),
+        UpstreamPolicy::default(),
     );
     let cid = sim.add_host(Box::new(client), &[scanner_ip]);
     let q = Message::query(0x7357, Name::parse("example.com").unwrap(), RecordType::A);
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &q));
+    sim.with_host::<Upstream, _>(cid, |c, ctx| c.start_with_query(ctx, &q));
     // Short verification timeout (under the DoUDP 5 s retry on purpose:
     // a silent resolver counts as unsupported).
     sim.run_until(SimTime::from_secs(4));
-    !sim.host::<DnsClientHost>(cid).responses.is_empty()
+    !sim.host::<Upstream>(cid).responses.is_empty()
 }
 
 fn scan_one(sim: &mut Simulator, host: &ScannedHost, server_id: u64) -> DiscoveryReport {

@@ -30,7 +30,7 @@ use crate::single_query::{
 };
 use crate::vantage::{vantage_points, VantagePoint};
 use crate::Scale;
-use doqlab_dox::{ClientConfig, DnsTransport};
+use doqlab_dox::{ClientConfig, DnsTransport, Upstream, UpstreamPolicy};
 use doqlab_resolver::{
     ClientPopulation, RecursionModel, ResolverHost, ResolverProfile, StubResolverHost, StubStats,
     WorkloadGen, WorkloadSpec,
@@ -266,12 +266,17 @@ pub fn run_population_unit(
         )),
         &[profile.ip],
     );
-    let cfg = ClientConfig {
-        pool_idle_timeout: Some(campaign.pool_idle),
-        reconnect_max: campaign.reconnect_max,
-        reconnect_backoff: campaign.reconnect_backoff,
-        ..ClientConfig::default()
-    };
+    let upstream = Upstream::new(
+        transport,
+        SocketAddr::new(stub_ip, 40_000),
+        SocketAddr::new(profile.ip, transport.port()),
+        ClientConfig::default(),
+        UpstreamPolicy::pool(
+            campaign.pool_idle,
+            campaign.reconnect_max,
+            campaign.reconnect_backoff,
+        ),
+    );
     let spec = WorkloadSpec {
         clients,
         queries_per_client: campaign.queries_per_client,
@@ -280,14 +285,7 @@ pub fn run_population_unit(
         domains: campaign.domains,
         nxdomain_tail: campaign.nxdomain_tail,
     };
-    let stub = StubResolverHost::new(
-        transport,
-        SocketAddr::new(stub_ip, 40_000),
-        SocketAddr::new(profile.ip, transport.port()),
-        &cfg,
-        WorkloadGen::new(spec),
-        true,
-    );
+    let stub = StubResolverHost::new(upstream, WorkloadGen::new(spec), true);
     let sid = sim.add_host(Box::new(stub), &[stub_ip]);
     sim.with_host::<StubResolverHost, _>(sid, |s, ctx| s.prime(ctx));
     let start = sim.now();

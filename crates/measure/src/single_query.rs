@@ -25,8 +25,8 @@ use crate::vantage::{vantage_points, VantagePoint};
 use crate::Scale;
 use doqlab_dnswire::{Message, Name, RecordType};
 use doqlab_dox::{
-    Capabilities, ClientConfig, ConnMetadata, DnsClientHost, DnsTransport, FailoverPolicy,
-    FailureKind, SessionState,
+    Capabilities, ClientConfig, ConnMetadata, DnsTransport, FailoverPolicy, FailureKind,
+    SessionState, Upstream, UpstreamPolicy, ATTEMPT_0RTT,
 };
 use doqlab_resolver::{RecursionModel, ResolverHost, ResolverProfile};
 use doqlab_simnet::geo::Continent;
@@ -267,13 +267,13 @@ pub struct UnitOptions {
 
 impl Default for UnitOptions {
     fn default() -> Self {
-        let cfg = ClientConfig::default();
+        let policy = UpstreamPolicy::default();
         UnitOptions {
             seed: None,
             impairment: ImpairmentSchedule::new(),
-            query_deadline: cfg.query_deadline,
-            reconnect_max: cfg.reconnect_max,
-            reconnect_backoff: cfg.reconnect_backoff,
+            query_deadline: policy.query_deadline,
+            reconnect_max: policy.reconnect_max,
+            reconnect_backoff: policy.reconnect_backoff,
             run_deadline: Duration::from_secs(20),
             rebinds: Vec::new(),
             failover: None,
@@ -409,28 +409,27 @@ pub fn run_unit_custom(
     let remote = SocketAddr::new(profile.ip, transport.port());
 
     // --- cache warming ----------------------------------------------------
-    let warm_cfg = opts.caps.client();
-    let warm = DnsClientHost::new(
+    let warm = Upstream::new(
         transport,
         SocketAddr::new(warm_ip, 40_000),
         remote,
-        &warm_cfg,
+        opts.caps.client(),
+        UpstreamPolicy::default(),
     );
     let wid = sim.add_host(Box::new(warm), &[warm_ip]);
-    sim.with_host::<DnsClientHost, _>(wid, |c, ctx| c.start_with_query(ctx, &query));
+    sim.with_host::<Upstream, _>(wid, |c, ctx| c.start_with_query(ctx, &query));
     let warm_deadline = sim.now() + Duration::from_secs(20);
     sim.run_until(warm_deadline);
-    // Harvest the warming connection's resumption material through the
-    // host's per-resolver session cache, as a long-lived stub would.
-    let sessions = {
-        let warm = sim.host_mut::<DnsClientHost>(wid);
+    // Harvest the warming connection's resumption material, as a
+    // long-lived stub would.
+    let session = {
+        let warm = sim.host_mut::<Upstream>(wid);
         if warm.responses.is_empty() {
-            doqlab_dox::SessionCache::default()
+            SessionState::default()
         } else {
-            warm.export_sessions()
+            warm.take_session()
         }
     };
-    let session = sessions.get(remote).cloned().unwrap_or_default();
 
     // --- measured query -----------------------------------------------------
     let tap = match transport {
@@ -449,19 +448,30 @@ pub fn run_unit_custom(
             ..SessionState::default()
         }
     };
+    // 0-RTT bookkeeping: the measured connection attempts early data iff
+    // it presents a ticket that permits it.
+    let attempted_early = ATTEMPT_0RTT
+        && meas_session
+            .tls_ticket
+            .as_ref()
+            .is_some_and(|t| t.allows_early_data);
     let meas_cfg = ClientConfig {
         session: meas_session,
+        ..opts.caps.client()
+    };
+    let policy = UpstreamPolicy {
         query_deadline: opts.query_deadline,
         reconnect_max: opts.reconnect_max,
         reconnect_backoff: opts.reconnect_backoff,
         failover: opts.failover.clone(),
-        ..opts.caps.client()
+        ..UpstreamPolicy::default()
     };
-    let meas = DnsClientHost::new(
+    let meas = Upstream::new(
         transport,
         SocketAddr::new(meas_ip, 40_000),
         remote,
-        &meas_cfg,
+        meas_cfg,
+        policy,
     );
     let mid = sim.add_host(Box::new(meas), &[meas_ip]);
     let started = sim.now();
@@ -478,7 +488,7 @@ pub fn run_unit_custom(
         }
         sim.set_impairment(Box::new(schedule));
     }
-    sim.with_host::<DnsClientHost, _>(mid, |c, ctx| c.start_with_query(ctx, &query));
+    sim.with_host::<Upstream, _>(mid, |c, ctx| c.start_with_query(ctx, &query));
     let deadline = started + opts.run_deadline;
     let mut hs_at = None;
     if transport != DnsTransport::DoQ || !opts.rebinds.is_empty() {
@@ -488,7 +498,7 @@ pub fn run_unit_custom(
         // run_until's order, so the simulation is unchanged. A mobility
         // schedule needs the instant too: its offsets anchor there.
         loop {
-            let hs = sim.host::<DnsClientHost>(mid).conn.handshake_done_at();
+            let hs = sim.host::<Upstream>(mid).handshake_done_at();
             if let Some(t) = hs {
                 if let Some(tap) = sim.tap_mut::<PhaseByteTap>() {
                     tap.set_split(t);
@@ -516,7 +526,7 @@ pub fn run_unit_custom(
             sim.run_until(at);
             let new_ip = rebind_ip(vp.index, k);
             sim.rebind_host(mid, cur_ip, new_ip, *profile);
-            sim.with_host::<DnsClientHost, _>(mid, |c, ctx| c.rebind_local(ctx, new_ip));
+            sim.with_host::<Upstream, _>(mid, |c, ctx| c.rebind_local(ctx, new_ip));
             if let Some(tap) = sim.tap_mut::<PhaseByteTap>() {
                 tap.add_client(new_ip);
             }
@@ -530,10 +540,10 @@ pub fn run_unit_custom(
         sim.clear_impairment();
     }
 
-    let meas = sim.host::<DnsClientHost>(mid);
-    let hs_done = meas.conn.handshake_done_at();
+    let meas = sim.host::<Upstream>(mid);
+    let hs_done = meas.handshake_done_at();
     let response_at = meas.responses.first().map(|(t, _)| *t);
-    let metadata = meas.conn.metadata();
+    let metadata = meas.metadata();
     let failure = meas.failure();
     let reconnects = meas.reconnects();
     let wasted_bytes = meas.wasted_bytes();
@@ -569,15 +579,8 @@ pub fn run_unit_custom(
         metrics::record(Series::ResolveNs, (t - resolve_from).as_nanos() as u64);
     }
     metrics::count(transport_byte_counter(transport), bytes.total() as u64);
-    // 0-RTT bookkeeping: the measured connection attempted early data
-    // iff it presented a ticket that permits it; the connection
-    // metadata says whether the server accepted or forced the replay.
-    let attempted_early = meas_cfg.enable_0rtt
-        && meas_cfg
-            .session
-            .tls_ticket
-            .as_ref()
-            .is_some_and(|t| t.allows_early_data);
+    // The connection metadata says whether the server accepted the early
+    // data or forced the replay.
     if attempted_early {
         metrics::count(
             if metadata.zero_rtt {

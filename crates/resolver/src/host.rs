@@ -338,7 +338,7 @@ impl Host for ResolverHost {
 mod tests {
     use super::*;
     use doqlab_dnswire::Name;
-    use doqlab_dox::{ClientConfig, DnsClientHost, DnsTransport};
+    use doqlab_dox::{ClientConfig, DnsTransport, Upstream, UpstreamPolicy};
     use doqlab_simnet::path::FixedPathModel;
     use doqlab_simnet::{Ipv4Addr, Simulator, SocketAddr};
 
@@ -358,15 +358,21 @@ mod tests {
         sim.add_host(Box::new(resolver), &[resolver_ip]);
         let local = SocketAddr::new(client_ip, 40_000);
         let remote = SocketAddr::new(resolver_ip, transport.port());
-        let client = DnsClientHost::new(transport, local, remote, &ClientConfig::default());
+        let client = Upstream::new(
+            transport,
+            local,
+            remote,
+            ClientConfig::default(),
+            UpstreamPolicy::default(),
+        );
         let cid = sim.add_host(Box::new(client), &[client_ip]);
         let started = sim.now();
-        sim.with_host::<DnsClientHost, _>(cid, |c, ctx| {
+        sim.with_host::<Upstream, _>(cid, |c, ctx| {
             let q = Message::query(1, Name::parse("google.com").unwrap(), RecordType::A);
             c.start_with_query(ctx, &q);
         });
         sim.run_until(started + Duration::from_secs(15));
-        let client = sim.host_mut::<DnsClientHost>(cid);
+        let client = sim.host_mut::<Upstream>(cid);
         assert_eq!(client.responses.len(), 1);
         (client.responses[0].0 - started).as_secs_f64() * 1000.0
     }
@@ -394,29 +400,31 @@ mod tests {
         let q = Message::query(1, Name::parse("google.com").unwrap(), RecordType::A);
 
         let c1_ip = Ipv4Addr::new(10, 0, 0, 1);
-        let c1 = DnsClientHost::new(
+        let c1 = Upstream::new(
             DnsTransport::DoUdp,
             SocketAddr::new(c1_ip, 40000),
             SocketAddr::new(resolver_ip, 53),
-            &ClientConfig::default(),
+            ClientConfig::default(),
+            UpstreamPolicy::default(),
         );
         let c1id = sim.add_host(Box::new(c1), &[c1_ip]);
-        sim.with_host::<DnsClientHost, _>(c1id, |c, ctx| c.start_with_query(ctx, &q));
+        sim.with_host::<Upstream, _>(c1id, |c, ctx| c.start_with_query(ctx, &q));
         sim.run_until(SimTime::from_secs(15));
-        let warm_time = sim.host::<DnsClientHost>(c1id).responses[0].0;
+        let warm_time = sim.host::<Upstream>(c1id).responses[0].0;
 
         let c2_ip = Ipv4Addr::new(10, 0, 0, 2);
-        let c2 = DnsClientHost::new(
+        let c2 = Upstream::new(
             DnsTransport::DoUdp,
             SocketAddr::new(c2_ip, 40000),
             SocketAddr::new(resolver_ip, 53),
-            &ClientConfig::default(),
+            ClientConfig::default(),
+            UpstreamPolicy::default(),
         );
         let c2id = sim.add_host(Box::new(c2), &[c2_ip]);
         let t1 = sim.now();
-        sim.with_host::<DnsClientHost, _>(c2id, |c, ctx| c.start_with_query(ctx, &q));
+        sim.with_host::<Upstream, _>(c2id, |c, ctx| c.start_with_query(ctx, &q));
         sim.run_until(t1 + Duration::from_secs(15));
-        let hit = sim.host::<DnsClientHost>(c2id).responses[0].0 - t1;
+        let hit = sim.host::<Upstream>(c2id).responses[0].0 - t1;
         let miss = warm_time - SimTime::ZERO;
         assert!(hit < Duration::from_millis(22), "hit = {hit:?}");
         assert!(miss > hit, "miss {miss:?} vs hit {hit:?}");
@@ -444,17 +452,18 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            let c = DnsClientHost::new(
+            let c = Upstream::new(
                 DnsTransport::DoUdp,
                 SocketAddr::new(client_ip, 40000),
                 SocketAddr::new(resolver_ip, 53),
-                &ClientConfig::default(),
+                ClientConfig::default(),
+                UpstreamPolicy::default(),
             );
             let cid = sim.add_host(Box::new(c), &[client_ip]);
             let t0 = sim.now();
-            sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &q));
+            sim.with_host::<Upstream, _>(cid, |c, ctx| c.start_with_query(ctx, &q));
             sim.run_until(t0 + Duration::from_secs(15));
-            let resp = &sim.host::<DnsClientHost>(cid).responses[0].1;
+            let resp = &sim.host::<Upstream>(cid).responses[0].1;
             assert_eq!(resp.header.rcode, Rcode::NxDomain);
             assert!(resp.answers.is_empty());
             let soa = resp

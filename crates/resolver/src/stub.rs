@@ -14,9 +14,10 @@
 //!   RFC 2308 negative verdicts alike — without upstream traffic;
 //! * identical concurrent misses are **coalesced** onto one in-flight
 //!   upstream query;
-//! * misses ride a pooled [`DnsClientHost`]
-//!   ([`ClientConfig::pool_idle_timeout`]), so handshakes happen on
-//!   first use and after idle evictions, not per query;
+//! * misses ride a pooled [`Upstream`]
+//!   ([`UpstreamPolicy::pool`](doqlab_dox::UpstreamPolicy::pool)), so
+//!   handshakes happen on first use and after idle evictions, not per
+//!   query;
 //! * per-client resolve times land in a local logarithmic histogram
 //!   (the same buckets as `doqlab-telemetry`), cache hits counting as
 //!   zero-latency resolutions.
@@ -25,9 +26,8 @@ use crate::cache::{CachedAnswer, DnsCache};
 use crate::host::NEGATIVE_TTL;
 use crate::workload::WorkloadGen;
 use doqlab_dnswire::{Message, NameId, RData, Rcode, RecordType};
-use doqlab_dox::client::{ClientConfig, DnsTransport};
-use doqlab_dox::host::DnsClientHost;
-use doqlab_simnet::{Ctx, Host, Packet, SimTime, SocketAddr};
+use doqlab_dox::Upstream;
+use doqlab_simnet::{Ctx, Host, Packet, SimTime};
 use doqlab_telemetry::metrics::bucket_index;
 use std::any::Any;
 
@@ -65,7 +65,7 @@ struct Inflight {
 
 /// The stub/forwarder simulator host.
 pub struct StubResolverHost {
-    upstream: DnsClientHost,
+    upstream: Upstream,
     cache: DnsCache,
     cache_enabled: bool,
     gen: WorkloadGen,
@@ -79,20 +79,12 @@ pub struct StubResolverHost {
 }
 
 impl StubResolverHost {
-    /// Build a stub for one cohort. `cfg` should carry a
-    /// `pool_idle_timeout` so the upstream connection is pooled;
-    /// `cache_enabled: false` degrades the stub to a pure forwarder
-    /// (every query goes upstream).
-    pub fn new(
-        transport: DnsTransport,
-        local: SocketAddr,
-        remote: SocketAddr,
-        cfg: &ClientConfig,
-        gen: WorkloadGen,
-        cache_enabled: bool,
-    ) -> Self {
+    /// Build a stub for one cohort. `upstream` should carry a pool
+    /// policy; `cache_enabled: false` degrades
+    /// the stub to a pure forwarder (every query goes upstream).
+    pub fn new(upstream: Upstream, gen: WorkloadGen, cache_enabled: bool) -> Self {
         StubResolverHost {
-            upstream: DnsClientHost::new(transport, local, remote, cfg),
+            upstream,
             cache: DnsCache::new(),
             cache_enabled,
             gen,
@@ -120,7 +112,7 @@ impl StubResolverHost {
         &self.cache
     }
 
-    pub fn upstream(&self) -> &DnsClientHost {
+    pub fn upstream(&self) -> &Upstream {
         &self.upstream
     }
 
@@ -295,8 +287,9 @@ mod tests {
     use crate::host::{RecursionModel, ResolverHost};
     use crate::workload::WorkloadSpec;
     use doqlab_dox::server::ServerConfig;
+    use doqlab_dox::{ClientConfig, DnsTransport, UpstreamPolicy};
     use doqlab_simnet::path::FixedPathModel;
-    use doqlab_simnet::{Duration, Ipv4Addr, Simulator};
+    use doqlab_simnet::{Duration, Ipv4Addr, Simulator, SocketAddr};
 
     #[derive(Debug, PartialEq)]
     struct RunOutcome {
@@ -348,21 +341,19 @@ mod tests {
             RecursionModel::default(),
         );
         sim.add_host(Box::new(resolver), &[resolver_ip]);
-        let cfg = ClientConfig {
-            pool_idle_timeout: Some(std::time::Duration::from_secs(10)),
-            reconnect_max: 2,
-            ..ClientConfig::default()
-        };
-        let window = spec.window;
-        let gen = WorkloadGen::new(spec);
-        let stub = StubResolverHost::new(
+        let upstream = Upstream::new(
             transport,
             SocketAddr::new(stub_ip, 40_000),
             SocketAddr::new(resolver_ip, transport.port()),
-            &cfg,
-            gen,
-            cache_enabled,
+            ClientConfig::default(),
+            UpstreamPolicy::pool(
+                std::time::Duration::from_secs(10),
+                2,
+                std::time::Duration::from_millis(250),
+            ),
         );
+        let window = spec.window;
+        let stub = StubResolverHost::new(upstream, WorkloadGen::new(spec), cache_enabled);
         let sid = sim.add_host(Box::new(stub), &[stub_ip]);
         sim.with_host::<StubResolverHost, _>(sid, |s, ctx| s.prime(ctx));
         sim.run_until(SimTime::ZERO + window + Duration::from_secs(60));

@@ -3,7 +3,7 @@
 //! path §4 of the paper describes for DoH3.
 
 use doqlab_dnswire::{Message, Name, RData, RecordType, SvcParam};
-use doqlab_dox::{ClientConfig, DnsClientHost, DnsTransport, ServerConfig};
+use doqlab_dox::{ClientConfig, DnsTransport, ServerConfig, Upstream, UpstreamPolicy};
 use doqlab_resolver::{RecursionModel, ResolverHost};
 use doqlab_simnet::path::FixedPathModel;
 use doqlab_simnet::{Duration, Ipv4Addr, SimTime, Simulator, SocketAddr};
@@ -16,11 +16,12 @@ fn ddr_alpns(server: ServerConfig) -> Vec<String> {
         Box::new(ResolverHost::new(server, RecursionModel::default())),
         &[resolver_ip],
     );
-    let client = DnsClientHost::new(
+    let client = Upstream::new(
         DnsTransport::DoUdp,
         SocketAddr::new(client_ip, 40_000),
         SocketAddr::new(resolver_ip, 53),
-        &ClientConfig::default(),
+        ClientConfig::default(),
+        UpstreamPolicy::default(),
     );
     let cid = sim.add_host(Box::new(client), &[client_ip]);
     let q = Message::query(
@@ -28,9 +29,9 @@ fn ddr_alpns(server: ServerConfig) -> Vec<String> {
         Name::parse("_dns.resolver.arpa").unwrap(),
         RecordType::Svcb,
     );
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &q));
+    sim.with_host::<Upstream, _>(cid, |c, ctx| c.start_with_query(ctx, &q));
     sim.run_until(SimTime::from_secs(5));
-    let client = sim.host::<DnsClientHost>(cid);
+    let client = sim.host::<Upstream>(cid);
     let (_, resp) = client.responses.first().expect("DDR answered").clone();
     let mut alpns = Vec::new();
     for rr in &resp.answers {

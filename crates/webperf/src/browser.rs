@@ -237,14 +237,14 @@ impl BrowserHost {
                 fcp_ms: (fcp - start).as_secs_f64() * 1000.0,
                 plt_ms: (plt - start).as_secs_f64() * 1000.0,
                 dns_queries: self.proxy.queries_sent,
-                proxy_connections: self.proxy.connections_opened,
+                proxy_connections: self.proxy.upstream().dials(),
                 failed: false,
             },
             _ => PageLoadResult {
                 fcp_ms: f64::NAN,
                 plt_ms: f64::NAN,
                 dns_queries: self.proxy.queries_sent,
-                proxy_connections: self.proxy.connections_opened,
+                proxy_connections: self.proxy.upstream().dials(),
                 failed: true,
             },
         }
@@ -254,8 +254,8 @@ impl BrowserHost {
 impl Host for BrowserHost {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         let mut out = Vec::new();
-        if self.proxy.owns_port(pkt.dst.port) {
-            self.proxy.on_packet(ctx.now, &pkt, &mut out);
+        if self.proxy.upstream().owns(pkt.dst) {
+            self.proxy.on_packet(ctx.now, ctx.rng, &pkt, &mut out);
         } else if let Some(conn) = self
             .origins
             .values_mut()
@@ -271,7 +271,7 @@ impl Host for BrowserHost {
 
     fn on_wakeup(&mut self, ctx: &mut Ctx<'_>) {
         let mut out = Vec::new();
-        self.proxy.poll(ctx.now, &mut out);
+        self.proxy.poll(ctx.now, ctx.rng, &mut out);
         for conn in self.origins.values_mut() {
             conn.poll(ctx.now, &mut out);
         }

@@ -6,7 +6,8 @@
 //!    upstream DoX resolver; OS and proxy caches are disabled;
 //! 2. navigate once to warm the *resolver's* cache (recursion happens
 //!    here) and to collect TLS/QUIC resumption material;
-//! 3. reset the proxy's sessions (keeping tickets/tokens/versions);
+//! 3. reset the proxy's sessions: each navigation gets a fresh proxy,
+//!    seeded with the tickets/tokens/versions the last one captured;
 //! 4. navigate again, cold browser, measuring FCP and PLT — repeated
 //!    `measured_loads` times (the paper performs four and takes the
 //!    median).
@@ -144,9 +145,9 @@ pub fn run_page_load_in(sim: &mut Simulator, cfg: &PageLoadConfig) -> Vec<PageLo
         }
         let browser = sim.host_mut::<BrowserHost>(bid);
         let result = browser.result();
-        // Carry resumption material to the next navigation (the reset
-        // keeps tickets, drops connections).
-        session.merge(std::mem::take(&mut browser.proxy.session));
+        // Carry resumption material to the next navigation's proxy (the
+        // reset keeps tickets, drops connections).
+        session.merge(browser.proxy.take_session());
         if nav > 0 {
             results.push(result);
         }

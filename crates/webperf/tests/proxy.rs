@@ -1,6 +1,7 @@
 //! DNS-proxy behaviour tests: the connection-handling details §3.2 of
 //! the paper traces back to (dnsproxy's DoT bug, DoTCP's
-//! connection-per-query, session persistence across resets).
+//! connection-per-query, session material carried to the next
+//! navigation's proxy).
 
 use doqlab_dnswire::{Message, RData};
 use doqlab_dox::{ClientConfig, DnsTransport, ServerConfig};
@@ -22,7 +23,7 @@ struct ProxyHost {
 impl Host for ProxyHost {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         let mut out = Vec::new();
-        self.proxy.on_packet(ctx.now, &pkt, &mut out);
+        self.proxy.on_packet(ctx.now, ctx.rng, &pkt, &mut out);
         self.resolved.extend(self.proxy.take_resolved());
         for p in out {
             ctx.send(p);
@@ -30,7 +31,7 @@ impl Host for ProxyHost {
     }
     fn on_wakeup(&mut self, ctx: &mut Ctx<'_>) {
         let mut out = Vec::new();
-        self.proxy.poll(ctx.now, &mut out);
+        self.proxy.poll(ctx.now, ctx.rng, &mut out);
         self.resolved.extend(self.proxy.take_resolved());
         for p in out {
             ctx.send(p);
@@ -64,21 +65,27 @@ fn setup(
         )),
         &[RESOLVER_IP],
     );
-    let proxy = DnsProxy::new(
-        CLIENT_IP,
-        SocketAddr::new(RESOLVER_IP, transport.port()),
-        transport,
-        cfg,
-        dot_bug,
-    );
-    let id = sim.add_host(
+    let id = add_proxy(&mut sim, CLIENT_IP, transport, cfg, dot_bug);
+    (sim, id)
+}
+
+/// A proxy on its own browser address.
+fn add_proxy(
+    sim: &mut Simulator,
+    ip: Ipv4Addr,
+    transport: DnsTransport,
+    cfg: ClientConfig,
+    dot_bug: bool,
+) -> usize {
+    let upstream = SocketAddr::new(RESOLVER_IP, transport.port());
+    let proxy = DnsProxy::new(ip, upstream, transport, cfg, dot_bug);
+    sim.add_host(
         Box::new(ProxyHost {
             proxy,
             resolved: Vec::new(),
         }),
-        &[CLIENT_IP],
-    );
-    (sim, id)
+        &[ip],
+    )
 }
 
 fn resolve_batch(sim: &mut Simulator, id: usize, domains: &[&str]) {
@@ -123,9 +130,9 @@ fn dot_bug_opens_second_connection_for_concurrent_queries() {
     let host = sim.host::<ProxyHost>(id);
     assert_eq!(host.resolved.len(), 3);
     assert!(
-        host.proxy.connections_opened >= 2,
+        host.proxy.upstream().dials() >= 2,
         "in-flight queries must trigger reconnects, got {}",
-        host.proxy.connections_opened
+        host.proxy.upstream().dials()
     );
 }
 
@@ -140,7 +147,7 @@ fn dot_fix_reuses_one_connection() {
     resolve_batch(&mut sim, id, &["a.example", "b.example", "c.example"]);
     let host = sim.host::<ProxyHost>(id);
     assert_eq!(host.resolved.len(), 3);
-    assert_eq!(host.proxy.connections_opened, 1);
+    assert_eq!(host.proxy.upstream().dials(), 1);
 }
 
 #[test]
@@ -154,7 +161,7 @@ fn dotcp_opens_one_connection_per_query() {
     resolve_batch(&mut sim, id, &["a.example", "b.example", "c.example"]);
     let host = sim.host::<ProxyHost>(id);
     assert_eq!(host.resolved.len(), 3);
-    assert_eq!(host.proxy.connections_opened, 3);
+    assert_eq!(host.proxy.upstream().dials(), 3);
 }
 
 #[test]
@@ -172,7 +179,7 @@ fn rfc9210_dotcp_reuses_the_connection() {
     resolve_batch(&mut sim, id, &["a.example", "b.example", "c.example"]);
     let host = sim.host::<ProxyHost>(id);
     assert_eq!(host.resolved.len(), 3);
-    assert_eq!(host.proxy.connections_opened, 1);
+    assert_eq!(host.proxy.upstream().dials(), 1);
 }
 
 #[test]
@@ -190,11 +197,13 @@ fn doq_multiplexes_on_one_connection() {
     );
     let host = sim.host::<ProxyHost>(id);
     assert_eq!(host.resolved.len(), 4);
-    assert_eq!(host.proxy.connections_opened, 1);
+    assert_eq!(host.proxy.upstream().dials(), 1);
 }
 
 #[test]
-fn session_material_survives_reset() {
+fn session_material_carries_to_the_next_navigation() {
+    // Each navigation builds a fresh proxy, seeded (as run_page_load_in
+    // does) with what the previous one captured.
     let (mut sim, id) = setup(
         DnsTransport::DoQ,
         ClientConfig::default(),
@@ -202,17 +211,28 @@ fn session_material_survives_reset() {
         ServerConfig::default(),
     );
     resolve_batch(&mut sim, id, &["warm.example"]);
-    sim.with_host::<ProxyHost, _>(id, |h, _ctx| {
-        assert!(h.proxy.session.tls_ticket.is_some(), "ticket captured");
-        assert!(h.proxy.session.quic_token.is_some(), "token captured");
-        h.proxy.reset_sessions();
-        assert!(h.proxy.session.tls_ticket.is_some(), "reset keeps tickets");
-    });
-    // A post-reset lookup opens a new (resumed) connection and works.
-    resolve_batch(&mut sim, id, &["measured.example"]);
-    let host = sim.host::<ProxyHost>(id);
-    assert_eq!(host.resolved.len(), 2);
-    assert_eq!(host.proxy.connections_opened, 2);
+    let session = sim.host_mut::<ProxyHost>(id).proxy.take_session();
+    assert!(session.tls_ticket.is_some(), "ticket captured");
+    assert!(session.quic_token.is_some(), "token captured");
+    let cfg = ClientConfig {
+        session,
+        ..ClientConfig::default()
+    };
+    let next = add_proxy(
+        &mut sim,
+        Ipv4Addr::new(10, 0, 0, 2),
+        DnsTransport::DoQ,
+        cfg,
+        true,
+    );
+    resolve_batch(&mut sim, next, &["measured.example"]);
+    let host = sim.host::<ProxyHost>(next);
+    assert_eq!(host.resolved.len(), 1);
+    assert_eq!(host.proxy.upstream().dials(), 1);
+    assert!(
+        host.proxy.upstream().metadata().resumed,
+        "the next navigation's connection resumes"
+    );
 }
 
 #[test]
@@ -236,7 +256,7 @@ fn nxdomain_like_failures_surface_as_none() {
     // No response at all: the lookup never completes (the browser's
     // failure handling sits above the proxy).
     assert!(host.resolved.is_empty());
-    assert!(host.proxy.any_failed());
+    assert!(host.proxy.upstream().failure().is_some());
 }
 
 #[test]

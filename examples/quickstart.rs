@@ -6,7 +6,7 @@
 //! ```
 
 use doqlab_core::dnswire::{Message, Name, RecordType};
-use doqlab_core::dox::{ClientConfig, DnsClientHost, DnsTransport, ServerConfig};
+use doqlab_core::dox::{ClientConfig, DnsTransport, ServerConfig, Upstream, UpstreamPolicy};
 use doqlab_core::resolver::{RecursionModel, ResolverHost};
 use doqlab_core::simnet::path::FixedPathModel;
 use doqlab_core::simnet::{Duration, Ipv4Addr, SimTime, Simulator, SocketAddr};
@@ -39,29 +39,31 @@ fn main() {
         // Cache-warming query first (the paper's methodology): the
         // measured query below is answered from the resolver's cache.
         let warm_ip = Ipv4Addr::new(10, 0, 0, 2);
-        let warm = DnsClientHost::new(
+        let warm = Upstream::new(
             transport,
             SocketAddr::new(warm_ip, 40_000),
             SocketAddr::new(resolver_ip, transport.port()),
-            &ClientConfig::default(),
+            ClientConfig::default(),
+            UpstreamPolicy::default(),
         );
         let wid = sim.add_host(Box::new(warm), &[warm_ip]);
-        sim.with_host::<DnsClientHost, _>(wid, |c, ctx| c.start_with_query(ctx, &query));
+        sim.with_host::<Upstream, _>(wid, |c, ctx| c.start_with_query(ctx, &query));
         sim.run_until(SimTime::from_secs(10));
 
         let client_ip = Ipv4Addr::new(10, 0, 0, 1);
-        let client = DnsClientHost::new(
+        let client = Upstream::new(
             transport,
             SocketAddr::new(client_ip, 40_000),
             SocketAddr::new(resolver_ip, transport.port()),
-            &ClientConfig::default(),
+            ClientConfig::default(),
+            UpstreamPolicy::default(),
         );
         let id = sim.add_host(Box::new(client), &[client_ip]);
         let measured_start = sim.now();
-        sim.with_host::<DnsClientHost, _>(id, |c, ctx| c.start_with_query(ctx, &query));
+        sim.with_host::<Upstream, _>(id, |c, ctx| c.start_with_query(ctx, &query));
         sim.run_until(measured_start + Duration::from_secs(10));
 
-        let client = sim.host_mut::<DnsClientHost>(id);
+        let client = sim.host_mut::<Upstream>(id);
         let (at, msg) = client.responses.first().expect("resolver answered").clone();
         assert!(!msg.answers.is_empty());
         let hs_ms = client.handshake_time().map(|d| d.as_secs_f64() * 1000.0);
