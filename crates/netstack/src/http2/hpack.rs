@@ -161,11 +161,14 @@ struct Entry {
     end: usize,
 }
 
+/// The dynamic table size SETTINGS_HEADER_TABLE_SIZE advertises (its
+/// default): the most a size update may ask for (RFC 7541 §6.3).
+const MAX_TABLE_SIZE: usize = 4096;
+
 /// The dynamic table (RFC 7541 §2.3.2). Every entry's name and value
 /// live back to back in one arena, oldest first; eviction only moves
 /// the front of the live bytes, and the dead prefix is dropped when the
-/// arena would otherwise grow. A size update takes effect at the next
-/// insertion.
+/// arena would otherwise grow. A size update evicts at once.
 #[derive(Debug)]
 struct DynamicTable {
     arena: String,
@@ -184,7 +187,7 @@ impl DynamicTable {
             dead: 0,
             entries: std::collections::VecDeque::new(),
             size: 0,
-            max_size: 4096,
+            max_size: MAX_TABLE_SIZE,
         }
     }
 
@@ -224,8 +227,28 @@ impl DynamicTable {
             end: start + len,
         });
         self.size += size;
+        self.evict();
+    }
+
+    /// A dynamic table size update: above [`MAX_TABLE_SIZE`] it is a
+    /// decoding error (RFC 7541 §6.3); otherwise entries past the new
+    /// size are evicted at once (§4.3).
+    fn resize(&mut self, max_size: usize) -> Option<()> {
+        if max_size > MAX_TABLE_SIZE {
+            return None;
+        }
+        self.max_size = max_size;
+        self.evict();
+        Some(())
+    }
+
+    /// Drop the oldest entries until the table fits its size.
+    fn evict(&mut self) {
         while self.size > self.max_size {
-            let oldest = self.entries.pop_back().expect("the new entry fits alone");
+            let oldest = self
+                .entries
+                .pop_back()
+                .expect("the size counts live entries");
             let (name, value) = self.field(&oldest);
             self.size -= entry_size(name, value);
             self.dead = oldest.end;
@@ -436,8 +459,8 @@ impl HpackDecoder {
                 self.dynamic.insert(name, value);
             } else if b & 0x20 != 0 {
                 // Dynamic table size update.
-                let size = decode_int(block, &mut pos, 5)? as usize;
-                self.dynamic.max_size = size;
+                let size = decode_int(block, &mut pos, 5)?;
+                self.dynamic.resize(usize::try_from(size).ok()?)?;
             } else {
                 // Literal without indexing / never indexed (4-bit prefix).
                 let idx = decode_int(block, &mut pos, 4)? as usize;
@@ -659,5 +682,31 @@ mod tests {
         let mut block = Vec::new();
         encode_int(&mut block, 0x80, 7, 100);
         assert!(dec.decode(&block).is_none());
+    }
+
+    #[test]
+    fn a_size_update_evicts_at_once() {
+        let mut dec = HpackDecoder::new();
+        // A literal with incremental indexing: `x-trace: abc` at index 62.
+        let insert = [&[0x40, 7][..], b"x-trace", &[3], b"abc"].concat();
+        assert!(dec.decode(&insert).is_some());
+        let hit = dec.decode(&[0xBE]).expect("index 62 names the entry");
+        assert_eq!(hit.iter().collect::<Vec<_>>(), [("x-trace", "abc")]);
+        // An update to 0 empties the table before index 62 is read
+        // (RFC 7541 §4.3).
+        assert!(dec.decode(&[0x20, 0xBE]).is_none());
+    }
+
+    #[test]
+    fn a_size_update_above_the_settings_size_fails_the_block() {
+        // RFC 7541 §6.3: the update may not exceed the 4,096 bytes
+        // SETTINGS_HEADER_TABLE_SIZE advertises.
+        let mut dec = HpackDecoder::new();
+        let mut block = Vec::new();
+        encode_int(&mut block, 0x20, 5, 65_536);
+        assert!(dec.decode(&block).is_none());
+        block.clear();
+        encode_int(&mut block, 0x20, 5, 4096);
+        assert!(dec.decode(&block).is_some());
     }
 }

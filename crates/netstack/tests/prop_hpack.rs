@@ -6,7 +6,10 @@
 //! a block into one `HeaderList`; both must encode the same blocks and
 //! decode the same fields, through eviction, table-size updates,
 //! literals without indexing or never indexed, and truncated blocks
-//! (which fail in both).
+//! (which fail in both). One change was made to the reference along
+//! with the codec: a table-size update follows RFC 7541, evicting at
+//! once (§4.3) and failing the block above the 4,096 bytes SETTINGS
+//! advertises (§6.3); before, both only recorded the new size.
 
 use doqlab_netstack::http2::{HeaderList, HpackDecoder, HpackEncoder};
 use proptest::prelude::*;
@@ -154,6 +157,10 @@ mod reference {
         fn insert(&mut self, name: String, value: String) {
             self.size += entry_size(&name, &value);
             self.entries.push_front((name, value));
+            self.evict();
+        }
+
+        fn evict(&mut self) {
             while self.size > self.max_size {
                 if let Some((n, v)) = self.entries.pop_back() {
                     self.size -= entry_size(&n, &v);
@@ -273,8 +280,14 @@ mod reference {
                     self.dynamic.insert(name.clone(), value.clone());
                     headers.push((name, value));
                 } else if b & 0x20 != 0 {
+                    // RFC 7541 §6.3 and §4.3: no larger than SETTINGS
+                    // advertises, and the table shrinks at once.
                     let size = decode_int(block, &mut pos, 5)? as usize;
+                    if size > 4096 {
+                        return None;
+                    }
                     self.dynamic.max_size = size;
+                    self.dynamic.evict();
                 } else {
                     let idx = decode_int(block, &mut pos, 4)? as usize;
                     let name = if idx == 0 {
