@@ -361,7 +361,10 @@ impl Upstream {
         let guard = pool
             .filter(|(p, _)| p.conn.handshake_done_at().is_none())
             .map(|(p, _)| p.opened + HANDSHAKE_GUARD);
-        let rung = self.rung_due(self.rungs).filter(|_| !self.race_settled);
+        let rung = self
+            .next_rung()
+            .filter(|_| !self.race_settled)
+            .map(|(_, due)| due);
         self.slots
             .iter()
             .filter(live)
@@ -550,14 +553,12 @@ impl Upstream {
         self.budget_used = 0;
     }
 
-    /// When rung `k` becomes due by stagger alone; `None` once the
-    /// ladder is spent or before the first query.
-    fn rung_due(&self, k: usize) -> Option<SimTime> {
-        let ladder = self.policy.failover.as_ref()?;
-        if k >= ladder.ladder.len() {
-            return None;
-        }
-        Some(self.started_at? + ladder.stagger * (k as u32 + 1))
+    /// The next ladder rung and when its stagger alone makes it due;
+    /// `None` once the ladder is spent or before the first query.
+    fn next_rung(&self) -> Option<(DnsTransport, SimTime)> {
+        let f = self.policy.failover.as_ref()?;
+        let &to = f.ladder.get(self.rungs)?;
+        Some((to, self.started_at? + f.stagger * (self.rungs as u32 + 1)))
     }
 
     /// Failover supervision: settle a decided race, dial the next rung
@@ -574,8 +575,8 @@ impl Upstream {
             return self.settle(now, None, out);
         }
         let dead = self.slots.iter().all(|s| s.conn.failed());
-        match self.rung_due(self.rungs) {
-            Some(due) if now >= due || dead => self.dial_rung(now, rng, out),
+        match self.next_rung() {
+            Some((to, due)) if now >= due || dead => self.dial_rung(now, rng, to, out),
             None if dead => {
                 let kind = self.slots.iter().find_map(|s| s.conn.failure());
                 self.give_up(kind.unwrap_or(FailureKind::Timeout));
@@ -588,16 +589,14 @@ impl Upstream {
     /// Dial the next ladder rung from the primary's port + k + 1, aimed
     /// at the fallback transport's well-known port, carrying every
     /// unanswered query.
-    fn dial_rung(&mut self, now: SimTime, rng: &mut SimRng, out: &mut Vec<Packet>) {
+    fn dial_rung(
+        &mut self,
+        now: SimTime,
+        rng: &mut SimRng,
+        to: DnsTransport,
+        out: &mut Vec<Packet>,
+    ) {
         let k = self.rungs;
-        let Some(to) = self
-            .policy
-            .failover
-            .as_ref()
-            .and_then(|f| f.ladder.get(k).copied())
-        else {
-            return;
-        };
         let from = self.transport;
         sink::emit(now.as_nanos(), || Event::FailoverRaced {
             from: from.name(),
