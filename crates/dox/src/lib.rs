@@ -16,10 +16,9 @@
 //! interface [`upstream::Upstream`] drives for every client of the study
 //! (the measured client, a stub's pool, the page-load proxy);
 //! [`server::DnsServerSet`] bundles the server endpoints for a resolver
-//! host. Each carrier is
-//! written once: DoT and DoH share the TLS-over-TCP stream of
-//! `doqlab-netstack`, DoQ and DoH3 one QUIC client shell, and every
-//! listener keeps its connections' DNS state beside them.
+//! host. Each carrier is written once: DoT and DoH share the TLS-over-TCP
+//! stream of `doqlab-netstack`, DoQ and DoH3 one QUIC client shell, and
+//! every listener keeps its connections' DNS state beside them.
 
 pub mod alpn;
 mod carrier;

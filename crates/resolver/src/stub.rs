@@ -80,8 +80,8 @@ pub struct StubResolverHost {
 
 impl StubResolverHost {
     /// Build a stub for one cohort. `upstream` should carry a pool
-    /// policy; `cache_enabled: false` degrades
-    /// the stub to a pure forwarder (every query goes upstream).
+    /// policy; `cache_enabled: false` degrades the stub to a pure
+    /// forwarder (every query goes upstream).
     pub fn new(upstream: Upstream, gen: WorkloadGen, cache_enabled: bool) -> Self {
         StubResolverHost {
             upstream,
