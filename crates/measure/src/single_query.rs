@@ -305,18 +305,6 @@ pub struct UnitOutcome {
     pub winner: Option<DnsTransport>,
 }
 
-/// Run a single measurement unit in a simulator of its own.
-pub fn run_unit(
-    campaign: &SingleQueryCampaign,
-    vp: &VantagePoint,
-    profile: &ResolverProfile,
-    transport: DnsTransport,
-    rep: usize,
-) -> SingleQuerySample {
-    let mut sim = Simulator::arena();
-    run_unit_in(&mut sim, campaign, vp, profile, transport, rep)
-}
-
 /// Run a single measurement unit in a reusable simulator arena: the
 /// arena is reset (reusing its allocations) and left holding the
 /// unit's final state.
