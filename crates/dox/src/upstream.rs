@@ -669,7 +669,7 @@ impl Upstream {
     }
 
     /// Time from first packet to usable session.
-    pub fn handshake_time(&self) -> Option<doqlab_simnet::Duration> {
+    pub fn handshake_time(&self) -> Option<Duration> {
         Some(self.handshake_done_at()? - self.started_at?)
     }
 
